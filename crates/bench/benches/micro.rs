@@ -11,8 +11,8 @@ use pcap_core::{
     IdlePredictor, Pcap, PcapConfig, PredictionTable, SharedTable, SignatureTracker, TableKey,
 };
 use pcap_sim::{
-    audit_prepared, evaluate_app, evaluate_prepared, evaluate_prepared_observed, MetricsObserver,
-    PowerManagerKind, PreparedTrace, SimConfig,
+    audit_prepared, evaluate_app, evaluate_prepared, evaluate_prepared_with, MetricsObserver,
+    NullObserver, PowerManagerKind, PreparedTrace, SimConfig,
 };
 use pcap_types::{
     DiskAccess, Fd, FileId, IoEvent, IoKind, Pc, Pid, Signature, SimDuration, SimTime,
@@ -191,8 +191,13 @@ fn observer_overhead(c: &mut Criterion) {
     group.bench_function("metrics", |b| {
         b.iter(|| {
             let mut sink = MetricsObserver::default();
-            let report =
-                evaluate_prepared_observed(&prepared, &config, PowerManagerKind::PCAP, &mut sink);
+            let report = evaluate_prepared_with(
+                &prepared,
+                &config,
+                PowerManagerKind::PCAP,
+                &mut sink,
+                &pcap_obs::NullPipeline,
+            );
             black_box((report, sink.metrics))
         })
     });
@@ -208,7 +213,6 @@ fn observer_overhead(c: &mut Criterion) {
 /// counter update per evaluation), plus the raw per-span cost of the
 /// recorder itself.
 fn tracing_overhead(c: &mut Criterion) {
-    use pcap_sim::evaluate_prepared_traced;
     let trace = sample_trace();
     let events = trace.total_ios() as u64;
     let config = SimConfig::paper();
@@ -218,10 +222,11 @@ fn tracing_overhead(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("disabled", |b| {
         b.iter(|| {
-            black_box(evaluate_prepared_traced(
+            black_box(evaluate_prepared_with(
                 &prepared,
                 &config,
                 PowerManagerKind::PCAP,
+                &mut NullObserver,
                 &pcap_obs::NullPipeline,
             ))
         })
@@ -229,10 +234,11 @@ fn tracing_overhead(c: &mut Criterion) {
     group.bench_function("recording", |b| {
         let recorder = pcap_obs::TraceRecorder::new();
         b.iter(|| {
-            black_box(evaluate_prepared_traced(
+            black_box(evaluate_prepared_with(
                 &prepared,
                 &config,
                 PowerManagerKind::PCAP,
+                &mut NullObserver,
                 &recorder,
             ))
         })

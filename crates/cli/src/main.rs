@@ -583,8 +583,15 @@ idle-gap distribution (all executions):"
                 .generate_run(options.seed, run_idx)
                 .map_err(|e| e.to_string())?;
             let streams = pcap_sim::RunStreams::build(&run, &config);
-            let mut log = Vec::new();
-            pcap_sim::simulate_run_logged(&streams, &config, &mut manager, &mut log);
+            let mut collector = pcap_sim::AuditCollector::new();
+            pcap_sim::simulate_run_observed(
+                &streams,
+                &config,
+                &mut manager,
+                &mut pcap_sim::EngineScratch::new(),
+                &mut collector,
+            );
+            let (log, ..) = collector.finish();
             println!(
                 "{name} execution {run_idx}: {} disk accesses, {} idle gaps (PCAP manager)\n",
                 streams.accesses.len(),
@@ -598,16 +605,16 @@ idle-gap distribution (all executions):"
                 .iter()
                 .filter(|g| g.verdict != pcap_sim::GapVerdict::Short)
             {
-                let shutdown = g.shutdown.map_or_else(
+                let shutdown = g.shutdown_at.zip(g.shutdown_source).map_or_else(
                     || "-".to_owned(),
                     |(at, source)| format!("{:.2}s ({source})", at.as_secs_f64()),
                 );
                 println!(
                     "{:>6} {:>8} {:>11.2}s {:>9.2}s {:>14} {:>8}",
-                    g.access_index,
+                    g.access,
                     g.pid.0,
-                    g.start.as_secs_f64(),
-                    g.length.as_secs_f64(),
+                    g.at.as_secs_f64(),
+                    g.global_gap.as_secs_f64(),
                     shutdown,
                     match g.verdict {
                         pcap_sim::GapVerdict::Hit => "HIT",
@@ -1441,11 +1448,12 @@ fn run_bench(options: &Options) -> Result<(), String> {
     let eval_observed = || {
         for idx in 0..bench.traces().len() {
             let mut sink = pcap_sim::MetricsObserver::default();
-            let report = pcap_sim::evaluate_prepared_observed(
+            let report = pcap_sim::evaluate_prepared_with(
                 bench.prepared(idx),
                 bench.config(),
                 pcap_sim::PowerManagerKind::PCAP,
                 &mut sink,
+                &pcap_obs::NullPipeline,
             );
             std::hint::black_box((&report, &sink.metrics));
         }
@@ -1454,10 +1462,11 @@ fn run_bench(options: &Options) -> Result<(), String> {
     let eval_traced = || {
         let recorder = TraceRecorder::new();
         for idx in 0..bench.traces().len() {
-            let report = pcap_sim::evaluate_prepared_traced(
+            let report = pcap_sim::evaluate_prepared_with(
                 bench.prepared(idx),
                 bench.config(),
                 pcap_sim::PowerManagerKind::PCAP,
+                &mut pcap_sim::NullObserver,
                 &recorder,
             );
             std::hint::black_box(&report);

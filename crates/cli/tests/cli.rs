@@ -1022,3 +1022,37 @@ fn journaled_sweep_exports_progress_metrics() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn inspect_prints_the_gap_table_byte_for_byte() {
+    // Pinned output of `pcap inspect` at seed 42: the header line, the
+    // column header and every non-short gap row, including primary and
+    // backup shutdowns and both verdicts.
+    for (args, expected) in [
+        (
+            &["inspect", "nedit", "1"][..],
+            "nedit execution 1: 211 disk accesses, 211 idle gaps (PCAP manager)\n\
+             \n  gap#      pid        start     length       shutdown  verdict\n   \
+             205        1        2.26s    270.24s 12.26s (backup)      HIT\n",
+        ),
+        (
+            &["inspect", "xemacs", "3"][..],
+            concat!(
+                "xemacs execution 3: 1847 disk accesses, 1847 idle gaps (PCAP manager)\n",
+                "\n",
+                "  gap#      pid        start     length       shutdown  verdict\n",
+                "  1804        1       18.25s     35.90s 28.25s (backup)      HIT\n",
+                "  1809        1       54.21s    186.38s 64.21s (backup)      HIT\n",
+                "  1817        1      240.66s      2.17s 241.66s (primary)     MISS\n",
+                "  1828        1      245.53s     17.91s 255.53s (backup)      HIT\n",
+                "  1836        1      263.51s      5.87s 264.51s (primary)     MISS\n",
+                "  1840        1      269.42s     41.97s 279.42s (backup)      HIT\n",
+                "  1846        1      311.46s     77.32s 312.46s (primary)      HIT\n",
+            ),
+        ),
+    ] {
+        let out = pcap(args);
+        assert!(out.status.success(), "{args:?} stderr: {}", stderr(&out));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+    }
+}

@@ -16,9 +16,9 @@ use crate::tables::{pct1, Table};
 use crate::workbench::Workbench;
 use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    decode_reports, encode_reports, evaluate_prepared, evaluate_prepared_traced, run_journaled,
-    AppReport, Journal, JournalError, PowerManagerKind, PreparedTrace, SeedStat, SimConfig,
-    SweepRunner,
+    decode_reports, encode_reports, evaluate_prepared, evaluate_prepared_with, run_journaled,
+    AppReport, Journal, JournalError, NullObserver, PowerManagerKind, PreparedTrace, SeedStat,
+    SimConfig, SweepRunner,
 };
 use pcap_trace::TraceError;
 use pcap_workload::{AppModel, ConfigHash, PaperApp};
@@ -113,7 +113,13 @@ pub fn run_sweep_observed<P: PipelineObserver>(
             "sweep",
             &simulation_tasks,
             |_, &(trace_idx, kind)| {
-                evaluate_prepared_traced(bench.prepared(trace_idx), config, kind, pipeline)
+                evaluate_prepared_with(
+                    bench.prepared(trace_idx),
+                    config,
+                    kind,
+                    &mut NullObserver,
+                    pipeline,
+                )
             },
             |_, &(trace_idx, kind)| {
                 format!(

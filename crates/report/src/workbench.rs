@@ -10,8 +10,8 @@
 use pcap_core::PcapVariant;
 use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    evaluate_app, evaluate_prepared, evaluate_prepared_traced, AppReport, PowerManagerKind,
-    PreparedTrace, SimConfig, SweepRunner,
+    evaluate_app, evaluate_prepared, evaluate_prepared_with, AppReport, NullObserver,
+    PowerManagerKind, PreparedTrace, SimConfig, SweepRunner,
 };
 use pcap_trace::{ApplicationTrace, TraceError};
 use pcap_workload::{AppModel, PaperApp};
@@ -246,7 +246,13 @@ impl Workbench {
                 "warm_up",
                 &claimed,
                 |_, &(trace_idx, kind)| {
-                    evaluate_prepared_traced(self.prepared(trace_idx), &self.config, kind, pipeline)
+                    evaluate_prepared_with(
+                        self.prepared(trace_idx),
+                        &self.config,
+                        kind,
+                        &mut NullObserver,
+                        pipeline,
+                    )
                 },
                 |_, &(trace_idx, kind)| {
                     format!("cell:{}×{}", self.traces[trace_idx].app, kind.label())

@@ -25,16 +25,15 @@
 //! is byte-identical for any `--jobs` value and can be
 //! golden-snapshotted (see `pcap audit --jsonl` and `golden/audit/`).
 
-use crate::engine::{simulate_run_observed, AppReport, EngineScratch, GapVerdict};
+use crate::engine::{AppReport, GapVerdict};
 use crate::factory::PowerManagerKind;
-use crate::metrics::{EnergyBreakdown, PredictionCounts};
-use crate::prepared::PreparedTrace;
+use crate::metrics::EnergyBreakdown;
+use crate::prepared::{evaluate_prepared_with, PreparedTrace};
 use crate::SimConfig;
 use pcap_core::VoteSource;
 use pcap_disk::{GapBreakdown, Joules};
 use pcap_types::{Pc, Pid, Signature, SimDuration, SimTime};
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Everything the engine knew and decided about one idle gap — one
 /// line of the `pcap audit --jsonl` decision log.
@@ -148,9 +147,10 @@ pub trait DecisionObserver {
     /// descent bottomed out in (`None` = the disk never left spinning
     /// idle). Called immediately after
     /// [`on_decision`](Self::on_decision) for the same access — but
-    /// only by the multi-state engine
-    /// (`crate::simulate_run_multistate`); the two-state engine never
-    /// invokes it, so legacy audit streams are unaffected.
+    /// only under the ladder charge
+    /// ([`crate::evaluate_prepared_multistate`] and friends); the
+    /// two-state charge never invokes it, so legacy audit streams are
+    /// unaffected.
     fn on_ladder_bottom(&mut self, bottom: Option<usize>) {
         let _ = bottom;
     }
@@ -269,7 +269,7 @@ pub struct AuditCollector {
     records: Vec<DecisionRecord>,
     metrics: MetricsRegistry,
     /// Per-decision ladder bottom-out states, aligned with `records`.
-    /// Populated only by the multi-state engine; empty otherwise.
+    /// Populated only under the ladder charge; empty otherwise.
     ladder_bottoms: Vec<Option<usize>>,
     current_run: u32,
     /// Run-local accumulators, flushed into the totals at run
@@ -316,6 +316,19 @@ impl AuditCollector {
                 base_energy: self.base_energy,
             },
         )
+    }
+
+    /// Finalizes the collector alongside the `report` of the evaluation
+    /// it observed.
+    pub(crate) fn into_outcome(self, report: AppReport) -> AuditOutcome {
+        let (records, metrics, ladder_bottoms, audit_energy) = self.finish();
+        AuditOutcome {
+            report,
+            records,
+            metrics,
+            ladder_bottoms,
+            audit_energy,
+        }
     }
 }
 
@@ -368,105 +381,12 @@ pub struct AuditOutcome {
     /// Aggregate audit metrics over all runs.
     pub metrics: MetricsRegistry,
     /// Per-decision ladder bottom-out states, aligned with `records`.
-    /// Empty unless the audit ran through the multi-state engine
-    /// (`crate::audit_prepared_multistate`).
+    /// Empty unless the audit ran under the ladder charge
+    /// ([`crate::audit_prepared_multistate`]).
     pub ladder_bottoms: Vec<Option<usize>>,
     /// Energy totals replayed from the decision stream (bitwise-equal
     /// to the report's).
     pub audit_energy: AuditEnergy,
-}
-
-/// [`evaluate_prepared`](crate::evaluate_prepared) with an attached
-/// [`DecisionObserver`] — the single evaluation driver behind the plain
-/// path ([`NullObserver`]), `pcap audit` ([`AuditCollector`]) and the
-/// bench guard ([`MetricsObserver`]).
-///
-/// # Panics
-///
-/// Panics if `config` disagrees with the preparation config on cache
-/// or disk parameters (the streams would be stale).
-pub fn evaluate_prepared_observed<O: DecisionObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    observer: &mut O,
-) -> AppReport {
-    evaluate_prepared_instrumented(prepared, config, kind, observer, &pcap_obs::NullPipeline)
-}
-
-/// The fully generic evaluation core: a [`DecisionObserver`] for the
-/// per-decision audit stream *and* a [`pcap_obs::PipelineObserver`] for
-/// pipeline-level spans and counters. Both default observers
-/// ([`NullObserver`], [`pcap_obs::NullPipeline`]) compile their
-/// respective layers out, so every wrapper above this function pays
-/// only for the layers it actually attaches.
-///
-/// Pipeline events: one `eval:{app}×{manager}` span around the whole
-/// run loop, one `runs` counter increment per simulated run, and an
-/// `eval_us` histogram sample for the span's duration.
-///
-/// # Panics
-///
-/// Panics if `config` disagrees with the preparation config on cache
-/// or disk parameters (the streams would be stale).
-pub fn evaluate_prepared_instrumented<O, P>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    observer: &mut O,
-    pipeline: &P,
-) -> AppReport
-where
-    O: DecisionObserver,
-    P: pcap_obs::PipelineObserver,
-{
-    assert!(
-        prepared.matches(config),
-        "evaluate_prepared: config changes cache/disk parameters; rebuild the PreparedTrace"
-    );
-    if P::ENABLED {
-        let name = format!("eval:{}×{}", prepared.app(), kind.label());
-        let started = std::time::Instant::now();
-        pipeline.span_begin(&name);
-        let report = evaluate_prepared_core(prepared, config, kind, observer);
-        pipeline.span_end(&name);
-        pipeline.observe_us("eval_us", started.elapsed().as_micros() as u64);
-        pipeline.counter_add("runs", prepared.len() as u64);
-        return report;
-    }
-    evaluate_prepared_core(prepared, config, kind, observer)
-}
-
-fn evaluate_prepared_core<O: DecisionObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    observer: &mut O,
-) -> AppReport {
-    let mut manager = kind.manager(config);
-    let mut report = AppReport {
-        app: Arc::clone(prepared.app()),
-        manager: kind.label(),
-        local: PredictionCounts::default(),
-        global: PredictionCounts::default(),
-        energy: EnergyBreakdown::default(),
-        base_energy: EnergyBreakdown::default(),
-        table_entries: None,
-        table_aliases: None,
-    };
-    let mut scratch = EngineScratch::new();
-    for (run, streams) in prepared.streams().iter().enumerate() {
-        observer.on_run_start(run as u32);
-        let outcome = simulate_run_observed(streams, config, &mut manager, &mut scratch, observer);
-        report.local += outcome.local;
-        report.global += outcome.global;
-        report.energy += outcome.energy;
-        report.base_energy += outcome.base_energy;
-        manager.on_run_end();
-    }
-    report.table_entries = manager.table_entries();
-    report.table_aliases = manager.table_aliases();
-    report
 }
 
 /// Audits one power manager against a prepared trace: runs the normal
@@ -479,15 +399,14 @@ pub fn audit_prepared(
     kind: PowerManagerKind,
 ) -> AuditOutcome {
     let mut collector = AuditCollector::new();
-    let report = evaluate_prepared_observed(prepared, config, kind, &mut collector);
-    let (records, metrics, ladder_bottoms, audit_energy) = collector.finish();
-    AuditOutcome {
-        report,
-        records,
-        metrics,
-        ladder_bottoms,
-        audit_energy,
-    }
+    let report = evaluate_prepared_with(
+        prepared,
+        config,
+        kind,
+        &mut collector,
+        &pcap_obs::NullPipeline,
+    );
+    collector.into_outcome(report)
 }
 
 /// Serializes decision records as JSON Lines (one compact object per

@@ -20,6 +20,11 @@
 //! run's accesses, gaps, lifetimes and lifecycle) and mutates only the
 //! manager plus a reusable [`EngineScratch`], so one prepared stream
 //! can be shared by the whole manager grid — see [`crate::prepared`].
+//!
+//! This is the crate's only per-access loop (`simulate_run_charged`).
+//! It is generic over the decision observer and over the per-gap energy
+//! charge: the two-state Table 2 charge here, or the §7 ladder charge
+//! of [`crate::multistate`].
 
 use crate::audit::{DecisionObserver, DecisionRecord, GapEnergy, NullObserver};
 use crate::factory::{Manager, PowerManagerKind};
@@ -28,7 +33,7 @@ use crate::prepared::{evaluate_prepared, PreparedTrace};
 use crate::streams::{LifecycleEvent, LifecycleKind, RunStreams};
 use crate::SimConfig;
 use pcap_core::{GlobalDecision, GlobalPredictor, IdlePredictor, VoteSource};
-use pcap_disk::GapBreakdown;
+use pcap_disk::{DiskParams, GapBreakdown, LowPowerState};
 use pcap_trace::ApplicationTrace;
 use pcap_types::{Pid, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -92,24 +97,6 @@ pub enum GapVerdict {
     Short,
 }
 
-/// One idle gap's full story, for `pcap inspect`-style debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GapRecord {
-    /// Index of the access that opened the gap.
-    pub access_index: usize,
-    /// Process whose access opened the gap.
-    pub pid: Pid,
-    /// When the gap started (access completion).
-    pub start: SimTime,
-    /// Gap length.
-    pub length: SimDuration,
-    /// When the disk shut down inside the gap, if it did, and who
-    /// decided.
-    pub shutdown: Option<(SimTime, VoteSource)>,
-    /// The verdict.
-    pub verdict: GapVerdict,
-}
-
 /// Per-run simulation outcome.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOutcome {
@@ -130,14 +117,14 @@ pub struct RunOutcome {
 /// per-run path free of table reallocation.
 #[derive(Default)]
 pub struct EngineScratch {
-    pub(crate) preds: Vec<Option<Box<dyn IdlePredictor>>>,
-    pub(crate) pending_idle: Vec<Option<SimDuration>>,
+    preds: Vec<Option<Box<dyn IdlePredictor>>>,
+    pending_idle: Vec<Option<SimDuration>>,
     /// Per-run global predictor, cleared (capacity kept) between runs.
-    pub(crate) global: GlobalPredictor,
+    global: GlobalPredictor,
     /// Retired per-process predictor boxes available for recycling; see
     /// [`EngineScratch::enable_predictor_pool`].
-    pub(crate) pool: Vec<Box<dyn IdlePredictor>>,
-    pub(crate) pool_enabled: bool,
+    pool: Vec<Box<dyn IdlePredictor>>,
+    pool_enabled: bool,
 }
 
 impl EngineScratch {
@@ -163,7 +150,7 @@ impl EngineScratch {
         self.pool_enabled = true;
     }
 
-    pub(crate) fn reset(&mut self, pid_count: usize) {
+    fn reset(&mut self, pid_count: usize) {
         self.preds.clear();
         self.preds.resize_with(pid_count, || None);
         self.pending_idle.clear();
@@ -175,17 +162,17 @@ impl EngineScratch {
 /// Live per-run simulation state. Process-indexed tables are dense
 /// (compact pid index); the pid itself is only materialized at the
 /// `GlobalPredictor` boundary.
-pub(crate) struct RunState<'a> {
-    pub(crate) manager: &'a mut Manager,
-    pub(crate) oracle: bool,
-    pub(crate) global: &'a mut GlobalPredictor,
-    pub(crate) preds: &'a mut [Option<Box<dyn IdlePredictor>>],
+struct RunState<'a> {
+    manager: &'a mut Manager,
+    oracle: bool,
+    global: &'a mut GlobalPredictor,
+    preds: &'a mut [Option<Box<dyn IdlePredictor>>],
     /// Gap lengths awaiting `on_idle_end` at each process's next access
     /// (or exit).
-    pub(crate) pending_idle: &'a mut [Option<SimDuration>],
-    pub(crate) pool: &'a mut Vec<Box<dyn IdlePredictor>>,
-    pub(crate) pool_enabled: bool,
-    pub(crate) pids: &'a [Pid],
+    pending_idle: &'a mut [Option<SimDuration>],
+    pool: &'a mut Vec<Box<dyn IdlePredictor>>,
+    pool_enabled: bool,
+    pids: &'a [Pid],
 }
 
 impl RunState<'_> {
@@ -216,7 +203,7 @@ impl RunState<'_> {
         self.global.process_exited(self.pids[pidx]);
     }
 
-    pub(crate) fn apply(&mut self, event: LifecycleEvent) {
+    fn apply(&mut self, event: LifecycleEvent) {
         match event.kind {
             LifecycleKind::Start => self.start_process(event.pidx as usize, event.time),
             LifecycleKind::Exit => self.end_process(event.pidx as usize),
@@ -237,58 +224,10 @@ pub fn simulate_run(streams: &RunStreams, config: &SimConfig, manager: &mut Mana
     )
 }
 
-/// Adapts the per-decision audit stream back to the legacy
-/// [`GapRecord`] log consumed by `pcap inspect`.
-struct GapLogObserver<'a> {
-    log: &'a mut Vec<GapRecord>,
-}
-
-impl DecisionObserver for GapLogObserver<'_> {
-    fn on_decision(&mut self, record: DecisionRecord, _energy: &GapEnergy) {
-        self.log.push(GapRecord {
-            access_index: record.access as usize,
-            pid: record.pid,
-            start: record.at,
-            length: record.global_gap,
-            shutdown: record.shutdown_at.zip(record.shutdown_source),
-            verdict: record.verdict,
-        });
-    }
-}
-
-/// [`simulate_run`] that additionally records every merged idle gap's
-/// decision into `log` — the data behind `pcap inspect`.
-pub fn simulate_run_logged(
-    streams: &RunStreams,
-    config: &SimConfig,
-    manager: &mut Manager,
-    log: &mut Vec<GapRecord>,
-) -> RunOutcome {
-    simulate_run_observed(
-        streams,
-        config,
-        manager,
-        &mut EngineScratch::new(),
-        &mut GapLogObserver { log },
-    )
-}
-
-/// [`simulate_run`] reusing a caller-owned [`EngineScratch`] — the
-/// allocation-free path used by [`evaluate_prepared`].
-pub fn simulate_run_reusing(
-    streams: &RunStreams,
-    config: &SimConfig,
-    manager: &mut Manager,
-    scratch: &mut EngineScratch,
-) -> RunOutcome {
-    simulate_run_observed(streams, config, manager, scratch, &mut NullObserver)
-}
-
-/// Simulates one execution, delivering every idle-gap decision to
-/// `observer` (see [`DecisionObserver`]). With [`NullObserver`] the
-/// audit path compiles away entirely; this is the single engine loop
-/// behind [`simulate_run`], [`simulate_run_logged`] and
-/// [`simulate_run_reusing`].
+/// Simulates one execution under the paper's two-state disk,
+/// delivering every idle-gap decision to `observer` (see
+/// [`DecisionObserver`]). With [`NullObserver`] the audit path
+/// compiles away entirely.
 ///
 /// The caller is responsible for invoking
 /// [`DecisionObserver::on_run_start`] if its sink distinguishes runs;
@@ -300,8 +239,81 @@ pub fn simulate_run_observed<O: DecisionObserver>(
     scratch: &mut EngineScratch,
     observer: &mut O,
 ) -> RunOutcome {
+    simulate_run_charged(
+        streams,
+        config,
+        manager,
+        scratch,
+        &mut TwoStateCharge,
+        observer,
+    )
+}
+
+/// How one idle gap's managed energy is charged — the only step in
+/// which the paper's two-state disk and the §7 power ladder differ.
+/// Lifecycle stepping, voting, verdicts (always against the two-state
+/// breakeven), base energy and audit records are shared by the one
+/// loop in [`simulate_run_charged`], into which each charge is
+/// monomorphized.
+pub(crate) trait GapCharge {
+    /// The managed breakdown of a `gap` whose voted shutdown, if any,
+    /// fires `delay` after the gap starts on behalf of `source`. `base`
+    /// is the same gap's always-on breakdown; `window` is the manager's
+    /// §7 wait-window state.
+    fn charge(
+        &mut self,
+        disk: &DiskParams,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        window: Option<&LowPowerState>,
+        base: GapBreakdown,
+    ) -> GapBreakdown;
+
+    /// Reports what the charge learned about the gap it just charged,
+    /// right after the engine's [`DecisionObserver::on_decision`] for
+    /// that gap.
+    fn observe<O: DecisionObserver>(&self, observer: &mut O) {
+        let _ = observer;
+    }
+}
+
+/// The Table 2 charge: spin idle until the shutdown, then standby plus
+/// one power cycle.
+pub(crate) struct TwoStateCharge;
+
+impl GapCharge for TwoStateCharge {
+    #[inline]
+    fn charge(
+        &mut self,
+        disk: &DiskParams,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        window: Option<&LowPowerState>,
+        base: GapBreakdown,
+    ) -> GapBreakdown {
+        let Some((delay, _)) = shutdown else {
+            return base;
+        };
+        match window {
+            // §7 extension: the wait-window is spent in a shallow
+            // low-power state instead of spinning idle.
+            Some(shallow) => GapBreakdown::managed_with_window_state(disk, gap, delay, shallow),
+            None => GapBreakdown::managed(disk, gap, delay),
+        }
+    }
+}
+
+/// The simulation loop: one execution, every idle gap charged by
+/// `charge` and reported to `observer`.
+pub(crate) fn simulate_run_charged<C: GapCharge, O: DecisionObserver>(
+    streams: &RunStreams,
+    config: &SimConfig,
+    manager: &mut Manager,
+    scratch: &mut EngineScratch,
+    charge: &mut C,
+    observer: &mut O,
+) -> RunOutcome {
     let be = config.disk.breakeven_time();
-    let window_state = manager.window_state();
     let mut out = RunOutcome::default();
 
     scratch.reset(streams.pid_count());
@@ -360,33 +372,14 @@ pub fn simulate_run_observed<O: DecisionObserver>(
             None
         };
 
-        // Local classification.
-        if local_gap > be {
-            out.local.opportunities += 1;
-        }
-        let local_verdict = match vote {
-            Some(vote) => match vote.delay {
-                Some(delay) if delay < local_gap => {
-                    if local_gap - delay > be {
-                        out.local.record_hit(vote.source);
-                        GapVerdict::Hit
-                    } else {
-                        out.local.record_miss(vote.source);
-                        GapVerdict::Miss
-                    }
-                }
-                _ if local_gap > be => {
-                    out.local.not_predicted += 1;
-                    GapVerdict::NotPredicted
-                }
-                _ => GapVerdict::Short,
-            },
-            None if local_gap > be => {
-                out.local.not_predicted += 1;
-                GapVerdict::NotPredicted
-            }
-            None => GapVerdict::Short,
-        };
+        // Local classification: the process's own vote against its own
+        // gap.
+        let local_shutdown = vote.and_then(|v| {
+            v.delay
+                .filter(|&delay| delay < local_gap)
+                .map(|delay| (local_gap - delay, v.source))
+        });
+        let local_verdict = classify(&mut out.local, local_gap, local_shutdown, be);
         if let Some(vote) = vote {
             if !state.oracle {
                 state.global.record_vote(state.pids[pidx], completion, vote);
@@ -413,47 +406,19 @@ pub fn simulate_run_observed<O: DecisionObserver>(
             resolve_gap_voting(&mut state, lifecycle, &mut li, completion, gap_end)
         };
 
-        // Global classification and energy. The always-on breakdown is
-        // shared by the unmanaged branch and the base-energy term.
-        if global_gap > be {
-            out.global.opportunities += 1;
-        }
+        // Global classification tracks the voted shutdown; the energy
+        // follows the charge.
+        let global_shutdown = shutdown.map(|(at, source)| (gap_end - at, source));
+        let verdict = classify(&mut out.global, global_gap, global_shutdown, be);
         let base_breakdown = GapBreakdown::unmanaged(&config.disk, global_gap);
-        let (verdict, managed_breakdown) = match shutdown {
-            Some((at, source)) => {
-                let off = gap_end - at;
-                let verdict = if off > be {
-                    out.global.record_hit(source);
-                    GapVerdict::Hit
-                } else {
-                    out.global.record_miss(source);
-                    GapVerdict::Miss
-                };
-                let breakdown = match &window_state {
-                    // §7 extension: the wait-window is spent in a
-                    // shallow low-power state instead of spinning idle.
-                    Some(shallow) => GapBreakdown::managed_with_window_state(
-                        &config.disk,
-                        global_gap,
-                        at - completion,
-                        shallow,
-                    ),
-                    None => GapBreakdown::managed(&config.disk, global_gap, at - completion),
-                };
-                out.energy.add_gap(global_gap > be, breakdown);
-                (verdict, breakdown)
-            }
-            None => {
-                let verdict = if global_gap > be {
-                    out.global.not_predicted += 1;
-                    GapVerdict::NotPredicted
-                } else {
-                    GapVerdict::Short
-                };
-                out.energy.add_gap(global_gap > be, base_breakdown);
-                (verdict, base_breakdown)
-            }
-        };
+        let managed_breakdown = charge.charge(
+            &config.disk,
+            global_gap,
+            shutdown.map(|(at, source)| (at - completion, source)),
+            state.manager.window_state(),
+            base_breakdown,
+        );
+        out.energy.add_gap(global_gap > be, managed_breakdown);
         out.base_energy.add_gap(global_gap > be, base_breakdown);
 
         if O::ENABLED {
@@ -483,6 +448,7 @@ pub fn simulate_run_observed<O: DecisionObserver>(
                     base: base_breakdown,
                 },
             );
+            charge.observe(observer);
         }
     }
 
@@ -507,11 +473,41 @@ pub fn simulate_run_observed<O: DecisionObserver>(
     out
 }
 
+/// Scores one gap into `counts`: a long gap is an opportunity; a
+/// shutdown that left the disk off for longer than breakeven is a hit,
+/// any other shutdown a miss; no shutdown is not-predicted (long gap)
+/// or short.
+fn classify(
+    counts: &mut PredictionCounts,
+    gap: SimDuration,
+    shutdown: Option<(SimDuration, VoteSource)>,
+    be: SimDuration,
+) -> GapVerdict {
+    if gap > be {
+        counts.opportunities += 1;
+    }
+    match shutdown {
+        Some((off, source)) if off > be => {
+            counts.record_hit(source);
+            GapVerdict::Hit
+        }
+        Some((_, source)) => {
+            counts.record_miss(source);
+            GapVerdict::Miss
+        }
+        None if gap > be => {
+            counts.not_predicted += 1;
+            GapVerdict::NotPredicted
+        }
+        None => GapVerdict::Short,
+    }
+}
+
 /// Steps through the lifecycle events inside one idle gap, returning
 /// the first instant at which every live process's vote is ready (and
 /// the source of the latest vote), or `None` if the disk must keep
 /// spinning until the gap ends.
-pub(crate) fn resolve_gap_voting(
+fn resolve_gap_voting(
     state: &mut RunState<'_>,
     lifecycle: &[LifecycleEvent],
     li: &mut usize,
@@ -734,28 +730,29 @@ mod tests {
     }
 
     #[test]
-    fn gap_log_matches_counts() {
+    fn decision_stream_matches_counts() {
         let run = run_with_gaps(&[1.0, 21.0, 29.0], 41.0);
         let config = SimConfig::paper();
         let streams = RunStreams::build(&run, &config);
         let mut manager = PowerManagerKind::Timeout.manager(&config);
-        let mut log = Vec::new();
-        let out = simulate_run_logged(&streams, &config, &mut manager, &mut log);
+        let mut collector = crate::AuditCollector::new();
+        let out = simulate_run_observed(
+            &streams,
+            &config,
+            &mut manager,
+            &mut EngineScratch::new(),
+            &mut collector,
+        );
+        let (log, ..) = collector.finish();
         assert_eq!(log.len(), streams.accesses.len());
-        let hits = log.iter().filter(|g| g.verdict == GapVerdict::Hit).count();
-        let misses = log.iter().filter(|g| g.verdict == GapVerdict::Miss).count();
-        let np = log
-            .iter()
-            .filter(|g| g.verdict == GapVerdict::NotPredicted)
-            .count();
-        assert_eq!(hits as u64, out.global.hits());
-        assert_eq!(misses as u64, out.global.misses());
-        assert_eq!(np as u64, out.global.not_predicted);
+        let count = |verdict| log.iter().filter(|r| r.verdict == verdict).count() as u64;
+        assert_eq!(count(GapVerdict::Hit), out.global.hits());
+        assert_eq!(count(GapVerdict::Miss), out.global.misses());
+        assert_eq!(count(GapVerdict::NotPredicted), out.global.not_predicted);
         // The hit gap carries its shutdown instant and source.
-        let hit = log.iter().find(|g| g.verdict == GapVerdict::Hit).unwrap();
-        let (at, source) = hit.shutdown.expect("hit has a shutdown");
-        assert_eq!(source, VoteSource::Primary);
-        assert!(at > hit.start);
+        let hit = log.iter().find(|r| r.verdict == GapVerdict::Hit).unwrap();
+        assert_eq!(hit.shutdown_source, Some(VoteSource::Primary));
+        assert!(hit.shutdown_at.expect("hit has a shutdown") > hit.at);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use pcap_baselines::{
 use pcap_core::{
     IdlePredictor, Pcap, PcapConfig, PcapVariant, SharedTable, ShutdownVote, WithBackup,
 };
+use pcap_disk::{LowPowerState, MultiStateParams};
 use pcap_types::{Pid, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -128,6 +129,9 @@ pub struct Manager {
     kind: PowerManagerKind,
     config: SimConfig,
     shared: Shared,
+    /// See [`Manager::window_state`]; resolved once here because the
+    /// ladder it is chosen from allocates.
+    window_state: Option<LowPowerState>,
 }
 
 impl Manager {
@@ -142,10 +146,17 @@ impl Manager {
             PowerManagerKind::LearningTree { .. } => Shared::Tree(SharedTree::new()),
             _ => Shared::None,
         };
+        let window_state = match kind {
+            PowerManagerKind::MultiStatePcap => MultiStateParams::mobile_ata()
+                .best_state_for(config.wait_window)
+                .cloned(),
+            _ => None,
+        };
         Manager {
             kind,
             config: config.clone(),
             shared,
+            window_state,
         }
     }
 
@@ -249,12 +260,8 @@ impl Manager {
     /// intervals, if this manager uses the §7 multi-state extension.
     /// Chosen so it pays off even for the shortest such interval (one
     /// wait-window); longer intervals only save more.
-    pub fn window_state(&self) -> Option<pcap_disk::LowPowerState> {
-        if self.kind != PowerManagerKind::MultiStatePcap {
-            return None;
-        }
-        let ladder = pcap_disk::MultiStateParams::mobile_ata();
-        ladder.best_state_for(self.config.wait_window).cloned()
+    pub fn window_state(&self) -> Option<&LowPowerState> {
+        self.window_state.as_ref()
     }
 
     /// Applies the run-boundary policy: discard shared state unless the

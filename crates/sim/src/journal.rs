@@ -46,7 +46,7 @@
 use crate::engine::AppReport;
 use crate::factory::PowerManagerKind;
 use crate::metrics::{EnergyBreakdown, PredictionCounts};
-use crate::stream::{FleetReport, FleetSlot, StreamWorker, FLEET_CHUNK};
+use crate::stream::{evaluate_chunk, fleet_chunks, FleetReport, FleetSlot, FLEET_CHUNK};
 use crate::sweep::SweepRunner;
 use crate::SimConfig;
 use pcap_disk::Joules;
@@ -807,47 +807,22 @@ pub fn sweep_fleet_journaled(
     max_runs: Option<usize>,
     journal: &mut Journal,
 ) -> Result<FleetReport, JournalError> {
-    let devices = pop.devices();
-    let mut cells: Vec<(u64, (u64, u64))> = Vec::new();
-    let mut start = 0;
-    while start < devices {
-        let end = (start + FLEET_CHUNK).min(devices);
-        cells.push((fleet_cell_key(start, end), (start, end)));
-        start = end;
-    }
-    let results = run_journaled(journal, runner, &cells, |&(start, end)| {
-        let mut worker = StreamWorker::new(config, kind);
-        let mut slots = [FleetSlot::default(); 6];
-        for device in start..end {
-            let outcome = worker
-                .evaluate_device(pop, device, max_runs)
-                .map_err(|e| e.to_string())?;
-            slots[(device % 6) as usize].absorb(&outcome);
-        }
+    let cells: Vec<(u64, (u64, u64))> = fleet_chunks(pop.devices())
+        .into_iter()
+        .map(|(start, end)| (fleet_cell_key(start, end), (start, end)))
+        .collect();
+    let results = run_journaled(journal, runner, &cells, |&chunk| {
+        let slots =
+            evaluate_chunk(pop, config, kind, max_runs, chunk).map_err(|e| e.to_string())?;
         Ok(encode_fleet_slots(&slots))
     })?;
-    let mut per_app = [FleetSlot::default(); 6];
-    for (index, bytes) in results.iter().enumerate() {
-        let slots = decode_fleet_slots(bytes).map_err(|e| JournalError::Corrupt {
+    let chunks = results.iter().enumerate().map(|(index, bytes)| {
+        decode_fleet_slots(bytes).map_err(|e| JournalError::Corrupt {
             offset: 0,
             reason: format!("chunk {index} payload: {e}"),
-        })?;
-        for (into, from) in per_app.iter_mut().zip(slots.iter()) {
-            into.merge(from);
-        }
-    }
-    let mut total = FleetSlot::default();
-    for slot in &per_app {
-        total.merge(slot);
-    }
-    Ok(FleetReport {
-        devices,
-        base_seed: pop.base_seed(),
-        manager: kind.label(),
-        max_runs,
-        per_app: per_app.to_vec(),
-        total,
-    })
+        })
+    });
+    FleetReport::from_chunks(pop, kind, max_runs, chunks)
 }
 
 #[cfg(test)]

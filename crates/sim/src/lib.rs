@@ -44,13 +44,12 @@ pub mod streams;
 pub mod sweep;
 
 pub use audit::{
-    audit_prepared, evaluate_prepared_instrumented, evaluate_prepared_observed, records_to_jsonl,
-    AuditCollector, AuditEnergy, AuditOutcome, DecisionObserver, DecisionRecord, GapEnergy,
-    LogHistogram, MetricsObserver, MetricsRegistry, NullObserver,
+    audit_prepared, records_to_jsonl, AuditCollector, AuditEnergy, AuditOutcome, DecisionObserver,
+    DecisionRecord, GapEnergy, LogHistogram, MetricsObserver, MetricsRegistry, NullObserver,
 };
 pub use engine::{
-    evaluate_app, simulate_run, simulate_run_logged, simulate_run_observed, simulate_run_reusing,
-    AppReport, EngineScratch, GapRecord, GapVerdict, RunOutcome,
+    evaluate_app, simulate_run, simulate_run_observed, AppReport, EngineScratch, GapVerdict,
+    RunOutcome,
 };
 pub use factory::{Manager, PowerManagerKind};
 pub use journal::{
@@ -59,11 +58,9 @@ pub use journal::{
 };
 pub use metrics::{EnergyBreakdown, PredictionCounts};
 pub use multistate::{
-    audit_prepared_multistate, evaluate_prepared_multistate, evaluate_prepared_multistate_observed,
-    evaluate_prepared_multistate_traced, simulate_run_multistate, LadderStats, MultiStateOutcome,
-    MultiStateScratch,
+    audit_prepared_multistate, evaluate_prepared_multistate, LadderStats, MultiStateOutcome,
 };
-pub use prepared::{evaluate_prepared, evaluate_prepared_traced, PreparedTrace};
+pub use prepared::{evaluate_prepared, evaluate_prepared_with, PreparedTrace};
 pub use profile::WorkloadProfile;
 pub use stream::{
     stream_device_report, sweep_fleet, sweep_fleet_observed, DeviceOutcome, FleetReport, FleetSlot,

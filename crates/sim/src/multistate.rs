@@ -1,46 +1,39 @@
-//! The multi-state power-ladder simulation engine — the §7 extension
-//! taken from a single wait-window substitution to a full descent
-//! through [`MultiStateParams::states`].
+//! The multi-state power-ladder charge — the §7 extension taken from a
+//! single wait-window substitution to a full descent through
+//! [`MultiStateParams::states`].
 //!
-//! The loop is structurally identical to
-//! [`simulate_run_observed`](crate::simulate_run_observed): same
-//! lifecycle stepping, same per-process predictors and global voting,
-//! same gap classification against the two-state breakeven (so the
-//! hit/miss grids stay comparable across engines). Only the *energy*
-//! side changes: instead of the closed-form two-state
-//! `GapBreakdown::managed`, each gap is charged by a
-//! [`LadderPolicy`]-planned descent via
-//! [`descent_energy`](pcap_disk::descent_energy) — per-state residency
+//! Evaluations here run through the one simulation loop
+//! (`engine::simulate_run_charged`): same lifecycle stepping, same
+//! per-process predictors and global voting, same gap classification
+//! against the two-state breakeven (so the hit/miss grids stay
+//! comparable across charges). Only the *energy* side changes: instead
+//! of the closed-form two-state `GapBreakdown::managed`, each gap is
+//! charged by a [`LadderPolicy`]-planned descent via
+//! [`descent_energy`] — per-state residency
 //! plus every entry paid so far and the deepest state's exit, including
 //! wakeups that interrupt the descent partway down.
 //!
 //! By construction, a single-state ladder built with
 //! [`MultiStateParams::from_disk`] driven by
 //! [`PredictiveJump`](pcap_disk::PredictiveJump) replays the two-state
-//! engine's float operations in the same order, so the resulting
-//! [`AppReport`] is **byte-identical** to
+//! charge's float operations in the same order, so the resulting
+//! [`AppReport`] and decision stream are **byte-identical** to
 //! [`evaluate_prepared`](crate::evaluate_prepared)'s — the regression
-//! anchor that lets the ladder engine evolve without silently drifting
+//! anchor that lets the ladder charge evolve without silently drifting
 //! from the validated two-state model.
 
-use crate::audit::{
-    AuditCollector, AuditOutcome, DecisionObserver, DecisionRecord, GapEnergy, NullObserver,
-};
-use crate::engine::{
-    resolve_gap_voting, AppReport, EngineScratch, GapVerdict, RunOutcome, RunState,
-};
-use crate::factory::{Manager, PowerManagerKind};
-use crate::metrics::{EnergyBreakdown, PredictionCounts};
-use crate::prepared::PreparedTrace;
-use crate::streams::RunStreams;
+use crate::audit::{AuditCollector, AuditOutcome, DecisionObserver, NullObserver};
+use crate::engine::{AppReport, GapCharge};
+use crate::factory::PowerManagerKind;
+use crate::prepared::{evaluate_charged, PreparedTrace};
 use crate::SimConfig;
 use pcap_core::{ladder_target, VoteSource};
 use pcap_disk::{
-    descent_energy, DescentStep, GapBreakdown, GapContext, LadderPolicy, MultiStateParams,
+    descent_energy, DescentStep, DiskParams, GapBreakdown, GapContext, LadderPolicy, LowPowerState,
+    MultiStateParams,
 };
 use pcap_types::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Where the ladder descents bottomed out, summed over gaps: the
 /// observable behaviour of a policy beyond its energy bill.
@@ -76,237 +69,86 @@ impl LadderStats {
     }
 }
 
-/// Reusable per-run state for the multi-state engine: the regular
-/// [`EngineScratch`] plus the descent-plan buffer the policy fills per
-/// gap.
-#[derive(Default)]
-pub struct MultiStateScratch {
-    engine: EngineScratch,
+/// The ladder charge: each gap pays for the descent `policy` plans
+/// through `ladder`. Verdicts stay with the engine's voted shutdown —
+/// prediction quality is a property of the predictor, not the ladder —
+/// while the energy follows the descent, which for
+/// [`SkiRental`](pcap_disk::SkiRental) may act on gaps the predictor
+/// declined.
+struct LadderCharge<'a> {
+    ladder: &'a MultiStateParams,
+    /// `ladder.breakevens()`, computed once so the per-gap path stays
+    /// allocation-free.
+    breakevens: Vec<SimDuration>,
+    policy: &'a dyn LadderPolicy,
+    /// The descent the policy planned for the current gap.
     plan: Vec<DescentStep>,
+    /// The current gap's bottom-out state.
+    bottom: Option<usize>,
+    stats: LadderStats,
 }
 
-impl MultiStateScratch {
-    /// An empty scratch; buffers grow to the run's needs.
-    pub fn new() -> MultiStateScratch {
-        MultiStateScratch::default()
+impl<'a> LadderCharge<'a> {
+    /// # Panics
+    ///
+    /// Panics if the ladder fails [`MultiStateParams::validate`].
+    fn new(ladder: &'a MultiStateParams, policy: &'a dyn LadderPolicy) -> LadderCharge<'a> {
+        ladder
+            .validate()
+            .expect("evaluate_prepared_multistate: invalid ladder");
+        LadderCharge {
+            ladder,
+            breakevens: ladder.breakevens(),
+            policy,
+            plan: Vec::new(),
+            bottom: None,
+            stats: LadderStats::new(ladder.states.len()),
+        }
     }
 }
 
-/// Simulates one execution through the multi-state ladder engine,
-/// delivering every decision to `observer` (followed by
-/// [`DecisionObserver::on_ladder_bottom`] for the same gap).
-///
-/// `breakevens` must be `ladder.breakevens()`, precomputed once by the
-/// caller so the per-gap path stays allocation-free. Gap verdicts and
-/// prediction counts are classified against the *two-state* breakeven
-/// exactly as in [`simulate_run_observed`](crate::simulate_run_observed)
-/// — prediction quality is a property of the predictor, not the ladder
-/// — while the energy ledger follows the policy's descent (which, for
-/// [`SkiRental`](pcap_disk::SkiRental), may act on gaps the predictor
-/// declined).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_run_multistate<P: LadderPolicy + ?Sized, O: DecisionObserver>(
-    streams: &RunStreams,
-    config: &SimConfig,
-    manager: &mut Manager,
-    ladder: &MultiStateParams,
-    breakevens: &[SimDuration],
-    policy: &P,
-    scratch: &mut MultiStateScratch,
-    stats: &mut LadderStats,
-    observer: &mut O,
-) -> RunOutcome {
-    let be = config.disk.breakeven_time();
-    let window_state = manager.window_state();
-    let mut out = RunOutcome::default();
-
-    scratch.engine.reset(streams.pid_count());
-    let mut state = RunState {
-        oracle: manager.is_oracle(),
-        manager,
-        global: &mut scratch.engine.global,
-        preds: &mut scratch.engine.preds,
-        pending_idle: &mut scratch.engine.pending_idle,
-        pool: &mut scratch.engine.pool,
-        pool_enabled: scratch.engine.pool_enabled,
-        pids: streams.pids(),
-    };
-
-    let lifecycle = streams.lifecycle();
-    let mut li = 0usize;
-
-    let n = streams.accesses.len();
-    for i in 0..n {
-        let access = streams.accesses[i];
-        let completion = streams.completions[i];
-        let local_gap = streams.local_gaps[i];
-        let global_gap = streams.global_gaps[i];
-
-        while li < lifecycle.len() && lifecycle[li].time <= access.time {
-            state.apply(lifecycle[li]);
-            li += 1;
-        }
-
-        let busy = config.disk.busy_power * config.disk.service_time(access.pages);
-        out.energy.busy += busy;
-        out.base_energy.busy += busy;
-
-        let apidx = streams.access_pid_index(i);
-        let pidx = if state.preds[apidx].is_some() {
-            apidx
-        } else {
-            0
-        };
-        let vote = if let Some(pred) = state.preds[pidx].as_mut() {
-            if let Some(gap) = state.pending_idle[pidx].take() {
-                pred.on_idle_end(gap);
-            }
-            let vote = pred.on_access(&access, local_gap);
-            state.pending_idle[pidx] = Some(local_gap);
-            Some(vote)
-        } else {
-            None
-        };
-
-        if local_gap > be {
-            out.local.opportunities += 1;
-        }
-        let local_verdict = match vote {
-            Some(vote) => match vote.delay {
-                Some(delay) if delay < local_gap => {
-                    if local_gap - delay > be {
-                        out.local.record_hit(vote.source);
-                        GapVerdict::Hit
-                    } else {
-                        out.local.record_miss(vote.source);
-                        GapVerdict::Miss
-                    }
-                }
-                _ if local_gap > be => {
-                    out.local.not_predicted += 1;
-                    GapVerdict::NotPredicted
-                }
-                _ => GapVerdict::Short,
-            },
-            None if local_gap > be => {
-                out.local.not_predicted += 1;
-                GapVerdict::NotPredicted
-            }
-            None => GapVerdict::Short,
-        };
-        if let Some(vote) = vote {
-            if !state.oracle {
-                state.global.record_vote(state.pids[pidx], completion, vote);
-            }
-        }
-
-        let (signature, table_len) = if O::ENABLED {
-            match state.preds[pidx].as_ref() {
-                Some(pred) => (pred.audit_signature(), pred.audit_table_len()),
-                None => (None, None),
-            }
-        } else {
-            (None, None)
-        };
-
-        let gap_end = completion + global_gap;
-        let shutdown = if state.oracle {
-            (global_gap > be).then_some((completion, VoteSource::Primary))
-        } else {
-            resolve_gap_voting(&mut state, lifecycle, &mut li, completion, gap_end)
-        };
-
-        if global_gap > be {
-            out.global.opportunities += 1;
-        }
-        let base_breakdown = GapBreakdown::unmanaged(&config.disk, global_gap);
-        // The verdict tracks the *voted* shutdown, exactly as in the
-        // two-state engine; the energy tracks the policy's descent.
-        let verdict = match shutdown {
-            Some((at, source)) => {
-                let off = gap_end - at;
-                if off > be {
-                    out.global.record_hit(source);
-                    GapVerdict::Hit
-                } else {
-                    out.global.record_miss(source);
-                    GapVerdict::Miss
-                }
-            }
-            None if global_gap > be => {
-                out.global.not_predicted += 1;
-                GapVerdict::NotPredicted
-            }
-            None => GapVerdict::Short,
-        };
-
+impl GapCharge for LadderCharge<'_> {
+    fn charge(
+        &mut self,
+        _disk: &DiskParams,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        window: Option<&LowPowerState>,
+        _base: GapBreakdown,
+    ) -> GapBreakdown {
         let ctx = GapContext {
-            shutdown_at: shutdown.map(|(at, _)| at - completion),
+            shutdown_at: shutdown.map(|(delay, _)| delay),
             target: match shutdown {
-                Some((at, source)) => ladder_target(source, at - completion, breakevens),
+                Some((delay, source)) => ladder_target(source, delay, &self.breakevens),
                 None => 0,
             },
-            gap: global_gap,
+            gap,
         };
-        policy.plan(ladder, &ctx, &mut scratch.plan);
-        let (descent, bottom) = descent_energy(ladder, &scratch.plan, global_gap);
-        // §7 wait-window substitution, mirroring the two-state engine:
+        self.policy.plan(self.ladder, &ctx, &mut self.plan);
+        let (descent, bottom) = descent_energy(self.ladder, &self.plan, gap);
+        self.bottom = bottom;
+        self.stats.record(bottom);
+        // §7 wait-window substitution, mirroring the two-state charge:
         // the spin-idle prefix before the first step is spent in the
         // manager's shallow window state when it has one.
-        let managed_breakdown = match (&window_state, scratch.plan.first()) {
-            (Some(shallow), Some(first)) if first.at < global_gap => {
+        match (window, self.plan.first()) {
+            (Some(shallow), Some(first)) if first.at < gap => {
                 descent.substitute_window(shallow, first.at)
             }
             _ => descent,
-        };
-        out.energy.add_gap(global_gap > be, managed_breakdown);
-        out.base_energy.add_gap(global_gap > be, base_breakdown);
-        stats.record(bottom);
-
-        if O::ENABLED {
-            observer.on_decision(
-                DecisionRecord {
-                    run: 0,
-                    access: i as u32,
-                    at: completion,
-                    pid: access.pid,
-                    pc: access.pc,
-                    signature,
-                    table_len,
-                    vote_delay: vote.and_then(|v| v.delay),
-                    vote_source: vote.map(|v| v.source),
-                    local_gap,
-                    local_verdict,
-                    global_gap,
-                    shutdown_at: shutdown.map(|(at, _)| at),
-                    shutdown_source: shutdown.map(|(_, source)| source),
-                    verdict,
-                    energy_delta_j: managed_breakdown.total().0 - base_breakdown.total().0,
-                },
-                &GapEnergy {
-                    long: global_gap > be,
-                    busy,
-                    managed: managed_breakdown,
-                    base: base_breakdown,
-                },
-            );
-            observer.on_ladder_bottom(bottom);
         }
     }
 
-    while li < lifecycle.len() {
-        state.apply(lifecycle[li]);
-        li += 1;
+    fn observe<O: DecisionObserver>(&self, observer: &mut O) {
+        observer.on_ladder_bottom(self.bottom);
     }
-
-    out
 }
 
-/// One application × one manager × one ladder policy, evaluated through
-/// the multi-state engine.
+/// One application × one manager × one ladder policy, evaluated under
+/// the ladder charge.
 #[derive(Debug, Clone)]
 pub struct MultiStateOutcome {
-    /// The aggregate report (same shape as the two-state engine's, so
+    /// The aggregate report (same shape as the two-state charge's, so
     /// the two are directly — and for single-state ladders, bitwise —
     /// comparable).
     pub report: AppReport,
@@ -314,71 +156,13 @@ pub struct MultiStateOutcome {
     pub ladder_stats: LadderStats,
 }
 
-/// [`evaluate_prepared`](crate::evaluate_prepared) through the
-/// multi-state ladder engine with an attached observer.
+/// Evaluates one manager × ladder × policy over a prepared trace — the
+/// multi-state analogue of [`evaluate_prepared`](crate::evaluate_prepared).
 ///
 /// # Panics
 ///
 /// Panics if the ladder fails [`MultiStateParams::validate`] or if
 /// `config` disagrees with the preparation config (stale streams).
-pub fn evaluate_prepared_multistate_observed<O: DecisionObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    ladder: &MultiStateParams,
-    policy: &dyn LadderPolicy,
-    observer: &mut O,
-) -> MultiStateOutcome {
-    assert!(
-        prepared.matches(config),
-        "evaluate_prepared_multistate: config changes cache/disk parameters; rebuild the PreparedTrace"
-    );
-    ladder
-        .validate()
-        .expect("evaluate_prepared_multistate: invalid ladder");
-    let breakevens = ladder.breakevens();
-    let mut manager = kind.manager(config);
-    let mut report = AppReport {
-        app: Arc::clone(prepared.app()),
-        manager: kind.label(),
-        local: PredictionCounts::default(),
-        global: PredictionCounts::default(),
-        energy: EnergyBreakdown::default(),
-        base_energy: EnergyBreakdown::default(),
-        table_entries: None,
-        table_aliases: None,
-    };
-    let mut stats = LadderStats::new(ladder.states.len());
-    let mut scratch = MultiStateScratch::new();
-    for (run, streams) in prepared.streams().iter().enumerate() {
-        observer.on_run_start(run as u32);
-        let outcome = simulate_run_multistate(
-            streams,
-            config,
-            &mut manager,
-            ladder,
-            &breakevens,
-            policy,
-            &mut scratch,
-            &mut stats,
-            observer,
-        );
-        report.local += outcome.local;
-        report.global += outcome.global;
-        report.energy += outcome.energy;
-        report.base_energy += outcome.base_energy;
-        manager.on_run_end();
-    }
-    report.table_entries = manager.table_entries();
-    report.table_aliases = manager.table_aliases();
-    MultiStateOutcome {
-        report,
-        ladder_stats: stats,
-    }
-}
-
-/// Evaluates one manager × ladder × policy over a prepared trace — the
-/// multi-state analogue of [`evaluate_prepared`](crate::evaluate_prepared).
 pub fn evaluate_prepared_multistate(
     prepared: &PreparedTrace,
     config: &SimConfig,
@@ -386,44 +170,21 @@ pub fn evaluate_prepared_multistate(
     ladder: &MultiStateParams,
     policy: &dyn LadderPolicy,
 ) -> MultiStateOutcome {
-    evaluate_prepared_multistate_observed(prepared, config, kind, ladder, policy, &mut NullObserver)
-}
-
-/// [`evaluate_prepared_multistate`] with a
-/// [`pcap_obs::PipelineObserver`] attached: the evaluation runs inside
-/// an `eval_ms:{app}×{manager}` span (the `eval_ms` stage keeps
-/// multi-state evaluations distinguishable from two-state `eval` spans
-/// in stage summaries), with the same `eval_us`/`runs` registry
-/// updates as the two-state path.
-///
-/// # Panics
-///
-/// Panics if the ladder fails [`MultiStateParams::validate`] or if
-/// `config` disagrees with the preparation config (stale streams).
-pub fn evaluate_prepared_multistate_traced<P: pcap_obs::PipelineObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    ladder: &MultiStateParams,
-    policy: &dyn LadderPolicy,
-    pipeline: &P,
-) -> MultiStateOutcome {
-    if P::ENABLED {
-        let name = format!("eval_ms:{}×{}", prepared.app(), kind.label());
-        let started = std::time::Instant::now();
-        pipeline.span_begin(&name);
-        let outcome = evaluate_prepared_multistate(prepared, config, kind, ladder, policy);
-        pipeline.span_end(&name);
-        pipeline.observe_us("eval_us", started.elapsed().as_micros() as u64);
-        pipeline.counter_add("runs", prepared.len() as u64);
-        return outcome;
+    let mut charge = LadderCharge::new(ladder, policy);
+    let report = evaluate_charged(prepared, config, kind, &mut charge, &mut NullObserver);
+    MultiStateOutcome {
+        report,
+        ladder_stats: charge.stats,
     }
-    evaluate_prepared_multistate(prepared, config, kind, ladder, policy)
 }
 
 /// Audits one manager × ladder × policy: the full decision stream plus
 /// per-decision ladder bottom-outs
 /// ([`AuditOutcome::ladder_bottoms`]), alongside the aggregate stats.
+///
+/// # Panics
+///
+/// As [`evaluate_prepared_multistate`].
 pub fn audit_prepared_multistate(
     prepared: &PreparedTrace,
     config: &SimConfig,
@@ -431,26 +192,10 @@ pub fn audit_prepared_multistate(
     ladder: &MultiStateParams,
     policy: &dyn LadderPolicy,
 ) -> (AuditOutcome, LadderStats) {
+    let mut charge = LadderCharge::new(ladder, policy);
     let mut collector = AuditCollector::new();
-    let outcome = evaluate_prepared_multistate_observed(
-        prepared,
-        config,
-        kind,
-        ladder,
-        policy,
-        &mut collector,
-    );
-    let (records, metrics, ladder_bottoms, audit_energy) = collector.finish();
-    (
-        AuditOutcome {
-            report: outcome.report,
-            records,
-            metrics,
-            ladder_bottoms,
-            audit_energy,
-        },
-        outcome.ladder_stats,
-    )
+    let report = evaluate_charged(prepared, config, kind, &mut charge, &mut collector);
+    (collector.into_outcome(report), charge.stats)
 }
 
 #[cfg(test)]

@@ -11,14 +11,16 @@
 //! wrapper that prepares and evaluates); `tests/determinism.rs` pins
 //! that equivalence.
 
-use crate::audit::{evaluate_prepared_observed, NullObserver};
-use crate::engine::AppReport;
+use crate::audit::{DecisionObserver, NullObserver};
+use crate::engine::{simulate_run_charged, AppReport, EngineScratch, GapCharge, TwoStateCharge};
 use crate::factory::PowerManagerKind;
+use crate::metrics::{EnergyBreakdown, PredictionCounts};
 use crate::streams::RunStreams;
 use crate::sweep::SweepRunner;
 use crate::SimConfig;
 use pcap_cache::CacheConfig;
 use pcap_disk::DiskParams;
+use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_trace::ApplicationTrace;
 use std::sync::Arc;
 
@@ -152,29 +154,96 @@ pub fn evaluate_prepared(
     config: &SimConfig,
     kind: PowerManagerKind,
 ) -> AppReport {
-    evaluate_prepared_observed(prepared, config, kind, &mut NullObserver)
+    evaluate_prepared_with(prepared, config, kind, &mut NullObserver, &NullPipeline)
 }
 
-/// [`evaluate_prepared`] with a [`pcap_obs::PipelineObserver`] attached
-/// (no decision-level audit): the profiling path of `pcap profile`.
+/// [`evaluate_prepared`] with observers attached: a
+/// [`DecisionObserver`] for the per-decision audit stream (`pcap
+/// audit`'s [`AuditCollector`](crate::AuditCollector), the bench
+/// guard's [`MetricsObserver`](crate::MetricsObserver)) and a
+/// [`PipelineObserver`] for pipeline-level spans and counters (`pcap
+/// profile`). [`NullObserver`] and [`NullPipeline`] compile their layer
+/// out.
+///
+/// Pipeline events: one `eval:{app}×{manager}` span around the whole
+/// run loop, one `runs` counter increment per simulated run, and an
+/// `eval_us` histogram sample for the span's duration.
 ///
 /// # Panics
 ///
 /// Panics if `config` disagrees with the preparation config on cache
 /// or disk parameters (the streams would be stale).
-pub fn evaluate_prepared_traced<P: pcap_obs::PipelineObserver>(
+pub fn evaluate_prepared_with<O: DecisionObserver, P: PipelineObserver>(
     prepared: &PreparedTrace,
     config: &SimConfig,
     kind: PowerManagerKind,
+    observer: &mut O,
     pipeline: &P,
 ) -> AppReport {
-    crate::audit::evaluate_prepared_instrumented(
-        prepared,
-        config,
-        kind,
-        &mut NullObserver,
-        pipeline,
-    )
+    if P::ENABLED {
+        let name = format!("eval:{}×{}", prepared.app(), kind.label());
+        let started = std::time::Instant::now();
+        pipeline.span_begin(&name);
+        let report = evaluate_charged(prepared, config, kind, &mut TwoStateCharge, observer);
+        pipeline.span_end(&name);
+        pipeline.observe_us("eval_us", started.elapsed().as_micros() as u64);
+        pipeline.counter_add("runs", prepared.len() as u64);
+        return report;
+    }
+    evaluate_charged(prepared, config, kind, &mut TwoStateCharge, observer)
+}
+
+/// The prepared-trace driver behind both the two-state and the ladder
+/// evaluations: one fresh manager and one scratch, every run simulated
+/// in order under `charge`, then the table statistics read after the
+/// last run.
+///
+/// # Panics
+///
+/// Panics if `config` disagrees with the preparation config on cache
+/// or disk parameters (the streams would be stale).
+pub(crate) fn evaluate_charged<C: GapCharge, O: DecisionObserver>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    charge: &mut C,
+    observer: &mut O,
+) -> AppReport {
+    assert!(
+        prepared.matches(config),
+        "config changes cache/disk parameters; rebuild the PreparedTrace"
+    );
+    let mut manager = kind.manager(config);
+    let mut report = AppReport {
+        app: Arc::clone(prepared.app()),
+        manager: kind.label(),
+        local: PredictionCounts::default(),
+        global: PredictionCounts::default(),
+        energy: EnergyBreakdown::default(),
+        base_energy: EnergyBreakdown::default(),
+        table_entries: None,
+        table_aliases: None,
+    };
+    let mut scratch = EngineScratch::new();
+    for (run, streams) in prepared.streams().iter().enumerate() {
+        observer.on_run_start(run as u32);
+        let outcome = simulate_run_charged(
+            streams,
+            config,
+            &mut manager,
+            &mut scratch,
+            charge,
+            observer,
+        );
+        report.local += outcome.local;
+        report.global += outcome.global;
+        report.energy += outcome.energy;
+        report.base_energy += outcome.base_energy;
+        manager.on_run_end();
+    }
+    report.table_entries = manager.table_entries();
+    report.table_aliases = manager.table_aliases();
+    report
 }
 
 #[cfg(test)]

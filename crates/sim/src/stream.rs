@@ -26,7 +26,7 @@
 //!   results merge in chunk order. Chunk boundaries do not depend on
 //!   `--jobs`, so the aggregate is byte-identical for any worker count.
 
-use crate::audit::NullObserver;
+use crate::audit::{DecisionObserver, NullObserver};
 use crate::engine::{simulate_run_observed, AppReport, EngineScratch, RunOutcome};
 use crate::factory::{Manager, PowerManagerKind};
 use crate::metrics::{EnergyBreakdown, PredictionCounts};
@@ -44,20 +44,16 @@ use std::sync::Arc;
 /// order — are identical for every `--jobs` value.
 pub const FLEET_CHUNK: u64 = 1024;
 
-/// One worker's reusable pipeline state: a file cache, one stream
-/// buffer, one power manager and one engine scratch, all recycled
-/// run after run and device after device.
+/// One worker's reusable pipeline state: a [`ShardEvaluator`] (file
+/// cache, stream buffer, engine scratch) plus the one power manager it
+/// feeds, all recycled run after run and device after device.
 ///
 /// After a warm-up device per app shape, the filter and evaluate
 /// stages run allocation-free: every buffer is cleared, never dropped
 /// (`tests/zero_alloc_stream.rs` pins this with a counting allocator).
 pub struct StreamWorker {
-    config: SimConfig,
-    kind: PowerManagerKind,
     manager: Manager,
-    cache: FileCache,
-    streams: RunStreams,
-    scratch: EngineScratch,
+    shard: ShardEvaluator,
 }
 
 impl StreamWorker {
@@ -69,24 +65,14 @@ impl StreamWorker {
     /// evaluates, which is what makes recycling sound (pooled boxes
     /// keep handles to this manager's shared state, reset per device).
     pub fn new(config: &SimConfig, kind: PowerManagerKind) -> StreamWorker {
-        let manager = kind.manager(config);
-        let mut scratch = EngineScratch::new();
+        let mut shard = ShardEvaluator::new(config);
         if kind.recyclable_predictors() {
-            scratch.enable_predictor_pool();
+            shard.scratch.enable_predictor_pool();
         }
         StreamWorker {
-            config: config.clone(),
-            kind,
-            manager,
-            cache: FileCache::new(config.cache.clone()),
-            streams: RunStreams::empty(),
-            scratch,
+            manager: kind.manager(config),
+            shard,
         }
-    }
-
-    /// The manager kind this worker evaluates.
-    pub fn kind(&self) -> PowerManagerKind {
-        self.kind
     }
 
     /// Starts a new device: resets the manager's shared prediction
@@ -96,27 +82,11 @@ impl StreamWorker {
         self.manager.reset_shared();
     }
 
-    /// Streams one run through filter and evaluation: rebuilds the
-    /// worker's [`RunStreams`] in place against its recycled cache,
-    /// simulates, and ends the run on the manager — the exact per-run
-    /// sequence of the prepare-once evaluator.
+    /// Streams one run through filter and evaluation — see
+    /// [`ShardEvaluator::evaluate_run_observed`].
     pub fn evaluate_run(&mut self, run: &TraceRun) -> RunOutcome {
-        self.streams.rebuild(run, &self.config, &mut self.cache);
-        let outcome = simulate_run_observed(
-            &self.streams,
-            &self.config,
-            &mut self.manager,
-            &mut self.scratch,
-            &mut NullObserver,
-        );
-        self.manager.on_run_end();
-        outcome
-    }
-
-    /// Cache-filtered disk accesses of the most recent
-    /// [`evaluate_run`](Self::evaluate_run).
-    pub fn last_run_accesses(&self) -> usize {
-        self.streams.accesses.len()
+        self.shard
+            .evaluate_run_observed(run, &mut self.manager, &mut NullObserver)
     }
 
     /// Ends a device: reads the manager's table statistics (exactly
@@ -144,14 +114,7 @@ impl StreamWorker {
         let runs = max_runs.map_or(pop.runs(device), |cap| pop.runs(device).min(cap));
         let mut out = DeviceOutcome {
             device,
-            runs: 0,
-            accesses: 0,
-            local: PredictionCounts::default(),
-            global: PredictionCounts::default(),
-            energy: EnergyBreakdown::default(),
-            base_energy: EnergyBreakdown::default(),
-            table_entries: None,
-            table_aliases: None,
+            ..DeviceOutcome::default()
         };
         for run in 0..runs {
             let trace_run = pop.generate_run(device, run)?;
@@ -161,7 +124,7 @@ impl StreamWorker {
             out.energy += outcome.energy;
             out.base_energy += outcome.base_energy;
             out.runs += 1;
-            out.accesses += self.streams.accesses.len() as u64;
+            out.accesses += self.shard.last_run_accesses() as u64;
         }
         let (entries, aliases) = self.finish_device();
         out.table_entries = entries;
@@ -176,8 +139,8 @@ impl StreamWorker {
 /// device's runs even when other devices' runs interleave between them
 /// on the same shard).
 ///
-/// Unlike [`StreamWorker::new`], the predictor pool is never enabled
-/// here: pooled predictor boxes hold handles into one specific
+/// Unlike inside [`StreamWorker::new`], the predictor pool is never
+/// enabled here: pooled predictor boxes hold handles into one specific
 /// manager's shared table, which is unsound when every call may bring a
 /// different manager. Per-run predictor boxes are instead allocated
 /// fresh, exactly as [`crate::audit_prepared`] does — which is also
@@ -208,12 +171,12 @@ impl ShardEvaluator {
 
     /// Streams one run of one device through filter and evaluation
     /// with an external per-device `manager` and a decision `observer`:
-    /// rebuild → simulate → `manager.on_run_end()`, the exact per-run
-    /// sequence of both [`StreamWorker::evaluate_run`] and the
-    /// prepare-once evaluator. The caller is responsible for
-    /// [`DecisionObserver::on_run_start`] (it needs the device's run
-    /// counter, which lives with the session, not here).
-    pub fn evaluate_run_observed<O: crate::audit::DecisionObserver>(
+    /// rebuilds the [`RunStreams`] in place against the recycled cache,
+    /// simulates, then `manager.on_run_end()` — the exact per-run
+    /// sequence of the prepare-once evaluator. The caller is
+    /// responsible for [`DecisionObserver::on_run_start`] (it needs the
+    /// device's run counter, which lives with the session, not here).
+    pub fn evaluate_run_observed<O: DecisionObserver>(
         &mut self,
         run: &TraceRun,
         manager: &mut Manager,
@@ -240,7 +203,7 @@ impl ShardEvaluator {
 
 /// One device's aggregate evaluation — the streaming equivalent of an
 /// [`AppReport`], kept `Copy` so fleet folding never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct DeviceOutcome {
     /// Fleet index of the device.
     pub device: u64,
@@ -366,7 +329,30 @@ impl FleetSlot {
 }
 
 /// Per-chunk accumulator: one [`FleetSlot`] per paper app.
-type ChunkSlots = [FleetSlot; 6];
+pub(crate) type ChunkSlots = [FleetSlot; 6];
+
+/// The fleet's fixed `[start, end)` chunk boundaries, in device order.
+pub(crate) fn fleet_chunks(devices: u64) -> Vec<(u64, u64)> {
+    (0..devices.div_ceil(FLEET_CHUNK))
+        .map(|c| (c * FLEET_CHUNK, ((c + 1) * FLEET_CHUNK).min(devices)))
+        .collect()
+}
+
+/// Evaluates the devices of one chunk on a fresh worker, folded per app.
+pub(crate) fn evaluate_chunk(
+    pop: &DevicePopulation,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    max_runs: Option<usize>,
+    (start, end): (u64, u64),
+) -> Result<ChunkSlots, TraceError> {
+    let mut worker = StreamWorker::new(config, kind);
+    let mut slots = ChunkSlots::default();
+    for device in start..end {
+        slots[(device % 6) as usize].absorb(&worker.evaluate_device(pop, device, max_runs)?);
+    }
+    Ok(slots)
+}
 
 /// Fleet-aggregate evaluation of a [`DevicePopulation`].
 #[derive(Debug, Clone, Serialize)]
@@ -392,6 +378,34 @@ impl FleetReport {
             .iter()
             .zip(self.per_app.iter())
             .map(|(app, slot)| (app.name(), slot))
+    }
+
+    /// Merges per-chunk slots, arriving in chunk order, into the fleet
+    /// report; the first chunk error is returned instead.
+    pub(crate) fn from_chunks<E>(
+        pop: &DevicePopulation,
+        kind: PowerManagerKind,
+        max_runs: Option<usize>,
+        chunks: impl IntoIterator<Item = Result<ChunkSlots, E>>,
+    ) -> Result<FleetReport, E> {
+        let mut per_app = ChunkSlots::default();
+        for slots in chunks {
+            for (into, from) in per_app.iter_mut().zip(slots?.iter()) {
+                into.merge(from);
+            }
+        }
+        let mut total = FleetSlot::default();
+        for slot in &per_app {
+            total.merge(slot);
+        }
+        Ok(FleetReport {
+            devices: pop.devices(),
+            base_seed: pop.base_seed(),
+            manager: kind.label(),
+            max_runs,
+            per_app: per_app.to_vec(),
+            total,
+        })
     }
 }
 
@@ -431,53 +445,20 @@ pub fn sweep_fleet_observed<P: pcap_obs::PipelineObserver>(
     max_runs: Option<usize>,
     pipeline: &P,
 ) -> Result<FleetReport, TraceError> {
-    let devices = pop.devices();
-    let mut chunks: Vec<(u64, u64)> = Vec::new();
-    let mut start = 0;
-    while start < devices {
-        let end = (start + FLEET_CHUNK).min(devices);
-        chunks.push((start, end));
-        start = end;
-    }
-
-    let results: Vec<Result<ChunkSlots, TraceError>> = runner.run_observed(
+    let results = runner.run_observed(
         "fleet",
-        &chunks,
-        |_, &(start, end)| {
-            let mut worker = StreamWorker::new(config, kind);
-            let mut slots = ChunkSlots::default();
-            for device in start..end {
-                let outcome = worker.evaluate_device(pop, device, max_runs)?;
-                slots[(device % 6) as usize].absorb(&outcome);
-            }
+        &fleet_chunks(pop.devices()),
+        |_, &chunk| {
+            let slots = evaluate_chunk(pop, config, kind, max_runs, chunk)?;
             if P::ENABLED {
-                pipeline.counter_add("fleet_devices", end - start);
+                pipeline.counter_add("fleet_devices", chunk.1 - chunk.0);
             }
             Ok(slots)
         },
         |_, &(start, end)| format!("fleet:{start}..{end}"),
         pipeline,
     );
-
-    let mut per_app = ChunkSlots::default();
-    for chunk in results {
-        let slots = chunk?;
-        for (into, from) in per_app.iter_mut().zip(slots.iter()) {
-            into.merge(from);
-        }
-    }
-    let mut total = FleetSlot::default();
-    for slot in &per_app {
-        total.merge(slot);
-    }
-    Ok(FleetReport {
-        devices,
-        base_seed: pop.base_seed(),
-        manager: kind.label(),
-        max_runs,
-        per_app: per_app.to_vec(),
-        total,
-    })
+    FleetReport::from_chunks(pop, kind, max_runs, results)
 }
 
 #[cfg(test)]
@@ -510,7 +491,6 @@ mod tests {
         // per-device managers must each produce the audit stream the
         // offline path produces for that device alone. (nedit and
         // mplayer are the two cheapest apps.)
-        use crate::audit::DecisionObserver;
         let config = SimConfig::paper();
         let kind = PowerManagerKind::PCAP;
         let apps = [PaperApp::Nedit, PaperApp::Mplayer];

@@ -377,8 +377,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Every spin-down is scored exactly once: global hits + misses
-    /// equal the number of logged gaps in which the disk was shut down,
-    /// and the gap log covers every merged idle gap.
+    /// equal the number of decisions in which the disk was shut down,
+    /// and the decision stream covers every merged idle gap.
     #[test]
     fn hits_plus_misses_equal_logged_shutdowns(run in arbitrary_run()) {
         let config = SimConfig::paper();
@@ -390,9 +390,16 @@ proptest! {
             PowerManagerKind::Oracle,
         ] {
             let mut manager = kind.manager(&config);
-            let mut log = Vec::new();
-            let out = pcap_sim::simulate_run_logged(&streams, &config, &mut manager, &mut log);
-            let shutdowns = log.iter().filter(|g| g.shutdown.is_some()).count() as u64;
+            let mut collector = pcap_sim::AuditCollector::new();
+            let out = pcap_sim::simulate_run_observed(
+                &streams,
+                &config,
+                &mut manager,
+                &mut pcap_sim::EngineScratch::new(),
+                &mut collector,
+            );
+            let (log, ..) = collector.finish();
+            let shutdowns = log.iter().filter(|g| g.shutdown_at.is_some()).count() as u64;
             prop_assert_eq!(
                 out.global.hits() + out.global.misses(),
                 shutdowns,

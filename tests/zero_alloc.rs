@@ -7,7 +7,8 @@
 
 use pcap_dpm::obs::{span, NullPipeline, PipelineObserver, TraceRecorder};
 use pcap_dpm::sim::{
-    evaluate_prepared, evaluate_prepared_traced, PowerManagerKind, PreparedTrace, SimConfig,
+    evaluate_prepared, evaluate_prepared_with, NullObserver, PowerManagerKind, PreparedTrace,
+    SimConfig,
 };
 use pcap_dpm::workload::{AppModel, PaperApp};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,16 +76,18 @@ fn disabled_tracing_allocates_nothing_extra() {
     let prepared = PreparedTrace::build(&trace, &config);
     let kind = PowerManagerKind::PCAP;
     std::hint::black_box(evaluate_prepared(&prepared, &config, kind));
-    std::hint::black_box(evaluate_prepared_traced(
+    std::hint::black_box(evaluate_prepared_with(
         &prepared,
         &config,
         kind,
+        &mut NullObserver,
         &NullPipeline,
     ));
 
     let (plain, _) = allocs_during(|| evaluate_prepared(&prepared, &config, kind));
-    let (disabled, _) =
-        allocs_during(|| evaluate_prepared_traced(&prepared, &config, kind, &NullPipeline));
+    let (disabled, _) = allocs_during(|| {
+        evaluate_prepared_with(&prepared, &config, kind, &mut NullObserver, &NullPipeline)
+    });
     assert_eq!(
         disabled, plain,
         "NullPipeline tracing must add zero allocations to evaluate_prepared"
@@ -94,8 +97,9 @@ fn disabled_tracing_allocates_nothing_extra() {
     // its span name and event storage, so it must allocate strictly
     // more than the disabled path.
     let recorder = TraceRecorder::new();
-    let (enabled, _) =
-        allocs_during(|| evaluate_prepared_traced(&prepared, &config, kind, &recorder));
+    let (enabled, _) = allocs_during(|| {
+        evaluate_prepared_with(&prepared, &config, kind, &mut NullObserver, &recorder)
+    });
     assert!(
         enabled > disabled,
         "recorder must be visible to the counter: {enabled} vs {disabled}"
