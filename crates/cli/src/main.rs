@@ -26,9 +26,9 @@
 
 use pcap_obs::{
     check_trajectory, parse_prometheus_samples, parse_trajectory, render_chrome_trace,
-    render_journal_progress, render_prometheus, render_stage_table, stage_summary,
-    validate_chrome_trace, validate_flight_dump, validate_prometheus, validate_prometheus_strict,
-    worker_summary, PromSample, TraceRecorder,
+    render_journal_progress, render_prometheus, render_stage_table, scraped_histogram,
+    scraped_value, stage_summary, validate_chrome_trace, validate_flight_dump,
+    validate_prometheus_strict, worker_summary, PromSample, TraceRecorder,
 };
 use pcap_report::{
     audit_tables, explain_tables, figure_chart, fleet_table, profile_pipeline, run_sweep,
@@ -731,7 +731,7 @@ fn run_pipeline_profile(options: &Options) -> Result<(), String> {
     }
     if let Some(path) = &options.prometheus {
         let text = render_prometheus(&recorder);
-        let samples = validate_prometheus(&text)
+        let samples = validate_prometheus_strict(&text)
             .map_err(|e| format!("internal error: invalid prometheus exposition: {e}"))?;
         std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("pcap: wrote {samples} metric samples to {path}");
@@ -979,37 +979,6 @@ fn run_serve(options: &Options) -> Result<(), String> {
     }
 }
 
-/// Approximate quantile from a log-bucketed histogram: the upper bound
-/// of the bucket holding the sample of rank `ceil(total · q)`.
-///
-/// The rank is clamped to `[1, total]`: `q ≈ 0` would otherwise round
-/// to rank 0 and report the first bucket even when it is empty, and
-/// `q = 1.0` can round *above* `total` through the `f64` multiply and
-/// walk past the last occupied bucket (the old code then returned a
-/// `u64::MAX` sentinel). An empty histogram reports 0.
-fn hist_quantile(hist: &pcap_obs::LogHistogram, q: f64) -> u64 {
-    let total = hist.total();
-    if total == 0 {
-        return 0;
-    }
-    let target = (((total as f64) * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    let mut last_occupied = 0;
-    for (index, &count) in hist.counts().iter().enumerate() {
-        if count > 0 {
-            last_occupied = index;
-        }
-        seen += count;
-        if seen >= target {
-            return pcap_obs::LogHistogram::bucket_bounds(index).1;
-        }
-    }
-    // Defensive: with the rank clamped the loop always returns; if the
-    // counts ever disagree with total(), still answer with a real
-    // bucket bound rather than a sentinel.
-    pcap_obs::LogHistogram::bucket_bounds(last_occupied).1
-}
-
 /// Renders a latency histogram as a small JSON artifact (per-bucket
 /// bounds and counts plus summary quantiles).
 fn hist_to_json(hist: &pcap_obs::LogHistogram) -> String {
@@ -1030,18 +999,9 @@ fn hist_to_json(hist: &pcap_obs::LogHistogram) -> String {
     let doc = serde::Value::Object(vec![
         ("unit".into(), serde::Value::Str("us".to_owned())),
         ("total".into(), serde::Value::UInt(hist.total())),
-        (
-            "p50_us".into(),
-            serde::Value::UInt(hist_quantile(hist, 0.50)),
-        ),
-        (
-            "p90_us".into(),
-            serde::Value::UInt(hist_quantile(hist, 0.90)),
-        ),
-        (
-            "p99_us".into(),
-            serde::Value::UInt(hist_quantile(hist, 0.99)),
-        ),
+        ("p50_us".into(), serde::Value::UInt(hist.quantile(0.50))),
+        ("p90_us".into(), serde::Value::UInt(hist.quantile(0.90))),
+        ("p99_us".into(), serde::Value::UInt(hist.quantile(0.99))),
         ("buckets".into(), serde::Value::Array(buckets)),
     ]);
     serde_json::to_string_pretty(&doc).expect("histogram JSON") + "\n"
@@ -1087,9 +1047,9 @@ fn run_load_client(options: &Options) -> Result<(), String> {
     );
     println!(
         "pcap load: run latency p50 {} us, p90 {} us, p99 {} us ({} runs acked)",
-        hist_quantile(&report.run_latency_us, 0.50),
-        hist_quantile(&report.run_latency_us, 0.90),
-        hist_quantile(&report.run_latency_us, 0.99),
+        report.run_latency_us.quantile(0.50),
+        report.run_latency_us.quantile(0.90),
+        report.run_latency_us.quantile(0.99),
         report.run_latency_us.total()
     );
     if let Some(path) = &options.hist_out {
@@ -1139,75 +1099,13 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
     Ok(body.to_owned())
 }
 
-/// Sum of every scraped sample named `name`. The scalar series the
-/// top view reads carry no labels, so the sum is the value itself.
-fn prom_value(samples: &[PromSample], name: &str) -> f64 {
-    samples
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| s.value)
-        .sum()
-}
-
-/// The sample named `name` carrying `shard="shard"`, or 0.
-fn prom_shard_value(samples: &[PromSample], name: &str, shard: &str) -> f64 {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.label("shard") == Some(shard))
-        .map_or(0.0, |s| s.value)
-}
-
-/// Approximate quantile from a scraped Prometheus histogram family:
-/// the `le` bound of the first bucket whose cumulative count reaches
-/// rank `ceil(total · q)` (clamped into `[1, total]`); 0 when the
-/// family is empty. With `shard`, only buckets carrying that `shard`
-/// label count.
-fn prom_hist_quantile(samples: &[PromSample], family: &str, shard: Option<&str>, q: f64) -> f64 {
-    let bucket = format!("{family}_bucket");
-    let mut pairs: Vec<(f64, f64)> = samples
-        .iter()
-        .filter(|s| s.name == bucket)
-        .filter(|s| shard.is_none_or(|want| s.label("shard") == Some(want)))
-        .filter_map(|s| {
-            let le = s.label("le")?;
-            let le = if le == "+Inf" {
-                f64::INFINITY
-            } else {
-                le.parse().ok()?
-            };
-            Some((le, s.value))
-        })
-        .collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Same-bound buckets from different shards sum: cumulative counts
-    // over one bucket layout add pointwise.
-    let mut merged: Vec<(f64, f64)> = Vec::new();
-    for (le, cum) in pairs {
-        match merged.last_mut() {
-            Some(last) if last.0 == le => last.1 += cum,
-            _ => merged.push((le, cum)),
-        }
-    }
-    let total = merged.last().map_or(0.0, |&(_, cum)| cum);
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let target = (total * q).ceil().clamp(1.0, total);
-    for &(le, cum) in &merged {
-        if cum >= target {
-            return le;
-        }
-    }
-    merged.last().map_or(0.0, |&(le, _)| le)
-}
-
-/// Formats a histogram bucket bound for the top table (the overflow
-/// bucket renders as `inf`).
-fn fmt_bound(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.0}")
-    } else {
+/// Formats a histogram quantile for the top table (the clamp bucket
+/// renders as `inf`).
+fn fmt_bound(value: u64) -> String {
+    if value == u64::MAX {
         "inf".to_owned()
+    } else {
+        value.to_string()
     }
 }
 
@@ -1216,42 +1114,33 @@ fn fmt_bound(value: f64) -> String {
 /// rates against uptime instead. Stage quantiles are lifetime values
 /// from the cumulative histograms, not per-window.
 fn print_top_frame(addr: &str, samples: &[PromSample], prev: Option<&(f64, Vec<PromSample>)>) {
-    let uptime = prom_value(samples, "pcap_uptime_seconds");
-    let rate = |name: &str| -> f64 {
-        let cur = prom_value(samples, name);
+    let value = |name: &str, labels: &[(&str, &str)]| scraped_value(samples, name, labels);
+    let uptime = value("pcap_uptime_seconds", &[]);
+    let rate = |name: &str, labels: &[(&str, &str)]| -> f64 {
+        let cur = value(name, labels);
         match prev {
             Some((prev_uptime, prev_samples)) => {
                 let dt = (uptime - prev_uptime).max(1e-9);
-                ((cur - prom_value(prev_samples, name)) / dt).max(0.0)
-            }
-            None => cur / uptime.max(1e-9),
-        }
-    };
-    let shard_rate = |name: &str, shard: &str| -> f64 {
-        let cur = prom_shard_value(samples, name, shard);
-        match prev {
-            Some((prev_uptime, prev_samples)) => {
-                let dt = (uptime - prev_uptime).max(1e-9);
-                ((cur - prom_shard_value(prev_samples, name, shard)) / dt).max(0.0)
+                ((cur - scraped_value(prev_samples, name, labels)) / dt).max(0.0)
             }
             None => cur / uptime.max(1e-9),
         }
     };
     println!(
         "pcap top — {addr} — uptime {uptime:.1}s — {:.0} devices active",
-        prom_value(samples, "pcap_serve_devices_active")
+        value("pcap_serve_devices_active", &[])
     );
     println!(
         "decisions {:.0} ({:.0}/s)   frames {:.0} ({:.0}/s)   runs {:.0} ({:.1}/s)   \
          bad frames {:.0} ({:.2}/s)",
-        prom_value(samples, "pcap_serve_decisions_total"),
-        rate("pcap_serve_decisions_total"),
-        prom_value(samples, "pcap_serve_frames_total"),
-        rate("pcap_serve_frames_total"),
-        prom_value(samples, "pcap_serve_runs_total"),
-        rate("pcap_serve_runs_total"),
-        prom_value(samples, "pcap_serve_bad_frames_total"),
-        rate("pcap_serve_bad_frames_total"),
+        value("pcap_serve_decisions_total", &[]),
+        rate("pcap_serve_decisions_total", &[]),
+        value("pcap_serve_frames_total", &[]),
+        rate("pcap_serve_frames_total", &[]),
+        value("pcap_serve_runs_total", &[]),
+        rate("pcap_serve_runs_total", &[]),
+        value("pcap_serve_bad_frames_total", &[]),
+        rate("pcap_serve_bad_frames_total", &[]),
     );
     let mut shards: Vec<&str> = samples
         .iter()
@@ -1271,19 +1160,21 @@ fn print_top_frame(addr: &str, samples: &[PromSample], prev: Option<&(f64, Vec<P
         "enc p50/99us"
     );
     for shard in shards {
+        let labels = [("shard", shard)];
         let quantiles = |family: &str| -> String {
+            let hist = scraped_histogram(samples, family, &labels);
             format!(
                 "{}/{}",
-                fmt_bound(prom_hist_quantile(samples, family, Some(shard), 0.50)),
-                fmt_bound(prom_hist_quantile(samples, family, Some(shard), 0.99)),
+                fmt_bound(hist.quantile(0.50)),
+                fmt_bound(hist.quantile(0.99))
             )
         };
         println!(
             "{:>5} {:>6.0} {:>9.1} {:>8.2}  {:>15} {:>15} {:>15} {:>15}",
             shard,
-            prom_shard_value(samples, "pcap_serve_shard_depth", shard),
-            shard_rate("pcap_serve_shard_processed_total", shard),
-            shard_rate("pcap_serve_shard_runs_total", shard),
+            value("pcap_serve_shard_depth", &labels),
+            rate("pcap_serve_shard_processed_total", &labels),
+            rate("pcap_serve_shard_runs_total", &labels),
             quantiles("pcap_serve_stage_decode_ns"),
             quantiles("pcap_serve_stage_queue_wait_us"),
             quantiles("pcap_serve_stage_eval_us"),
@@ -1316,7 +1207,7 @@ fn run_top(addr: &str, options: &Options) -> Result<(), String> {
             .map_err(|e| format!("{addr}: invalid /metrics exposition: {e}"))?;
         let samples = parse_prometheus_samples(&body).map_err(|e| format!("{addr}: {e}"))?;
         print_top_frame(addr, &samples, prev.as_ref());
-        let uptime = prom_value(&samples, "pcap_uptime_seconds");
+        let uptime = scraped_value(&samples, "pcap_uptime_seconds", &[]);
         prev = Some((uptime, samples));
     }
     Ok(())
@@ -1970,68 +1861,6 @@ mod tests {
     }
 
     #[test]
-    fn hist_quantiles_walk_the_buckets() {
-        let mut h = pcap_obs::LogHistogram::new();
-        assert_eq!(hist_quantile(&h, 0.5), 0, "empty histogram");
-        for _ in 0..90 {
-            h.record(100);
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        let p50 = hist_quantile(&h, 0.50);
-        let p99 = hist_quantile(&h, 0.99);
-        assert!((100..1000).contains(&p50), "p50 near the bulk: {p50}");
-        assert!(p99 >= 1_000_000, "p99 in the tail bucket: {p99}");
-    }
-
-    #[test]
-    fn hist_quantile_edge_cases_stay_in_occupied_buckets() {
-        // Empty: every quantile is 0, including the extremes.
-        let empty = pcap_obs::LogHistogram::new();
-        assert_eq!(hist_quantile(&empty, 0.0), 0);
-        assert_eq!(hist_quantile(&empty, 1.0), 0);
-
-        // One sample in a high bucket: rank 0 must not fall into the
-        // empty first bucket, and q=1.0 must not walk past the end.
-        let mut one = pcap_obs::LogHistogram::new();
-        one.record(5_000);
-        let bound = hist_quantile(&one, 0.5);
-        assert!(bound >= 5_000, "single sample's bucket: {bound}");
-        assert_eq!(hist_quantile(&one, 0.0), bound, "q=0 clamps to rank 1");
-        assert_eq!(hist_quantile(&one, 1.0), bound, "q=1 stays on the sample");
-        assert_ne!(hist_quantile(&one, 1.0), u64::MAX, "no sentinel leaks");
-
-        // q=1.0 on a total whose f64 product rounds above the count.
-        let mut big = pcap_obs::LogHistogram::new();
-        for _ in 0..49 {
-            big.record(10);
-        }
-        for _ in 0..51 {
-            big.record(100);
-        }
-        let last = hist_quantile(&big, 1.0);
-        assert!(
-            (100..1000).contains(&last),
-            "q=1 is the last bucket: {last}"
-        );
-
-        // Monotone in q over a spread histogram.
-        let mut spread = pcap_obs::LogHistogram::new();
-        for magnitude in [1u64, 10, 100, 1_000, 10_000] {
-            for _ in 0..20 {
-                spread.record(magnitude);
-            }
-        }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-        let bounds: Vec<u64> = qs.iter().map(|&q| hist_quantile(&spread, q)).collect();
-        assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "quantiles must be monotone: {bounds:?}"
-        );
-    }
-
-    #[test]
     fn parses_top_and_flight_flags() {
         let o = parse_args(&args(&["top", "127.0.0.1:7071", "--once"])).unwrap();
         assert!(o.once);
@@ -2075,39 +1904,27 @@ mod tests {
     }
 
     #[test]
-    fn prom_quantiles_walk_scraped_buckets() {
+    fn top_cells_read_scraped_quantiles() {
         let text = "\
 # HELP x_us Stage latency.
 # TYPE x_us histogram
-x_us_bucket{shard=\"0\",le=\"1\"} 0
-x_us_bucket{shard=\"0\",le=\"8\"} 90
-x_us_bucket{shard=\"0\",le=\"64\"} 99
+x_us_bucket{shard=\"0\",le=\"0\"} 0
+x_us_bucket{shard=\"0\",le=\"7\"} 90
+x_us_bucket{shard=\"0\",le=\"63\"} 99
 x_us_bucket{shard=\"0\",le=\"+Inf\"} 100
 x_us_sum{shard=\"0\"} 1234
 x_us_count{shard=\"0\"} 100
-x_us_bucket{shard=\"1\",le=\"1\"} 0
-x_us_bucket{shard=\"1\",le=\"8\"} 0
-x_us_bucket{shard=\"1\",le=\"64\"} 0
 x_us_bucket{shard=\"1\",le=\"+Inf\"} 0
 x_us_sum{shard=\"1\"} 0
 x_us_count{shard=\"1\"} 0
 ";
         let samples = parse_prometheus_samples(text).unwrap();
-        assert_eq!(prom_hist_quantile(&samples, "x_us", Some("0"), 0.50), 8.0);
-        assert_eq!(prom_hist_quantile(&samples, "x_us", Some("0"), 0.99), 64.0);
-        assert!(prom_hist_quantile(&samples, "x_us", Some("0"), 1.0).is_infinite());
-        assert_eq!(
-            prom_hist_quantile(&samples, "x_us", Some("1"), 0.50),
-            0.0,
-            "empty shard reports 0"
-        );
-        assert_eq!(
-            prom_hist_quantile(&samples, "x_us", None, 0.50),
-            8.0,
-            "unscoped quantile sums the shards"
-        );
-        assert_eq!(prom_value(&samples, "x_us_count"), 100.0);
-        assert_eq!(prom_shard_value(&samples, "x_us_count", "1"), 0.0);
+        let shard0 = scraped_histogram(&samples, "x_us", &[("shard", "0")]);
+        assert_eq!(fmt_bound(shard0.quantile(0.50)), "8");
+        assert_eq!(fmt_bound(shard0.quantile(0.99)), "64");
+        assert_eq!(fmt_bound(shard0.quantile(1.0)), "inf", "clamp bucket");
+        let shard1 = scraped_histogram(&samples, "x_us", &[("shard", "1")]);
+        assert_eq!(fmt_bound(shard1.quantile(0.50)), "0", "empty shard");
     }
 
     #[test]

@@ -405,6 +405,7 @@ fn pipeline_profile_smoke_with_exports() {
     assert!(trace.contains("\"traceEvents\""), "{trace}");
     assert!(trace.contains("cell:"), "per-cell spans exported");
     let prom = std::fs::read_to_string(&prom_path).expect("prometheus written");
+    pcap_obs::validate_prometheus_strict(&prom).expect("profile exposition is strictly valid");
     assert!(prom.contains("pcap_tasks_total"), "{prom}");
     assert!(prom.contains("pcap_worker_busy_us"), "{prom}");
     std::fs::remove_dir_all(&dir).ok();
@@ -904,6 +905,25 @@ fn serve_sigusr1_dump_and_top_against_live_daemon() {
             "row for shard {shard}: {top}"
         );
     }
+    // Each row's four stage cells are `p50/p99` quantile pairs, and the
+    // shard that evaluated runs reports a nonzero eval p50.
+    let cells: Vec<Vec<&str>> = top
+        .lines()
+        .filter(|l| l.trim_start().starts_with(['0', '1']))
+        .map(|l| l.split_whitespace().skip(4).collect())
+        .collect();
+    for row in &cells {
+        assert_eq!(row.len(), 4, "four stage cells: {top}");
+        for cell in row {
+            let (p50, p99) = cell.split_once('/').expect("p50/p99 pair");
+            let (p50, p99): (u64, u64) = (p50.parse().unwrap(), p99.parse().unwrap());
+            assert!(p50 <= p99, "quantiles are monotone: {top}");
+        }
+    }
+    assert!(
+        cells.iter().any(|row| !row[2].starts_with("0/")),
+        "some shard evaluated runs: {top}"
+    );
 
     // SIGUSR1 → the daemon writes a validated JSONL flight dump.
     let pid = daemon.id().to_string();
@@ -1012,6 +1032,7 @@ fn journaled_sweep_exports_progress_metrics() {
         stderr(&out)
     );
     let text = std::fs::read_to_string(&prom).expect("exposition written");
+    pcap_obs::validate_prometheus_strict(&text).expect("journal exposition is strictly valid");
     assert!(
         text.contains("pcap_journal_computed_total 1"),
         "cold journal computed the seed: {text}"

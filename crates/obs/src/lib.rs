@@ -20,9 +20,13 @@
 //!   with the decision-audit metrics), per-worker [`WorkerStats`] and
 //!   slowest-task attribution.
 //!
-//! Three exporters turn a recorder into artifacts:
+//! [`histogram`] is the workspace's only histogram: [`LogHistogram`]
+//! and its lock-free twin [`AtomicHistogram`] (the daemon's stage
+//! histograms), with one quantile rule behind `pcap load`, `pcap top`
+//! and the benchmark. Three exporters turn a recorder into artifacts:
 //! [`chrome`] (trace-event JSON for Perfetto / `chrome://tracing`),
-//! [`prom`] (Prometheus text exposition) and [`summary`] (flat
+//! [`prom`] (Prometheus text exposition through [`PromWriter`], the
+//! writer `/metrics` renders through too) and [`summary`] (flat
 //! per-stage tables for terminals). [`bench`] holds the
 //! forward/backward-compatible `BENCH_sim.json` schema and the
 //! `pcap bench --check` regression gate.
@@ -50,12 +54,12 @@ pub use bench::{
 };
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use flight::{validate_flight_dump, FlightDumpStats, FlightEvent, FlightKind, FlightRecorder};
-pub use histogram::LogHistogram;
+pub use histogram::{AtomicHistogram, LogHistogram};
 pub use journal::{JournalProgress, JournalProgressSnapshot};
 pub use log::RateGate;
 pub use prom::{
-    parse_prometheus_samples, render_journal_progress, render_prometheus, validate_prometheus,
-    validate_prometheus_strict, PromSample,
+    parse_prometheus_samples, render_journal_progress, render_prometheus, scraped_histogram,
+    scraped_value, validate_prometheus_strict, MetricKind, PromSample, PromWriter,
 };
 pub use recorder::{SlowestTask, TraceEvent, TraceRecorder};
 pub use summary::{imbalance_ratio, render_stage_table, stage_summary, worker_summary, StageStat};

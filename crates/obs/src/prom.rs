@@ -1,111 +1,200 @@
-//! Prometheus text-exposition export of the recorder's counter and
-//! histogram registry, plus text-format validators and a sample
-//! parser.
+//! Prometheus text exposition: the one writer every exporter renders
+//! through ([`PromWriter`]), the recorder and journal exporters built
+//! on it, a text-format validator, and a sample parser that turns a
+//! scrape back into samples and histograms.
 //!
 //! Counters become `pcap_<name>_total`, histograms become cumulative
-//! `le`-bucketed `pcap_<name>` series (reusing the [`LogHistogram`]
-//! log₂ buckets, so `le` bounds are `2^k − 1` microseconds) with the
-//! standard `_sum`/`_count` companions, and per-worker telemetry
-//! becomes labelled gauges. Every family carries `# HELP` and
-//! `# TYPE` metadata, checkable with [`validate_prometheus_strict`];
-//! [`parse_prometheus_samples`] turns a scrape back into structured
-//! samples for consumers like `pcap top`.
+//! `le`-bucketed series over the [`LogHistogram`] log₂ buckets (so `le`
+//! bounds are `2^k − 1`) with the standard `_sum`/`_count` companions,
+//! and per-worker telemetry becomes labelled gauges. Every family
+//! carries `# HELP` and `# TYPE` metadata, checkable with
+//! [`validate_prometheus_strict`]; [`parse_prometheus_samples`] and
+//! [`scraped_histogram`] read a scrape back for consumers like
+//! `pcap top`.
 
 use crate::journal::JournalProgressSnapshot;
 use crate::recorder::TraceRecorder;
 use crate::LogHistogram;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// A Prometheus metric family type, as announced by `# TYPE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotonic counter (names end in `_total`).
+    Counter,
+    /// A value that can go up and down.
+    Gauge,
+    /// Cumulative `le` buckets plus `_sum` and `_count`.
+    Histogram,
+}
+
+impl MetricKind {
+    fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// Builds Prometheus text exposition (version 0.0.4). A family is
+/// announced once with [`family`](Self::family) (its `# HELP` and
+/// `# TYPE` lines) and then gets one [`sample`](Self::sample) or
+/// [`histogram_series`](Self::histogram_series) per label set. Label
+/// values are escaped, so output built only through this writer passes
+/// [`validate_prometheus_strict`].
+#[derive(Debug, Default)]
+pub struct PromWriter {
+    out: String,
+}
+
+impl PromWriter {
+    /// An empty exposition.
+    pub fn new() -> PromWriter {
+        PromWriter::default()
+    }
+
+    /// Announces family `name` with its `# HELP` and `# TYPE` lines.
+    pub fn family(&mut self, name: &str, kind: MetricKind, help: &str) -> &mut Self {
+        let _ = writeln!(self.out, "# HELP {name} {help}");
+        let _ = writeln!(self.out, "# TYPE {name} {}", kind.as_str());
+        self
+    }
+
+    fn series(&mut self, name: &str, labels: &[(&str, &str)], le: Option<&str>) {
+        self.out.push_str(name);
+        if labels.is_empty() && le.is_none() {
+            return;
+        }
+        self.out.push('{');
+        let le = le.map(|le| ("le", le));
+        for (i, (key, value)) in labels.iter().copied().chain(le).enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.out.push_str(key);
+            self.out.push_str("=\"");
+            for c in value.chars() {
+                match c {
+                    '\\' => self.out.push_str("\\\\"),
+                    '"' => self.out.push_str("\\\""),
+                    '\n' => self.out.push_str("\\n"),
+                    c => self.out.push(c),
+                }
+            }
+            self.out.push('"');
+        }
+        self.out.push('}');
+    }
+
+    /// One sample line, `name{labels} value`.
+    pub fn sample(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        value: impl Display,
+    ) -> &mut Self {
+        self.series(name, labels, None);
+        let _ = writeln!(self.out, " {value}");
+        self
+    }
+
+    /// The `_bucket`/`_sum`/`_count` series of one histogram instance
+    /// of family `name`, with `labels` on every line.
+    pub fn histogram_series(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        histogram: &LogHistogram,
+        sum: u64,
+    ) -> &mut Self {
+        let bucket = format!("{name}_bucket");
+        let mut bound = String::new();
+        let mut cumulative = 0u64;
+        for (k, count) in histogram.counts().iter().enumerate() {
+            cumulative += count;
+            bound.clear();
+            if k < 31 {
+                let _ = write!(bound, "{}", LogHistogram::bucket_bounds(k).1 - 1);
+            } else {
+                bound.push_str("+Inf");
+            }
+            self.series(&bucket, labels, Some(&bound));
+            let _ = writeln!(self.out, " {cumulative}");
+        }
+        self.sample(&format!("{name}_sum"), labels, sum);
+        self.sample(&format!("{name}_count"), labels, cumulative)
+    }
+
+    /// The rendered exposition.
+    pub fn finish(self) -> String {
+        self.out
+    }
 }
 
 /// Renders the recorder's registry in Prometheus text exposition
 /// format (version 0.0.4), with `# HELP`/`# TYPE` metadata on every
 /// family. The output passes [`validate_prometheus_strict`].
 pub fn render_prometheus(recorder: &TraceRecorder) -> String {
-    let mut out = String::new();
+    let mut out = PromWriter::new();
     for (name, value) in recorder.counters() {
-        let _ = writeln!(
-            out,
-            "# HELP pcap_{name}_total Monotonic pipeline counter `{name}`."
-        );
-        let _ = writeln!(out, "# TYPE pcap_{name}_total counter");
-        let _ = writeln!(out, "pcap_{name}_total {value}");
+        let metric = format!("pcap_{name}_total");
+        let help = format!("Monotonic pipeline counter `{name}`.");
+        out.family(&metric, MetricKind::Counter, &help)
+            .sample(&metric, &[], value);
     }
     for (name, (histogram, sum)) in recorder.histograms() {
-        let _ = writeln!(
-            out,
-            "# HELP pcap_{name} Log2-bucketed microsecond histogram `{name}`."
-        );
-        let _ = writeln!(out, "# TYPE pcap_{name} histogram");
-        let mut cumulative = 0u64;
-        for (k, count) in histogram.counts().iter().enumerate() {
-            cumulative += count;
-            if k < 31 {
-                let (_, hi) = LogHistogram::bucket_bounds(k);
-                let _ = writeln!(out, "pcap_{name}_bucket{{le=\"{}\"}} {cumulative}", hi - 1);
-            } else {
-                let _ = writeln!(out, "pcap_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            }
-        }
-        let _ = writeln!(out, "pcap_{name}_sum {sum}");
-        let _ = writeln!(out, "pcap_{name}_count {}", histogram.total());
+        let metric = format!("pcap_{name}");
+        let help = format!("Log2-bucketed microsecond histogram `{name}`.");
+        out.family(&metric, MetricKind::Histogram, &help)
+            .histogram_series(&metric, &[], &histogram, sum);
     }
     let workers = recorder.workers();
     if !workers.is_empty() {
-        for (metric, help) in [
-            ("pcap_worker_tasks", "Tasks completed by each sweep worker."),
+        #[allow(clippy::type_complexity)]
+        let gauges: [(&str, &str, fn(&crate::WorkerStats) -> u64); 3] = [
+            (
+                "pcap_worker_tasks",
+                "Tasks completed by each sweep worker.",
+                |w| w.tasks,
+            ),
             (
                 "pcap_worker_busy_us",
                 "Microseconds each worker spent inside tasks.",
+                |w| w.busy_us,
             ),
             (
                 "pcap_worker_wait_us",
                 "Microseconds each worker spent off-task.",
+                crate::WorkerStats::wait_us,
             ),
-        ] {
-            let _ = writeln!(out, "# HELP {metric} {help}");
-            let _ = writeln!(out, "# TYPE {metric} gauge");
+        ];
+        for (metric, help, read) in gauges {
+            out.family(metric, MetricKind::Gauge, help);
             for w in &workers {
-                let value = match metric {
-                    "pcap_worker_tasks" => w.tasks,
-                    "pcap_worker_busy_us" => w.busy_us,
-                    _ => w.wait_us(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{metric}{{scope=\"{}\",worker=\"{}\"}} {value}",
-                    escape_label(&w.scope),
-                    w.worker
-                );
+                let worker = w.worker.to_string();
+                out.sample(metric, &[("scope", &w.scope), ("worker", &worker)], read(w));
             }
         }
     }
     if let Some(slowest) = recorder.slowest() {
-        let _ = writeln!(
-            out,
-            "# HELP pcap_slowest_task_us Duration of the slowest recorded task."
-        );
-        let _ = writeln!(out, "# TYPE pcap_slowest_task_us gauge");
-        let _ = writeln!(
-            out,
-            "pcap_slowest_task_us{{task=\"{}\"}} {}",
-            escape_label(&slowest.label),
-            slowest.micros
-        );
+        let metric = "pcap_slowest_task_us";
+        out.family(
+            metric,
+            MetricKind::Gauge,
+            "Duration of the slowest recorded task.",
+        )
+        .sample(metric, &[("task", &slowest.label)], slowest.micros);
     }
-    out
+    out.finish()
 }
 
 /// Renders journal resume/compute counters as a Prometheus scrape
 /// (with metadata), so journaled sweeps are scrapeable rather than
 /// stderr-only. Passes [`validate_prometheus_strict`].
 pub fn render_journal_progress(progress: &JournalProgressSnapshot) -> String {
-    let mut out = String::new();
+    let mut out = PromWriter::new();
     for (name, help, value) in [
         (
             "pcap_journal_resumed_total",
@@ -133,11 +222,10 @@ pub fn render_journal_progress(progress: &JournalProgressSnapshot) -> String {
             progress.refreshes,
         ),
     ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
+        out.family(name, MetricKind::Counter, help)
+            .sample(name, &[], value);
     }
-    out
+    out.finish()
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -258,6 +346,29 @@ fn parse_value(value: &str) -> Option<f64> {
     }
 }
 
+/// Parses one sample line, `name{labels} value`; `n` numbers errors.
+fn parse_sample(line: &str, n: usize) -> Result<PromSample, String> {
+    let space = line
+        .rfind(' ')
+        .ok_or_else(|| format!("line {n}: no value separator in {line:?}"))?;
+    let (series, value) = (&line[..space], &line[space + 1..]);
+    let value =
+        parse_value(value).ok_or_else(|| format!("line {n}: bad sample value {value:?}"))?;
+    let (name, labels) = split_series(series).map_err(|e| format!("line {n}: {e}"))?;
+    if !valid_metric_name(name) {
+        return Err(format!("line {n}: bad metric name {name:?}"));
+    }
+    let labels = match labels {
+        Some(body) => parse_labels(body).map_err(|e| format!("line {n}: {e}"))?,
+        None => Vec::new(),
+    };
+    Ok(PromSample {
+        name: name.to_owned(),
+        labels,
+        value,
+    })
+}
+
 /// Parses every sample line of a Prometheus text scrape into
 /// structured [`PromSample`]s, skipping comments.
 ///
@@ -265,33 +376,66 @@ fn parse_value(value: &str) -> Option<f64> {
 ///
 /// Returns a description of the first malformed sample line.
 pub fn parse_prometheus_samples(text: &str) -> Result<Vec<PromSample>, String> {
-    let mut samples = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let space = line
-            .rfind(' ')
-            .ok_or_else(|| format!("line {n}: no value separator in {line:?}"))?;
-        let (series, value) = (&line[..space], &line[space + 1..]);
-        let value =
-            parse_value(value).ok_or_else(|| format!("line {n}: bad sample value {value:?}"))?;
-        let (name, labels) = split_series(series).map_err(|e| format!("line {n}: {e}"))?;
-        if !valid_metric_name(name) {
-            return Err(format!("line {n}: bad metric name {name:?}"));
-        }
-        let labels = match labels {
-            Some(body) => parse_labels(body).map_err(|e| format!("line {n}: {e}"))?,
-            None => Vec::new(),
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(i, line)| parse_sample(line, i + 1))
+        .collect()
+}
+
+/// The scraped samples named `name` that carry all of `labels`.
+fn matching<'a>(
+    samples: &'a [PromSample],
+    name: &'a str,
+    labels: &'a [(&str, &str)],
+) -> impl Iterator<Item = &'a PromSample> {
+    samples
+        .iter()
+        .filter(move |s| s.name == name && labels.iter().all(|&(k, v)| s.label(k) == Some(v)))
+}
+
+/// Sum of the scraped samples named `name` that carry all of `labels`;
+/// 0 when there are none.
+pub fn scraped_value(samples: &[PromSample], name: &str, labels: &[(&str, &str)]) -> f64 {
+    matching(samples, name, labels).map(|s| s.value).sum()
+}
+
+/// Rebuilds the [`LogHistogram`] behind a scraped histogram family, as
+/// written by [`PromWriter::histogram_series`]: bucket `k` holds the
+/// cumulative count at its `le` bound minus the one below it. Every
+/// instance of the family carrying all of `labels` is summed in
+/// (cumulative counts over one bucket layout add pointwise), so `&[]`
+/// merges all instances, e.g. every shard.
+pub fn scraped_histogram(
+    samples: &[PromSample],
+    family: &str,
+    labels: &[(&str, &str)],
+) -> LogHistogram {
+    let mut cumulative = [0u64; 32];
+    for sample in matching(samples, &format!("{family}_bucket"), labels) {
+        let index = match sample.label("le") {
+            Some("+Inf") => 31,
+            Some(le) => match le.parse::<f64>() {
+                Ok(le) => LogHistogram::bucket_of(le as u64),
+                Err(_) => continue,
+            },
+            None => continue,
         };
-        samples.push(PromSample {
-            name: name.to_owned(),
-            labels,
-            value,
-        });
+        cumulative[index] += sample.value as u64;
     }
-    Ok(samples)
+    let mut below = 0;
+    LogHistogram::from_counts(std::array::from_fn(|k| {
+        // A bound missing from the scrape holds nothing of its own.
+        let at = cumulative[k].max(below);
+        let count = at - below;
+        below = at;
+        count
+    }))
+}
+
+/// `value` as an observation count, if it is a non-negative integer.
+fn count_of(value: f64) -> Option<u64> {
+    (value >= 0.0 && value.fract() == 0.0).then_some(value as u64)
 }
 
 /// The histogram-family key for a bucket or `_count` line: the base
@@ -308,36 +452,24 @@ fn family_key(base: &str, labels: &[(String, String)]) -> String {
     key
 }
 
-/// Validates Prometheus text exposition format line by line, plus
-/// histogram consistency: each `*_bucket` family (keyed by base name
-/// *and* non-`le` labels) must be cumulative (nondecreasing), end with
-/// `le="+Inf"`, and agree with its `_count`.
+/// Validates Prometheus text exposition line by line, plus two
+/// family-level checks:
 ///
-/// # Errors
-///
-/// Returns a description of the first malformed line or inconsistent
-/// histogram family.
-///
-/// Returns the number of samples (non-comment lines) on success.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    validate_prometheus_inner(text, false)
-}
-
-/// [`validate_prometheus`] plus metadata strictness: every sample must
-/// belong to a family announced by both a `# HELP` and a `# TYPE`
-/// line (resolving `_bucket`/`_sum`/`_count` suffixes to their
-/// histogram base). This is the contract `pcap serve`'s `/metrics`
-/// endpoint is held to.
+/// * metadata: every sample must belong to a family announced by both a
+///   `# HELP` and a `# TYPE` line (resolving `_bucket`/`_sum`/`_count`
+///   suffixes to their histogram base) — the contract every exposition
+///   this workspace writes is held to;
+/// * histograms: each `*_bucket` family (keyed by base name *and*
+///   non-`le` labels) must be cumulative (nondecreasing), end with
+///   `le="+Inf"`, and agree with its `_count`.
 ///
 /// # Errors
 ///
 /// Returns the first malformed line, inconsistent histogram family, or
 /// sample whose family is missing `# HELP`/`# TYPE` metadata.
+///
+/// Returns the number of samples (non-comment lines) on success.
 pub fn validate_prometheus_strict(text: &str) -> Result<usize, String> {
-    validate_prometheus_inner(text, true)
-}
-
-fn validate_prometheus_inner(text: &str, strict: bool) -> Result<usize, String> {
     let mut samples = 0usize;
     // family key → (bucket cumulative counts in order, +Inf value)
     let mut families: Vec<(String, Vec<u64>, Option<u64>)> = Vec::new();
@@ -376,52 +508,34 @@ fn validate_prometheus_inner(text: &str, strict: bool) -> Result<usize, String> 
             }
             continue;
         }
-        let space = line
-            .rfind(' ')
-            .ok_or_else(|| format!("line {n}: no value separator in {line:?}"))?;
-        let (series, value) = (&line[..space], &line[space + 1..]);
-        if parse_value(value).is_none() {
-            return Err(format!("line {n}: bad sample value {value:?}"));
-        }
-        let (name, labels) = split_series(series).map_err(|e| format!("line {n}: {e}"))?;
-        if !valid_metric_name(name) {
-            return Err(format!("line {n}: bad metric name {name:?}"));
-        }
-        let labels = match labels {
-            Some(body) => parse_labels(body).map_err(|e| format!("line {n}: {e}"))?,
-            None => Vec::new(),
-        };
+        let sample = parse_sample(line, n)?;
+        let (name, labels) = (sample.name.as_str(), &sample.labels);
         samples += 1;
-        if strict {
-            // Resolve the sample to the family name metadata is
-            // declared under: histogram series use the base name.
-            let family = ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suffix| {
-                    let base = name.strip_suffix(suffix)?;
-                    typed
-                        .iter()
-                        .any(|(t, ty)| t == base && ty == "histogram")
-                        .then_some(base)
-                })
-                .unwrap_or(name);
-            if !typed.iter().any(|(t, _)| t == family) {
-                return Err(format!("line {n}: sample {name} has no # TYPE metadata"));
-            }
-            if !helped.iter().any(|h| h == family) {
-                return Err(format!("line {n}: sample {name} has no # HELP metadata"));
-            }
+        // Resolve the sample to the family name metadata is
+        // declared under: histogram series use the base name.
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| {
+                let base = name.strip_suffix(suffix)?;
+                typed
+                    .iter()
+                    .any(|(t, ty)| t == base && ty == "histogram")
+                    .then_some(base)
+            })
+            .unwrap_or(name);
+        if !typed.iter().any(|(t, _)| t == family) {
+            return Err(format!("line {n}: sample {name} has no # TYPE metadata"));
+        }
+        if !helped.iter().any(|h| h == family) {
+            return Err(format!("line {n}: sample {name} has no # HELP metadata"));
         }
         if let Some(base) = name.strip_suffix("_bucket") {
-            let le = labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .map(|(_, v)| v.as_str())
+            let le = sample
+                .label("le")
                 .ok_or_else(|| format!("line {n}: bucket without le label"))?;
-            let cumulative = value
-                .parse::<u64>()
-                .map_err(|_| format!("line {n}: non-integer bucket count {value:?}"))?;
-            let key = family_key(base, &labels);
+            let cumulative = count_of(sample.value)
+                .ok_or_else(|| format!("line {n}: non-integer bucket count {}", sample.value))?;
+            let key = family_key(base, labels);
             let idx = match families.iter().position(|(b, _, _)| *b == key) {
                 Some(idx) => idx,
                 None => {
@@ -442,8 +556,8 @@ fn validate_prometheus_inner(text: &str, strict: bool) -> Result<usize, String> 
                 family.2 = Some(cumulative);
             }
         } else if let Some(base) = name.strip_suffix("_count") {
-            if let Ok(total) = value.parse::<u64>() {
-                counts.push((family_key(base, &labels), total));
+            if let Some(total) = count_of(sample.value) {
+                counts.push((family_key(base, labels), total));
             }
         }
     }
@@ -505,31 +619,39 @@ mod tests {
         assert!(text.contains("pcap_journal_ceded_total 0"));
     }
 
+    /// Metadata for the histogram family `m` used by the snippets below.
+    const M: &str = "# HELP m M.\n# TYPE m histogram\n";
+
     #[test]
     fn validator_rejects_malformed_lines() {
-        assert!(validate_prometheus("metric").is_err());
-        assert!(validate_prometheus("1metric 2").is_err());
-        assert!(validate_prometheus("metric notanumber").is_err());
-        assert!(validate_prometheus("metric{le=\"unterminated} 1").is_err());
-        assert!(validate_prometheus("# BOGUS comment").is_err());
+        assert!(validate_prometheus_strict("metric").is_err());
+        assert!(validate_prometheus_strict("1metric 2").is_err());
+        assert!(validate_prometheus_strict("metric notanumber").is_err());
+        assert!(validate_prometheus_strict("metric{le=\"unterminated} 1").is_err());
+        assert!(validate_prometheus_strict("# BOGUS comment").is_err());
         // Non-cumulative buckets.
-        let text = "m_bucket{le=\"1\"} 5\nm_bucket{le=\"+Inf\"} 3\n";
-        assert!(validate_prometheus(text)
+        let text = format!("{M}m_bucket{{le=\"1\"}} 5\nm_bucket{{le=\"+Inf\"}} 3\n");
+        assert!(validate_prometheus_strict(&text)
             .unwrap_err()
             .contains("not cumulative"));
         // +Inf disagrees with _count.
-        let text = "m_bucket{le=\"+Inf\"} 3\nm_count 4\n";
-        assert!(validate_prometheus(text).unwrap_err().contains("!= _count"));
+        let text = format!("{M}m_bucket{{le=\"+Inf\"}} 3\nm_count 4\n");
+        assert!(validate_prometheus_strict(&text)
+            .unwrap_err()
+            .contains("!= _count"));
         // Missing +Inf bucket entirely.
-        let text = "m_bucket{le=\"1\"} 3\n";
-        assert!(validate_prometheus(text).unwrap_err().contains("+Inf"));
+        let text = format!("{M}m_bucket{{le=\"1\"}} 3\n");
+        assert!(validate_prometheus_strict(&text)
+            .unwrap_err()
+            .contains("+Inf"));
     }
 
     #[test]
     fn per_label_histogram_families_are_checked_independently() {
         // Two shards interleaved under one metric name: cumulative
         // within each shard even though the raw sequence dips.
-        let text = "\
+        let text = M.to_owned()
+            + "\
 m_bucket{shard=\"0\",le=\"1\"} 5
 m_bucket{shard=\"0\",le=\"+Inf\"} 9
 m_bucket{shard=\"1\",le=\"1\"} 2
@@ -537,16 +659,20 @@ m_bucket{shard=\"1\",le=\"+Inf\"} 3
 m_count{shard=\"0\"} 9
 m_count{shard=\"1\"} 3
 ";
-        assert_eq!(validate_prometheus(text).expect("per-shard families"), 6);
+        assert_eq!(
+            validate_prometheus_strict(&text).expect("per-shard families"),
+            6
+        );
         // A per-shard +Inf / _count mismatch is still caught.
         let bad = text.replace("m_count{shard=\"1\"} 3", "m_count{shard=\"1\"} 4");
-        assert!(validate_prometheus(&bad).unwrap_err().contains("!= _count"));
+        assert!(validate_prometheus_strict(&bad)
+            .unwrap_err()
+            .contains("!= _count"));
     }
 
     #[test]
-    fn strict_mode_requires_help_and_type() {
+    fn validator_requires_help_and_type() {
         let no_meta = "m_total 3\n";
-        assert_eq!(validate_prometheus(no_meta), Ok(1), "lenient passes");
         assert!(validate_prometheus_strict(no_meta)
             .unwrap_err()
             .contains("# TYPE"));
@@ -591,11 +717,47 @@ m_inf +Inf
     }
 
     #[test]
+    fn scraped_histograms_round_trip_through_the_writer() {
+        let mut a = LogHistogram::new();
+        for v in [0, 3, 100, 100, 5_000_000, u64::MAX] {
+            a.record(v);
+        }
+        let mut b = LogHistogram::new();
+        for v in [7, 8, 1 << 29] {
+            b.record(v);
+        }
+        let mut out = PromWriter::new();
+        out.family("x_us", MetricKind::Histogram, "Stage latency.")
+            .histogram_series("x_us", &[("shard", "0")], &a, 1)
+            .histogram_series("x_us", &[("shard", "1")], &b, 2);
+        let text = out.finish();
+        validate_prometheus_strict(&text).expect("writer output validates");
+        let samples = parse_prometheus_samples(&text).expect("parses");
+        assert_eq!(scraped_histogram(&samples, "x_us", &[("shard", "0")]), a);
+        assert_eq!(scraped_histogram(&samples, "x_us", &[("shard", "1")]), b);
+        let both =
+            LogHistogram::from_counts(std::array::from_fn(|k| a.counts()[k] + b.counts()[k]));
+        assert_eq!(
+            scraped_histogram(&samples, "x_us", &[]),
+            both,
+            "no label filter merges the shards"
+        );
+        assert_eq!(
+            scraped_histogram(&samples, "x_us", &[("shard", "9")]).total(),
+            0
+        );
+        assert_eq!(scraped_histogram(&samples, "y_us", &[]).total(), 0);
+        assert_eq!(scraped_value(&samples, "x_us_count", &[]), 9.0);
+        assert_eq!(scraped_value(&samples, "x_us_sum", &[("shard", "1")]), 2.0);
+        assert_eq!(scraped_value(&samples, "x_us_sum", &[("shard", "9")]), 0.0);
+    }
+
+    #[test]
     fn label_escaping_round_trips() {
         let recorder = TraceRecorder::new();
         recorder.task_done("cell:\"quoted\"\\path", 7);
         let text = render_prometheus(&recorder);
-        validate_prometheus(&text).expect("escaped labels still validate");
+        validate_prometheus_strict(&text).expect("escaped labels still validate");
         assert!(text.contains("task=\"cell:\\\"quoted\\\"\\\\path\""));
         let samples = parse_prometheus_samples(&text).expect("parses");
         let slowest = samples

@@ -74,6 +74,12 @@ impl RecorderState {
             .entry(track)
             .or_insert_with(|| format!("thread-{track}"));
     }
+
+    fn observe(&mut self, name: &'static str, micros: u64) {
+        let (histogram, sum) = self.histograms.entry(name).or_default();
+        histogram.record(micros);
+        *sum += micros;
+    }
 }
 
 /// The attached [`PipelineObserver`]: collects everything the
@@ -171,14 +177,7 @@ impl PipelineObserver for TraceRecorder {
     }
 
     fn observe_us(&self, name: &'static str, micros: u64) {
-        self.with(|state| {
-            let (histogram, sum) = state
-                .histograms
-                .entry(name)
-                .or_insert_with(|| (LogHistogram::new(), 0));
-            histogram.record(micros);
-            *sum += micros;
-        });
+        self.with(|state| state.observe(name, micros));
     }
 
     fn thread_label(&self, label: &str) {
@@ -192,12 +191,7 @@ impl PipelineObserver for TraceRecorder {
         let track = current_track();
         self.with(|state| {
             *state.counters.entry("tasks").or_insert(0) += 1;
-            let (histogram, sum) = state
-                .histograms
-                .entry("task_us")
-                .or_insert_with(|| (LogHistogram::new(), 0));
-            histogram.record(micros);
-            *sum += micros;
+            state.observe("task_us", micros);
             if state.slowest.as_ref().is_none_or(|s| micros > s.micros) {
                 state.slowest = Some(SlowestTask {
                     label: label.to_owned(),

@@ -5,14 +5,14 @@
 //!
 //! One writer (the calling thread) frames and sends events; one reader
 //! thread decodes the decision stream and stamps `RunEnd → RunSummary`
-//! latencies into a [`LogHistogram`]. Completion is positively
+//! latencies into an [`AtomicHistogram`]. Completion is positively
 //! acknowledged: every device ends with `DeviceEnd`, and the client
 //! returns once each device's `DeviceSummary` arrived (or the
 //! response timeout passes).
 
 use crate::frame::{self, ClientFrame, ServerFrame, PROTOCOL_VERSION};
 use crate::server::Endpoint;
-use pcap_obs::LogHistogram;
+use pcap_obs::{AtomicHistogram, LogHistogram};
 use pcap_types::wire;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,7 +136,7 @@ struct Shared {
     runs_acked: AtomicU64,
     /// (device, run) → send instant of the closing `RunEnd`.
     in_flight: Mutex<HashMap<(u64, u32), Instant>>,
-    latency: Mutex<LogHistogram>,
+    latency: AtomicHistogram,
 }
 
 fn reader_loop(mut read: Box<dyn Read + Send>, shared: &Shared) {
@@ -170,11 +170,7 @@ fn reader_loop(mut read: Box<dyn Read + Send>, shared: &Shared) {
                             .expect("in-flight map poisoned")
                             .remove(&(device, run));
                         if let Some(sent) = sent {
-                            shared
-                                .latency
-                                .lock()
-                                .expect("latency histogram poisoned")
-                                .record(sent.elapsed().as_micros() as u64);
+                            shared.latency.record(sent.elapsed().as_micros() as u64);
                         }
                         shared.runs_acked.fetch_add(1, Ordering::Release);
                     }
@@ -315,7 +311,6 @@ pub fn run_load(
 
     let decisions = shared.decisions.load(Ordering::Relaxed);
     let elapsed_s = elapsed.as_secs_f64();
-    let run_latency_us = *shared.latency.lock().expect("latency histogram poisoned");
     Ok(LoadReport {
         events,
         runs,
@@ -328,7 +323,7 @@ pub fn run_load(
         } else {
             0.0
         },
-        run_latency_us,
+        run_latency_us: shared.latency.snapshot().0,
         timed_out,
     })
 }

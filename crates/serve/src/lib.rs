@@ -62,5 +62,5 @@ pub use frame::{
     decode_client, decode_server, encode_client, encode_server, get_record, put_record,
     ClientFrame, ServerFrame, PROTOCOL_VERSION,
 };
-pub use metrics::{AtomicHistogram, ServeMetrics, ShardStats};
+pub use metrics::{ServeMetrics, ShardStats};
 pub use server::{shard_of, start, Endpoint, ServeConfig, ServerHandle};

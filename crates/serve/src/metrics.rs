@@ -1,7 +1,7 @@
 //! Live server metrics: lock-free counters shared by every connection
-//! and shard thread, rendered on demand as Prometheus text exposition
-//! (the `/metrics` scrape), plus a sampled ring of full decision-audit
-//! records (the `/audit` endpoint).
+//! and shard thread, rendered on demand through [`PromWriter`] as
+//! Prometheus text exposition (the `/metrics` scrape), plus a sampled
+//! ring of full decision-audit records (the `/audit` endpoint).
 //!
 //! Everything on the decision hot path is a relaxed atomic add; the
 //! only lock is around the audit sample ring, taken once every
@@ -9,89 +9,12 @@
 //! current — scrapes are monotone per counter but not a consistent
 //! snapshot across counters, the standard Prometheus contract.
 
-use pcap_obs::LogHistogram;
+use pcap_obs::{AtomicHistogram, MetricKind, PromWriter};
 use pcap_sim::{DecisionRecord, GapVerdict};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// A [`LogHistogram`] with relaxed-atomic buckets, recordable from any
-/// thread without locking.
-#[derive(Debug, Default)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; 32],
-    sum: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// Records one microsecond value.
-    pub fn record(&self, value: u64) {
-        self.buckets[LogHistogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// A plain-histogram snapshot plus the value sum.
-    pub fn snapshot(&self) -> (LogHistogram, u64) {
-        let mut hist = LogHistogram::new();
-        let mut shadow = [0u64; 32];
-        for (k, bucket) in self.buckets.iter().enumerate() {
-            shadow[k] = bucket.load(Ordering::Relaxed);
-        }
-        // Rebuild through the public API: record one representative
-        // value per bucket, `count` times.
-        for (k, &count) in shadow.iter().enumerate() {
-            let (lo, _) = LogHistogram::bucket_bounds(k);
-            for _ in 0..count {
-                hist.record(lo);
-            }
-        }
-        (hist, self.sum.load(Ordering::Relaxed))
-    }
-
-    fn render(&self, name: &str, help: &str, out: &mut String) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(name, "", out);
-    }
-
-    /// Appends this histogram's bucket/sum/count series under `name`
-    /// with `labels` (e.g. `shard="3"`) on every line, without family
-    /// metadata — the caller emits one `# HELP`/`# TYPE` pair for all
-    /// labelled instances of the family.
-    fn render_series(&self, name: &str, labels: &str, out: &mut String) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let mut cumulative = 0u64;
-        for k in 0..32 {
-            cumulative += self.buckets[k].load(Ordering::Relaxed);
-            if k < 31 {
-                let (_, hi) = LogHistogram::bucket_bounds(k);
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
-                    hi - 1
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
-                );
-            }
-        }
-        let brace = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        let _ = writeln!(
-            out,
-            "{name}_sum{brace} {}",
-            self.sum.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "{name}_count{brace} {cumulative}");
-    }
-}
 
 /// Per-shard queue and throughput counters, plus the stage-latency
 /// attribution histograms (DESIGN.md §15): the end-to-end decision
@@ -249,23 +172,27 @@ impl ServeMetrics {
     /// family; held to [`pcap_obs::validate_prometheus_strict`] in
     /// tests and CI.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP pcap_build_info Build metadata of the running daemon."
+        let mut out = PromWriter::new();
+        out.family(
+            "pcap_build_info",
+            MetricKind::Gauge,
+            "Build metadata of the running daemon.",
+        )
+        .sample(
+            "pcap_build_info",
+            &[("version", env!("CARGO_PKG_VERSION"))],
+            1,
+        )
+        .family(
+            "pcap_uptime_seconds",
+            MetricKind::Gauge,
+            "Seconds since the daemon started.",
+        )
+        .sample(
+            "pcap_uptime_seconds",
+            &[],
+            format_args!("{:.3}", self.uptime_seconds()),
         );
-        let _ = writeln!(out, "# TYPE pcap_build_info gauge");
-        let _ = writeln!(
-            out,
-            "pcap_build_info{{version=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION")
-        );
-        let _ = writeln!(
-            out,
-            "# HELP pcap_uptime_seconds Seconds since the daemon started."
-        );
-        let _ = writeln!(out, "# TYPE pcap_uptime_seconds gauge");
-        let _ = writeln!(out, "pcap_uptime_seconds {:.3}", self.uptime_seconds());
         let counters: [(&str, &str, &AtomicU64); 13] = [
             ("connections", "Connections accepted.", &self.connections),
             ("disconnects", "Connections closed.", &self.disconnects),
@@ -309,59 +236,63 @@ impl ServeMetrics {
                 &self.short,
             ),
         ];
-        for (name, help, value) in counters.iter() {
-            let _ = writeln!(out, "# HELP pcap_serve_{name}_total {help}");
-            let _ = writeln!(out, "# TYPE pcap_serve_{name}_total counter");
-            let _ = writeln!(
-                out,
-                "pcap_serve_{name}_total {}",
-                value.load(Ordering::Relaxed)
+        for (name, help, value) in counters {
+            let metric = format!("pcap_serve_{name}_total");
+            out.family(&metric, MetricKind::Counter, help).sample(
+                &metric,
+                &[],
+                value.load(Ordering::Relaxed),
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP pcap_serve_devices_active Device sessions currently live."
-        );
-        let _ = writeln!(out, "# TYPE pcap_serve_devices_active gauge");
-        let _ = writeln!(
-            out,
-            "pcap_serve_devices_active {}",
-            self.devices_active.load(Ordering::Relaxed)
+        out.family(
+            "pcap_serve_devices_active",
+            MetricKind::Gauge,
+            "Device sessions currently live.",
+        )
+        .sample(
+            "pcap_serve_devices_active",
+            &[],
+            self.devices_active.load(Ordering::Relaxed),
         );
         if !self.shards.is_empty() {
+            let shard_ids: Vec<String> = (0..self.shards.len()).map(|i| i.to_string()).collect();
+            let labelled = || {
+                shard_ids
+                    .iter()
+                    .zip(&self.shards)
+                    .map(|(id, shard)| ([("shard", id.as_str())], shard))
+            };
             #[allow(clippy::type_complexity)]
-            let gauges: [(&str, &str, fn(&ShardStats) -> u64); 4] = [
+            let gauges: [(&str, MetricKind, &str, fn(&ShardStats) -> u64); 4] = [
                 (
                     "pcap_serve_shard_depth",
+                    MetricKind::Gauge,
                     "Messages queued or in flight for the shard.",
                     ShardStats::depth,
                 ),
                 (
                     "pcap_serve_shard_processed_total",
+                    MetricKind::Counter,
                     "Messages the shard worker finished processing.",
                     |s| s.processed.load(Ordering::Relaxed),
                 ),
                 (
                     "pcap_serve_shard_runs_total",
+                    MetricKind::Counter,
                     "Runs the shard evaluated.",
                     |s| s.runs.load(Ordering::Relaxed),
                 ),
                 (
                     "pcap_serve_shard_busy_us_total",
+                    MetricKind::Counter,
                     "Microseconds the shard spent in evaluate + encode.",
                     |s| s.busy_us.load(Ordering::Relaxed),
                 ),
             ];
-            for (name, help, read) in gauges {
-                let ty = if name.ends_with("_total") {
-                    "counter"
-                } else {
-                    "gauge"
-                };
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} {ty}");
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", read(shard));
+            for (name, kind, help, read) in gauges {
+                out.family(name, kind, help);
+                for (labels, shard) in labelled() {
+                    out.sample(name, &labels, read(shard));
                 }
             }
             #[allow(clippy::type_complexity)]
@@ -388,24 +319,30 @@ impl ServeMetrics {
                 ),
             ];
             for (name, help, pick) in stages {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                for (i, shard) in self.shards.iter().enumerate() {
-                    pick(shard).render_series(name, &format!("shard=\"{i}\""), &mut out);
+                out.family(name, MetricKind::Histogram, help);
+                for (labels, shard) in labelled() {
+                    let (histogram, sum) = pick(shard).snapshot();
+                    out.histogram_series(name, &labels, &histogram, sum);
                 }
             }
         }
-        self.gap_us.render(
-            "pcap_serve_gap_us",
-            "Merged idle-gap length distribution (us).",
-            &mut out,
-        );
-        self.run_eval_us.render(
-            "pcap_serve_run_eval_us",
-            "Server-side run evaluation latency (us).",
-            &mut out,
-        );
-        out
+        for (name, help, histogram) in [
+            (
+                "pcap_serve_gap_us",
+                "Merged idle-gap length distribution (us).",
+                &self.gap_us,
+            ),
+            (
+                "pcap_serve_run_eval_us",
+                "Server-side run evaluation latency (us).",
+                &self.run_eval_us,
+            ),
+        ] {
+            let (histogram, sum) = histogram.snapshot();
+            out.family(name, MetricKind::Histogram, help)
+                .histogram_series(name, &[], &histogram, sum);
+        }
+        out.finish()
     }
 }
 
@@ -496,19 +433,6 @@ mod tests {
         let off = ServeMetrics::new(1, 0, 3);
         off.observe_decision(&record(GapVerdict::Hit, 1));
         assert!(off.sampled_records().is_empty());
-    }
-
-    #[test]
-    fn atomic_histogram_snapshot_matches_buckets() {
-        let h = AtomicHistogram::default();
-        for v in [0, 1, 5, 5, 1_000_000] {
-            h.record(v);
-        }
-        let (hist, sum) = h.snapshot();
-        assert_eq!(hist.total(), 5);
-        assert_eq!(sum, 1_000_011);
-        assert_eq!(hist.counts()[0], 1);
-        assert_eq!(hist.counts()[3], 2, "two fives in [4,8)");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use pcap_dpm::obs::{
     check_trajectory, parse_trajectory, render_chrome_trace, render_prometheus,
-    validate_chrome_trace, validate_prometheus, NullPipeline, TraceRecorder,
+    validate_chrome_trace, validate_prometheus_strict, NullPipeline, TraceRecorder,
 };
 use pcap_dpm::report::{profile_pipeline, snapshot_files, snapshot_files_observed, Workbench};
 use pcap_dpm::sim::SimConfig;
@@ -68,7 +68,7 @@ fn chrome_trace_covers_grid_with_one_track_per_worker() {
 fn prometheus_export_parses_and_carries_the_registry() {
     let recorder = profiled_recorder();
     let text = render_prometheus(&recorder);
-    let samples = validate_prometheus(&text).expect("valid exposition");
+    let samples = validate_prometheus_strict(&text).expect("valid exposition");
     assert!(samples > 100, "histograms dominate: {samples} samples");
     for needle in [
         "pcap_tasks_total",
@@ -187,7 +187,7 @@ fn empty_recorder_exports_validate() {
     assert_eq!(stats.spans, 0, "no spans recorded");
     assert_eq!(stats.tracks, 0, "no tracks registered");
     let text = render_prometheus(&recorder);
-    validate_prometheus(&text).expect("empty exposition validates");
+    validate_prometheus_strict(&text).expect("empty exposition validates");
 }
 
 /// Many threads opening and closing nested spans concurrently — with
@@ -220,7 +220,7 @@ fn concurrent_span_writers_render_a_valid_chrome_trace() {
     let stats = validate_chrome_trace(&trace).expect("concurrent chrome trace validates");
     assert_eq!(stats.spans as u64, WRITERS as u64 * ITERS * 2);
     assert_eq!(stats.tracks, WRITERS, "one track per writer thread");
-    validate_prometheus(&render_prometheus(&recorder)).expect("exposition validates");
+    validate_prometheus_strict(&render_prometheus(&recorder)).expect("exposition validates");
 }
 
 /// Flight dumps taken *while* writers race must parse and hold the

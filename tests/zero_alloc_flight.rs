@@ -1,15 +1,15 @@
 //! Pins the observability hot path's zero-allocation steady state at
-//! the allocator level: recording flight events, stage-histogram
-//! samples, and rate-gate admissions must not touch the heap. The
-//! flight recorder's slots are preallocated at construction and the
-//! histograms are fixed arrays of atomics, so a daemon under load pays
-//! only a handful of atomic stores per event — any allocation on this
+//! the allocator level: recording flight events, recording and reading
+//! stage-histogram quantiles, and rate-gate admissions must not touch
+//! the heap. The flight recorder's slots are preallocated at
+//! construction and the histograms are fixed arrays of atomics whose
+//! snapshots live on the stack, so a daemon under load pays only a
+//! handful of atomic stores per event — any allocation on this
 //! path is a regression against the ≤2% serve-overhead budget
 //! (DESIGN.md §15).
 
 use pcap_dpm::obs::log::RateGate;
-use pcap_dpm::obs::{FlightKind, FlightRecorder};
-use pcap_dpm::serve::AtomicHistogram;
+use pcap_dpm::obs::{AtomicHistogram, FlightKind, FlightRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,6 +78,7 @@ fn observability_steady_state_allocates_nothing() {
             let ts = flight.now_ns();
             flight.record_at(ring, ts, FlightKind::Enqueue, i, ring as u64, 0);
             hist.record(i * 11);
+            std::hint::black_box(hist.snapshot().0.quantile(0.99));
             std::hint::black_box(GATE.admit(i * 500));
         }
     });
