@@ -13,8 +13,7 @@
 //! pcap inspect <app> <run#> [--seed N]       per-gap PCAP decisions for one execution
 //! pcap audit <app> [--jsonl F] [--top-misses N]  decision-audit summary + mispredict tables
 //! pcap explain <app>                         narrative tables tying §6 claims to measured numbers
-//! pcap bench [--quick] [--jobs N]            time the prepare/warm-up phases, append BENCH_sim.json
-//! pcap bench --check                         gate BENCH_sim.json against its own trajectory
+//! pcap bench [--quick] [--jobs N]            the three <2% observability-overhead guards
 //! pcap serve --uds PATH|--listen ADDR        run the online sharded decision daemon
 //! pcap load --uds PATH|--connect ADDR        replay a generated workload against a daemon
 //! pcap top ADDR [--once]                     live per-shard view of a daemon's /metrics
@@ -25,11 +24,11 @@
 //! wall clock, never a byte of output.
 
 use pcap_obs::{
-    check_trajectory, parse_prometheus_samples, parse_trajectory, render_chrome_trace,
-    render_journal_progress, render_prometheus, render_stage_table, scraped_histogram,
-    scraped_value, stage_summary, validate_chrome_trace, validate_flight_dump,
-    validate_prometheus_strict, worker_summary, PromSample, TraceRecorder,
+    parse_prometheus_samples, render_chrome_trace, render_journal_progress, render_prometheus,
+    render_stage_table, scraped_histogram, scraped_value, stage_summary, validate_chrome_trace,
+    validate_flight_dump, validate_prometheus_strict, worker_summary, PromSample, TraceRecorder,
 };
+use pcap_report::profiling::QUICK_RUNS;
 use pcap_report::{
     audit_tables, explain_tables, figure_chart, fleet_table, profile_pipeline, run_sweep,
     sweep_table, verify_snapshot, write_snapshot, Experiment, Figure, Workbench, GOLDEN_SEED,
@@ -55,8 +54,7 @@ const USAGE: &str = "usage:
   pcap inspect <app> <run#> [--seed N]
   pcap audit <app> [--seed N] [--jobs N] [--jsonl FILE] [--top-misses N] [--csv]
   pcap explain <app> [--seed N] [--jobs N] [--csv]
-  pcap bench [--quick] [--seed N] [--jobs N] [--out FILE] [--label L] [--check]
-  pcap bench --check [--out FILE]
+  pcap bench [--quick] [--seed N] [--jobs N]
   pcap serve [--uds PATH] [--listen ADDR] [--metrics ADDR] [--shards N]
              [--flight-dump FILE]
   pcap load [--uds PATH] [--connect ADDR] [--devices N] [--seed N] [--rate N]
@@ -75,10 +73,6 @@ flags:
   --update       re-bless the golden snapshot instead of verifying
   --golden DIR   golden snapshot directory (default golden/)
   --quick        bench/profile: truncate every trace to 6 runs (CI-sized measurement)
-  --label L      bench: label recorded in the trajectory entry (default prepare-once)
-  --check        bench: gate the trajectory (fail on >15% cells/s regression or
-                 overhead breach); alone it only checks, with a measurement it
-                 appends first and then checks
   --chrome-trace FILE  profile: write a Chrome/Perfetto trace-event JSON file
   --prometheus FILE    profile: write Prometheus text-format metrics
   --jsonl FILE   audit: also write the full decision log as JSON lines
@@ -115,9 +109,7 @@ struct Options {
     csv: bool,
     update: bool,
     quick: bool,
-    check: bool,
     golden: String,
-    label: Option<String>,
     out: Option<String>,
     jsonl: Option<String>,
     chrome_trace: Option<String>,
@@ -171,9 +163,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         csv: false,
         update: false,
         quick: false,
-        check: false,
         golden: "golden".to_owned(),
-        label: None,
         out: None,
         jsonl: None,
         chrome_trace: None,
@@ -224,7 +214,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--csv" => options.csv = true,
             "--update" => options.update = true,
             "--quick" => options.quick = true,
-            "--check" => options.check = true,
             "--chrome-trace" => {
                 options.chrome_trace =
                     Some(it.next().ok_or("--chrome-trace needs a value")?.clone());
@@ -234,9 +223,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--golden" => {
                 options.golden = it.next().ok_or("--golden needs a value")?.clone();
-            }
-            "--label" => {
-                options.label = Some(it.next().ok_or("--label needs a value")?.clone());
             }
             "--out" => {
                 options.out = Some(it.next().ok_or("--out needs a value")?.clone());
@@ -669,16 +655,8 @@ idle-gap distribution (all executions):"
     }
 }
 
-/// Runs per app in `--quick` mode: enough executions to exercise
-/// cross-run training while keeping the measurement CI-sized.
-const QUICK_RUNS: usize = 6;
-
-/// Fleet size of the bench's streaming-throughput group (fixed across
-/// `--quick` and full runs so devices/s entries stay comparable).
-const FLEET_BENCH_DEVICES: u64 = 96;
-
-/// Device count of the bench's online-serving group (fixed across
-/// `--quick` and full runs so decisions/s entries stay comparable).
+/// Device count of the serve observability guard's replay (fixed
+/// across `--quick` and full runs).
 const SERVE_BENCH_DEVICES: u64 = 24;
 
 /// `pcap profile` without an application: runs the full report
@@ -1227,105 +1205,56 @@ fn run_flight(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `pcap bench --check` (and the trailing check of a measuring run):
-/// parses the trajectory file and applies the regression gate — the
-/// newest entry of every `(mode, jobs)` group must hold at least 85%
-/// of the best prior throughput of that group, and its recorded
-/// overhead ratios must stay under 2%.
-fn check_bench_trajectory(out: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(out).map_err(|e| format!("{out}: {e}"))?;
-    let entries = parse_trajectory(&text).map_err(|e| format!("{out}: {e}"))?;
-    let lines =
-        check_trajectory(&entries).map_err(|e| format!("bench regression gate failed:\n{e}"))?;
-    for line in lines {
-        eprintln!("pcap bench --check: {line}");
+/// The budget of every `pcap bench` guard: an observability feature may
+/// cost at most 2% of the path it instruments.
+const OVERHEAD_LIMIT: f64 = 0.02;
+
+/// Prints one guard's signed overhead ratio and fails the command when
+/// an enforced guard reaches [`OVERHEAD_LIMIT`].
+fn overhead_guard(name: &str, arms: &str, overhead: f64, enforced: bool) -> Result<(), String> {
+    let line = format!(
+        "{name} guard: {arms} ({:+.2}% overhead, limit {:.0}%{})",
+        overhead * 100.0,
+        OVERHEAD_LIMIT * 100.0,
+        if enforced {
+            ""
+        } else {
+            ", not enforced in debug builds"
+        }
+    );
+    eprintln!("pcap bench: {line}");
+    if enforced && overhead >= OVERHEAD_LIMIT {
+        return Err(format!("guard violated: {line}"));
     }
-    eprintln!("pcap bench --check: {out} passes the regression gate");
     Ok(())
 }
 
-/// `pcap bench`: times the three pipeline phases (trace generation,
-/// stream preparation, manager-grid warm-up) against the shared
-/// [`GRID_KINDS`] grid and appends one trajectory entry to
-/// `BENCH_sim.json` (see README for the format). The prepare-call
-/// counter deltas pin the prepare-once invariant at runtime: the
-/// warm-up phase must not rebuild any streams.
+/// `pcap bench`: the three overhead guards nothing else enforces.
+/// Throughput, latency and per-layer costs are measured by the
+/// `benchmark/` package, not here.
+///
+/// * observer (DESIGN.md §8): the engine with `NullObserver` must not
+///   run measurably slower than with the cheapest attached sink;
+/// * tracing (DESIGN.md §10): a recording [`TraceRecorder`] must stay
+///   within 2% of `NullPipeline`;
+/// * serve (DESIGN.md §15): the daemon's flight recorder and stage
+///   histograms must cost under 2% of replay throughput.
+///
+/// The tracing and serve ratios only mean anything with optimizations
+/// on — a debug build inflates the constant per-call cost roughly
+/// tenfold — so debug builds print them without enforcing.
 fn run_bench(options: &Options) -> Result<(), String> {
     use std::time::Instant;
-    let config = SimConfig::paper();
-    let out = options
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    // `--check` without `--quick` gates the committed trajectory as-is
-    // (the CI entry point); with `--quick` it measures, appends, and
-    // then gates the result.
-    if options.check && !options.quick {
-        return check_bench_trajectory(&out);
-    }
-    let label = options
-        .label
-        .clone()
-        .unwrap_or_else(|| "prepare-once".to_owned());
-    let mode = if options.quick { "quick" } else { "full" };
-
-    let t0 = Instant::now();
-    let bench = Workbench::generate_par(options.seed, config.clone(), options.jobs)
+    let mut bench = Workbench::generate_par(options.seed, SimConfig::paper(), options.jobs)
         .map_err(|e| e.to_string())?;
-    let bench = if options.quick {
-        let traces = bench
-            .traces()
-            .iter()
-            .map(|t| {
-                let mut t = t.clone();
-                t.runs.truncate(QUICK_RUNS);
-                t
-            })
-            .collect();
-        Workbench::from_traces_seeded(options.seed, traces, config)
-    } else {
-        bench
-    };
-    let generate_s = t0.elapsed().as_secs_f64();
-    let runs: usize = bench.traces().iter().map(|t| t.runs.len()).sum();
-
-    let before_prepare = pcap_sim::prepare_call_count();
-    let t1 = Instant::now();
+    if options.quick {
+        bench = bench.truncated(QUICK_RUNS);
+    }
     bench.prepare_all(options.jobs);
-    let prepare_s = t1.elapsed().as_secs_f64();
-    let prepare_calls = pcap_sim::prepare_call_count() - before_prepare;
+    let optimized = !cfg!(debug_assertions);
 
-    let before_warmup = pcap_sim::prepare_call_count();
-    let t2 = Instant::now();
-    bench.warm_up(&GRID_KINDS, options.jobs);
-    let warmup_s = t2.elapsed().as_secs_f64();
-    let warmup_calls = pcap_sim::prepare_call_count() - before_warmup;
-
-    let cells = bench.traces().len() * GRID_KINDS.len();
-    let cells_per_s = cells as f64 / warmup_s;
-    eprintln!(
-        "pcap bench ({mode}, seed {}, jobs {}): generate {generate_s:.3}s, \
-         prepare {prepare_s:.3}s ({prepare_calls} stream builds, {runs} runs), \
-         warm-up {warmup_s:.3}s ({cells} cells, {cells_per_s:.2} cells/s, \
-         {warmup_calls} stream rebuilds)",
-        options.seed, options.jobs
-    );
-    if prepare_calls as usize != runs {
-        return Err(format!(
-            "prepare-once violated: {prepare_calls} stream builds for {runs} runs"
-        ));
-    }
-    if warmup_calls != 0 {
-        return Err(format!(
-            "prepare-once violated: warm-up rebuilt streams {warmup_calls} times"
-        ));
-    }
-
-    // Observer-overhead guard (DESIGN.md §8): the generic engine must
-    // cost nothing measurable when no sink is attached. Interleaved
-    // min-of-3 reps of the PCAP column — NullObserver vs the cheapest
-    // attached sink — so drift hits both arms alike; the null arm may
-    // not come out measurably slower than the attached one.
+    // Three arms over the PCAP column: no sink, the cheapest attached
+    // decision sink, and the pipeline tracer recording.
     let eval_null = || {
         for idx in 0..bench.traces().len() {
             let report = pcap_sim::evaluate_prepared(
@@ -1349,7 +1278,6 @@ fn run_bench(options: &Options) -> Result<(), String> {
             std::hint::black_box((&report, &sink.metrics));
         }
     };
-    // Third arm: the pipeline tracer attached and recording.
     let eval_traced = || {
         let recorder = TraceRecorder::new();
         for idx in 0..bench.traces().len() {
@@ -1380,166 +1308,26 @@ fn run_bench(options: &Options) -> Result<(), String> {
         }
     }
     let [null_s, observed_s, traced_s] = mins;
-    let observer_overhead = (null_s / observed_s - 1.0).max(0.0);
-    eprintln!(
-        "pcap bench: observer guard: null sink {null_s:.3}s vs metrics sink {observed_s:.3}s \
-         ({:.2}% null overhead, limit 2%)",
-        observer_overhead * 100.0
-    );
-    if observer_overhead >= 0.02 {
-        return Err(format!(
-            "observer guard violated: NullObserver path is {:.2}% slower than the attached \
-             metrics sink (limit 2%)",
-            observer_overhead * 100.0
-        ));
-    }
-    // Tracing guard (DESIGN.md §10): an attached recorder takes one
-    // span + one histogram update per evaluation, so the traced arm
-    // must stay within 2% of the disabled-tracing arm. The ratio is
-    // only meaningful with optimizations on — a debug build inflates
-    // the constant per-call recorder cost roughly tenfold — so debug
-    // builds print the measurement but record null and do not enforce.
-    let tracing_overhead = (traced_s / null_s - 1.0).max(0.0);
-    let optimized = !cfg!(debug_assertions);
-    eprintln!(
-        "pcap bench: tracing guard: disabled {null_s:.3}s vs recording {traced_s:.3}s \
-         ({:.2}% tracing overhead, limit 2%{})",
-        tracing_overhead * 100.0,
-        if optimized {
-            ""
-        } else {
-            ", not enforced in debug builds"
-        }
-    );
-    if optimized && tracing_overhead >= 0.02 {
-        return Err(format!(
-            "tracing guard violated: recording pipeline spans is {:.2}% slower than the \
-             disabled path (limit 2%)",
-            tracing_overhead * 100.0
-        ));
-    }
+    overhead_guard(
+        "observer",
+        &format!("null sink {null_s:.3}s vs metrics sink {observed_s:.3}s"),
+        null_s / observed_s - 1.0,
+        true,
+    )?;
+    overhead_guard(
+        "tracing",
+        &format!("disabled {null_s:.3}s vs recording {traced_s:.3}s"),
+        traced_s / null_s - 1.0,
+        optimized,
+    )?;
 
-    // Trajectory file: a JSON array of entries; append ours, reporting
-    // the speedup against the committed legacy baseline when present.
-    let mut entries: Vec<serde::Value> = match std::fs::read_to_string(&out) {
-        Ok(text) => match serde_json::from_str::<serde::Value>(&text) {
-            Ok(serde::Value::Array(entries)) => entries,
-            _ => return Err(format!("{out}: expected a JSON array of bench entries")),
-        },
-        Err(_) => Vec::new(),
-    };
-    let baseline_warmup = entries
-        .iter()
-        .filter(|e| {
-            e.get("label").and_then(as_str) == Some("legacy-baseline")
-                && e.get("mode").and_then(as_str) == Some(mode)
-        })
-        .filter_map(|e| e.get("warmup_s").and_then(as_f64))
-        .next();
-    let speedup = baseline_warmup.map(|base| base / warmup_s);
-    if let Some(speedup) = speedup {
-        eprintln!(
-            "pcap bench: warm-up speedup vs legacy-baseline ({mode}): {speedup:.2}x \
-             ({:.3}s -> {warmup_s:.3}s)",
-            baseline_warmup.unwrap_or_default()
-        );
-    }
-    let entry = serde::Value::Object(vec![
-        ("label".into(), serde::Value::Str(label)),
-        ("mode".into(), serde::Value::Str(mode.to_owned())),
-        ("seed".into(), serde::Value::UInt(options.seed)),
-        ("jobs".into(), serde::Value::UInt(options.jobs as u64)),
-        (
-            "apps".into(),
-            serde::Value::UInt(bench.traces().len() as u64),
-        ),
-        ("runs".into(), serde::Value::UInt(runs as u64)),
-        ("cells".into(), serde::Value::UInt(cells as u64)),
-        ("generate_s".into(), serde::Value::Float(generate_s)),
-        ("prepare_s".into(), serde::Value::Float(prepare_s)),
-        ("warmup_s".into(), serde::Value::Float(warmup_s)),
-        ("cells_per_s".into(), serde::Value::Float(cells_per_s)),
-        ("prepare_calls".into(), serde::Value::UInt(prepare_calls)),
-        (
-            "warmup_prepare_calls".into(),
-            serde::Value::UInt(warmup_calls),
-        ),
-        (
-            "speedup_vs_legacy".into(),
-            speedup.map_or(serde::Value::Null, serde::Value::Float),
-        ),
-        ("null_eval_s".into(), serde::Value::Float(null_s)),
-        ("observed_eval_s".into(), serde::Value::Float(observed_s)),
-        (
-            "observer_overhead".into(),
-            serde::Value::Float(observer_overhead),
-        ),
-        ("traced_eval_s".into(), serde::Value::Float(traced_s)),
-        (
-            "tracing_overhead".into(),
-            if optimized {
-                serde::Value::Float(tracing_overhead)
-            } else {
-                serde::Value::Null
-            },
-        ),
-    ]);
-    entries.push(entry);
-
-    // Streaming-fleet throughput: always the same fixed configuration
-    // ([`FLEET_BENCH_DEVICES`] devices, runs capped at QUICK_RUNS)
-    // regardless of `--quick`, so every bench invocation feeds one
-    // comparable `(fleet, jobs)` group gated on devices/s.
-    let pop = DevicePopulation::new(FLEET_BENCH_DEVICES, options.seed);
-    let fleet_config = SimConfig::paper();
-    let runner = pcap_sim::SweepRunner::new(options.jobs);
-    let mut fleet_s = f64::INFINITY;
-    let mut fleet_runs = 0u64;
-    for _ in 0..3 {
-        let t3 = Instant::now();
-        let fleet = pcap_sim::sweep_fleet(
-            &pop,
-            &fleet_config,
-            pcap_sim::PowerManagerKind::PCAP,
-            &runner,
-            Some(QUICK_RUNS),
-        )
-        .map_err(|e| e.to_string())?;
-        fleet_s = fleet_s.min(t3.elapsed().as_secs_f64());
-        fleet_runs = fleet.total.runs;
-        std::hint::black_box(&fleet);
-    }
-    let devices_per_s = FLEET_BENCH_DEVICES as f64 / fleet_s;
-    eprintln!(
-        "pcap bench: fleet: {FLEET_BENCH_DEVICES} devices ({fleet_runs} runs) streamed in \
-         {fleet_s:.3}s ({devices_per_s:.2} devices/s, best of 3)"
-    );
-    entries.push(serde::Value::Object(vec![
-        ("label".into(), serde::Value::Str("streaming".to_owned())),
-        ("mode".into(), serde::Value::Str("fleet".to_owned())),
-        ("seed".into(), serde::Value::UInt(options.seed)),
-        ("jobs".into(), serde::Value::UInt(options.jobs as u64)),
-        ("runs".into(), serde::Value::UInt(fleet_runs)),
-        ("devices".into(), serde::Value::UInt(FLEET_BENCH_DEVICES)),
-        ("devices_per_s".into(), serde::Value::Float(devices_per_s)),
-    ]));
-
-    // Online-serving throughput: an in-process daemon on a temp UDS,
-    // loaded by the replay client at an unthrottled rate — the same
-    // fixed configuration ([`SERVE_BENCH_DEVICES`] devices, runs
-    // capped at QUICK_RUNS) for every bench invocation, gated on
-    // decisions/s in its own `(serve, jobs)` group.
-    let mut serve_decisions = 0u64;
-    let mut serve_runs = 0u64;
-    let mut decisions_per_s = 0f64;
-    let mut disabled_dps = 0f64;
-    // Two interleaved arms per rep — the fully instrumented default
-    // config (flight recorder + stage histograms on, the arm the
-    // throughput gate tracks) against one with both off — so clock
-    // drift hits both alike. Their ratio is the observability tax,
-    // gated at <2% by `pcap bench --check` (DESIGN.md §15).
+    // Serve arms: an in-process daemon on a temp UDS, replayed by the
+    // load client unthrottled, fully instrumented (flight recorder and
+    // stage histograms on) against both off. Interleaved best of 3 per
+    // arm, so clock drift hits both alike.
+    let mut best_dps = [0f64; 2];
     for rep in 0..3 {
-        for arm in 0..2u32 {
+        for (arm, best) in best_dps.iter_mut().enumerate() {
             let sock = std::env::temp_dir().join(format!(
                 "pcap-bench-serve-{}-{rep}-{arm}.sock",
                 std::process::id()
@@ -1571,85 +1359,19 @@ fn run_bench(options: &Options) -> Result<(), String> {
             if report.timed_out {
                 return Err("serve bench timed out waiting for the daemon".to_owned());
             }
-            if arm == 0 {
-                serve_decisions = report.decisions;
-                serve_runs = report.runs;
-                decisions_per_s = decisions_per_s.max(report.decisions_per_s);
-            } else {
-                disabled_dps = disabled_dps.max(report.decisions_per_s);
-            }
+            *best = best.max(report.decisions_per_s);
         }
     }
-    eprintln!(
-        "pcap bench: serve: {SERVE_BENCH_DEVICES} devices ({serve_runs} runs) replayed, \
-         {serve_decisions} decisions ({decisions_per_s:.0} decisions/s, best of 3)"
-    );
-    let serve_obs_overhead = (disabled_dps / decisions_per_s.max(1e-9) - 1.0).max(0.0);
-    eprintln!(
-        "pcap bench: serve observability guard: instrumented {decisions_per_s:.0}/s vs \
-         disabled {disabled_dps:.0}/s ({:.2}% overhead, limit 2%{})",
-        serve_obs_overhead * 100.0,
-        if optimized {
-            ""
-        } else {
-            ", not enforced in debug builds"
-        }
-    );
-    entries.push(serde::Value::Object(vec![
-        ("label".into(), serde::Value::Str("serve-replay".to_owned())),
-        ("mode".into(), serde::Value::Str("serve".to_owned())),
-        ("seed".into(), serde::Value::UInt(options.seed)),
-        ("jobs".into(), serde::Value::UInt(options.jobs as u64)),
-        ("runs".into(), serde::Value::UInt(serve_runs)),
-        ("devices".into(), serde::Value::UInt(SERVE_BENCH_DEVICES)),
-        ("decisions".into(), serde::Value::UInt(serve_decisions)),
-        (
-            "decisions_per_s".into(),
-            serde::Value::Float(decisions_per_s),
+    let [instrumented_dps, disabled_dps] = best_dps;
+    overhead_guard(
+        "serve",
+        &format!(
+            "{SERVE_BENCH_DEVICES} devices, instrumented {instrumented_dps:.0}/s vs \
+             disabled {disabled_dps:.0}/s"
         ),
-        (
-            "serve_obs_disabled_dps".into(),
-            serde::Value::Float(disabled_dps),
-        ),
-        (
-            "serve_obs_overhead".into(),
-            // Like the tracing guard: the ratio only means anything
-            // with optimizations on, so debug builds record null.
-            if optimized {
-                serde::Value::Float(serve_obs_overhead)
-            } else {
-                serde::Value::Null
-            },
-        ),
-    ]));
-
-    let rendered =
-        serde_json::to_string_pretty(&serde::Value::Array(entries)).map_err(|e| e.to_string())?;
-    // Atomic commit: a crash mid-write must never truncate the
-    // trajectory history the `--check` gate depends on.
-    pcap_sim::atomic_write(&out, (rendered + "\n").as_bytes()).map_err(|e| e.to_string())?;
-    eprintln!("pcap bench: appended trajectory entries to {out}");
-    if options.check {
-        return check_bench_trajectory(&out);
-    }
-    Ok(())
-}
-
-/// `Value` field readers for the trajectory entries.
-fn as_str(v: &serde::Value) -> Option<&str> {
-    match v {
-        serde::Value::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::Float(f) => Some(*f),
-        serde::Value::UInt(n) => Some(*n as f64),
-        serde::Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
+        disabled_dps / instrumented_dps.max(1e-9) - 1.0,
+        optimized,
+    )
 }
 
 fn main() -> ExitCode {
@@ -1736,17 +1458,11 @@ mod tests {
 
     #[test]
     fn parses_bench_flags() {
-        let o = parse_args(&args(&[
-            "bench", "--quick", "--label", "tuned", "--jobs", "2",
-        ]))
-        .unwrap();
+        let o = parse_args(&args(&["bench", "--quick", "--jobs", "2"])).unwrap();
         assert!(o.quick);
-        assert_eq!(o.label.as_deref(), Some("tuned"));
         assert_eq!(o.jobs, 2);
         let o = parse_args(&args(&["bench"])).unwrap();
         assert!(!o.quick, "quick is opt-in");
-        assert!(o.label.is_none(), "label defaults at the command");
-        assert!(parse_args(&args(&["bench", "--label"])).is_err());
     }
 
     #[test]
@@ -1779,7 +1495,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_profile_and_check_flags() {
+    fn parses_profile_flags() {
         let o = parse_args(&args(&[
             "profile",
             "--quick",
@@ -1793,9 +1509,6 @@ mod tests {
         assert_eq!(o.chrome_trace.as_deref(), Some("/tmp/t.json"));
         assert_eq!(o.prometheus.as_deref(), Some("/tmp/m.prom"));
         assert_eq!(o.positional, vec!["profile"]);
-        let o = parse_args(&args(&["bench", "--check"])).unwrap();
-        assert!(o.check);
-        assert!(!o.quick);
         assert!(parse_args(&args(&["profile", "--chrome-trace"])).is_err());
         assert!(parse_args(&args(&["profile", "--prometheus"])).is_err());
     }

@@ -43,6 +43,8 @@ fn bad_flags_fail_before_any_work() {
         (&["all", "--seeds", "46..42"][..], "empty seed range"),
         (&["all", "--jobs", "-1"][..], "bad job count"),
         (&["run", "fig7", "--frobnicate"][..], "unknown flag"),
+        (&["bench", "--check"][..], "unknown flag --check"),
+        (&["bench", "--label", "x"][..], "unknown flag --label"),
         (&["frobnicate"][..], "unknown command"),
     ] {
         let out = pcap(args);
@@ -195,53 +197,34 @@ fn explain_emits_narrative_for_section_six_apps() {
 }
 
 #[test]
-fn bench_quick_appends_trajectory_entries() {
+fn bench_prints_three_signed_guards_and_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("pcap-bench-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_sim.json");
-    let out_arg = out_path.to_str().expect("utf-8 path");
-    let run = || {
-        pcap(&[
-            "bench", "--quick", "--jobs", "1", "--label", "cli-test", "--out", out_arg,
-        ])
-    };
-    let out = run();
+    let out = Command::new(env!("CARGO_BIN_EXE_pcap"))
+        .args(["bench", "--quick", "--jobs", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    // The invariant checks are part of the command: one stream build
-    // per run in the prepare phase, zero during warm-up.
-    assert!(
-        stderr(&out).contains("0 stream rebuilds"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    // The observer-overhead guard runs as part of the command and its
-    // measurement lands in the trajectory entry.
-    assert!(
-        stderr(&out).contains("observer guard"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    let text = std::fs::read_to_string(&out_path).expect("trajectory written");
-    assert!(text.contains("\"label\": \"cli-test\""), "entry: {text}");
-    assert!(
-        text.contains("\"warmup_prepare_calls\": 0"),
-        "entry: {text}"
-    );
-    assert!(text.contains("\"observer_overhead\""), "entry: {text}");
-    assert!(text.contains("\"null_eval_s\""), "entry: {text}");
-    // A second run appends instead of overwriting.
-    let out = run();
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = std::fs::read_to_string(&out_path).expect("trajectory written");
-    assert_eq!(text.matches("\"label\": \"cli-test\"").count(), 2);
-    // The appended trajectory passes its own regression gate.
-    let out = pcap(&["bench", "--check", "--out", out_arg]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("passes the regression gate"),
-        "stderr: {}",
-        stderr(&out)
-    );
+    let err = stderr(&out);
+    for guard in ["observer", "tracing", "serve"] {
+        let prefix = format!("pcap bench: {guard} guard: ");
+        let line = err
+            .lines()
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("no {guard} guard line, stderr: {err}"));
+        let ratio = line
+            .rsplit_once('(')
+            .and_then(|(_, tail)| tail.split_once("% overhead"))
+            .map(|(ratio, _)| ratio)
+            .unwrap_or_else(|| panic!("no overhead ratio: {line}"));
+        assert!(
+            ratio.starts_with(['+', '-']) && ratio[1..].parse::<f64>().is_ok(),
+            "unsigned ratio: {line}"
+        );
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("readdir").collect();
+    assert!(written.is_empty(), "bench wrote {written:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -279,49 +262,6 @@ fn verify_fails_on_single_byte_golden_corruption() {
     assert!(
         err.contains("re-bless with `pcap verify --update`"),
         "stderr: {err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_check_rejects_regressed_trajectory() {
-    let dir = std::env::temp_dir().join(format!("pcap-bench-check-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out_path = dir.join("BENCH_sim.json");
-    let entry = |cells_per_s: f64| {
-        format!(
-            "{{\"label\": \"t\", \"mode\": \"quick\", \"jobs\": 1, \"cells_per_s\": {cells_per_s}}}"
-        )
-    };
-    // The newest quick entry holds only 50% of the best prior.
-    std::fs::write(&out_path, format!("[{}, {}]\n", entry(800.0), entry(400.0)))
-        .expect("write trajectory");
-    let out_arg = out_path.to_str().expect("utf-8 path");
-    let out = pcap(&["bench", "--check", "--out", out_arg]);
-    assert!(!out.status.success(), "regressed entry must fail the gate");
-    assert!(
-        stderr(&out).contains("regression"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    // The gate trips at a >15% drop: 15.1% fails, 14.9% passes.
-    std::fs::write(
-        &out_path,
-        format!("[{}, {}]\n", entry(1000.0), entry(849.0)),
-    )
-    .expect("write trajectory");
-    let out = pcap(&["bench", "--check", "--out", out_arg]);
-    assert!(!out.status.success(), "a 15.1% drop must fail the gate");
-    std::fs::write(
-        &out_path,
-        format!("[{}, {}]\n", entry(1000.0), entry(851.0)),
-    )
-    .expect("write trajectory");
-    let out = pcap(&["bench", "--check", "--out", out_arg]);
-    assert!(
-        out.status.success(),
-        "a 14.9% drop must pass, stderr: {}",
-        stderr(&out)
     );
     std::fs::remove_dir_all(&dir).ok();
 }

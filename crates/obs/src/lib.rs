@@ -27,9 +27,7 @@
 //! [`chrome`] (trace-event JSON for Perfetto / `chrome://tracing`),
 //! [`prom`] (Prometheus text exposition through [`PromWriter`], the
 //! writer `/metrics` renders through too) and [`summary`] (flat
-//! per-stage tables for terminals). [`bench`] holds the
-//! forward/backward-compatible `BENCH_sim.json` schema and the
-//! `pcap bench --check` regression gate.
+//! per-stage tables for terminals).
 //!
 //! PR 10 adds the daemon-facing pieces (DESIGN.md §15): [`flight`],
 //! the always-on lock-free crash ring dumped on panic/`SIGUSR1`/
@@ -39,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod chrome;
 pub mod flight;
 pub mod histogram;
@@ -49,9 +46,6 @@ pub mod prom;
 pub mod recorder;
 pub mod summary;
 
-pub use bench::{
-    check_trajectory, parse_trajectory, BenchEntry, OVERHEAD_LIMIT, REGRESSION_TOLERANCE,
-};
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use flight::{validate_flight_dump, FlightDumpStats, FlightEvent, FlightKind, FlightRecorder};
 pub use histogram::{AtomicHistogram, LogHistogram};

@@ -35,8 +35,8 @@ pub use snapshot::{
     snapshot_files, snapshot_files_observed, verify_snapshot, write_snapshot, Drift, GOLDEN_SEED,
 };
 pub use sweep::{
-    fleet_table, run_sweep, run_sweep_journaled, run_sweep_observed, sweep_journal_config,
-    sweep_table, sweep_table_from_reports, SWEEP_KINDS,
+    fleet_table, run_sweep, run_sweep_journaled, sweep_journal_config, sweep_table,
+    sweep_table_from_reports, SWEEP_KINDS,
 };
 pub use tables::Table;
 pub use workbench::{Workbench, GRID_KINDS};

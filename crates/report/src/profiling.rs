@@ -17,7 +17,8 @@ use pcap_trace::TraceError;
 
 /// Runs per app in `--quick` mode: enough executions to exercise
 /// cross-run training while keeping a CI smoke run under a second of
-/// simulation. Matches `pcap bench --quick`.
+/// simulation. Shared by `pcap bench --quick`, `pcap profile --quick`,
+/// `pcap sweep --devices N --quick` and `pcap load --quick`.
 pub const QUICK_RUNS: usize = 6;
 
 /// What [`profile_pipeline`] did, for the CLI's closing summary line.
@@ -54,18 +55,9 @@ pub fn profile_pipeline<P: PipelineObserver>(
     let config = SimConfig::paper();
     let bench = {
         let _phase = span(pipeline, "phase_generate");
-        let bench = Workbench::generate_par_observed(seed, config.clone(), jobs, pipeline)?;
+        let bench = Workbench::generate_par_observed(seed, config, jobs, pipeline)?;
         if quick {
-            let traces = bench
-                .traces()
-                .iter()
-                .map(|t| {
-                    let mut t = t.clone();
-                    t.runs.truncate(QUICK_RUNS);
-                    t
-                })
-                .collect();
-            Workbench::from_traces_seeded(seed, traces, config)
+            bench.truncated(QUICK_RUNS)
         } else {
             bench
         }

@@ -14,11 +14,9 @@
 
 use crate::tables::{pct1, Table};
 use crate::workbench::Workbench;
-use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    decode_reports, encode_reports, evaluate_prepared, evaluate_prepared_with, run_journaled,
-    AppReport, Journal, JournalError, NullObserver, PowerManagerKind, PreparedTrace, SeedStat,
-    SimConfig, SweepRunner,
+    decode_reports, encode_reports, evaluate_prepared, run_journaled, AppReport, Journal,
+    JournalError, PowerManagerKind, PreparedTrace, SeedStat, SimConfig, SweepRunner,
 };
 use pcap_trace::TraceError;
 use pcap_workload::{AppModel, ConfigHash, PaperApp};
@@ -45,26 +43,6 @@ pub fn run_sweep(
     kinds: &[PowerManagerKind],
     jobs: usize,
 ) -> Result<Vec<(u64, Workbench)>, TraceError> {
-    run_sweep_observed(seeds, config, kinds, jobs, &NullPipeline)
-}
-
-/// [`run_sweep`] with a [`pcap_obs::PipelineObserver`] attached: trace
-/// generation runs on a `"generate"` runner scope
-/// (`generate:{app}@{seed}` spans), each per-seed grid on a `"sweep"`
-/// scope (`cell:{app}×{manager}@{seed}` spans, with the engine's
-/// nested `eval` span inside), and memo insertions feed the
-/// `memo_prime` counter.
-///
-/// # Errors
-///
-/// Propagates trace-validation failures from the workload generator.
-pub fn run_sweep_observed<P: PipelineObserver>(
-    seeds: &[u64],
-    config: &SimConfig,
-    kinds: &[PowerManagerKind],
-    jobs: usize,
-    pipeline: &P,
-) -> Result<Vec<(u64, Workbench)>, TraceError> {
     let runner = SweepRunner::new(jobs);
     let apps = PaperApp::ALL;
 
@@ -75,13 +53,9 @@ pub fn run_sweep_observed<P: PipelineObserver>(
         .flat_map(|&seed| apps.iter().map(move |&app| (seed, app)))
         .collect();
     let traces = runner
-        .run_observed(
-            "generate",
-            &generation_tasks,
-            |_, &(seed, app)| app.spec().generate_trace(seed),
-            |_, &(seed, app)| format!("generate:{}@{seed}", app.name()),
-            pipeline,
-        )
+        .run(&generation_tasks, |_, &(seed, app)| {
+            app.spec().generate_trace(seed)
+        })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     let mut traces = traces.into_iter();
@@ -104,34 +78,16 @@ pub fn run_sweep_observed<P: PipelineObserver>(
     // experiments (Table 1 profiles, on-demand cells, predictor-only
     // ablations) reuse them instead of re-preparing — then the whole
     // kind grid simulates against those shared preparations.
-    for (seed, bench) in &benches {
-        bench.prepare_all_observed(jobs, pipeline);
+    for (_, bench) in &benches {
+        bench.prepare_all(jobs);
         let simulation_tasks: Vec<(usize, PowerManagerKind)> = (0..apps.len())
             .flat_map(|trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
             .collect();
-        let reports = runner.run_observed(
-            "sweep",
-            &simulation_tasks,
-            |_, &(trace_idx, kind)| {
-                evaluate_prepared_with(
-                    bench.prepared(trace_idx),
-                    config,
-                    kind,
-                    &mut NullObserver,
-                    pipeline,
-                )
-            },
-            |_, &(trace_idx, kind)| {
-                format!(
-                    "cell:{}×{}@{seed}",
-                    bench.traces()[trace_idx].app,
-                    kind.label()
-                )
-            },
-            pipeline,
-        );
+        let reports = runner.run(&simulation_tasks, |_, &(trace_idx, kind)| {
+            evaluate_prepared(bench.prepared(trace_idx), config, kind)
+        });
         for (&(trace_idx, kind), report) in simulation_tasks.iter().zip(reports) {
-            bench.prime_observed(trace_idx, kind, report, pipeline);
+            bench.prime(trace_idx, kind, report);
         }
     }
     Ok(benches)

@@ -15,8 +15,8 @@ use pcap_sim::{
 };
 use pcap_trace::{ApplicationTrace, TraceError};
 use pcap_workload::{AppModel, PaperApp};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Every `(app, manager)` cell the experiment suite reads through the
 /// memo, in canonical order. Warming this grid up front (in parallel)
@@ -50,16 +50,6 @@ pub const GRID_KINDS: [PowerManagerKind; 10] = [
 /// One report-memo cell.
 type Cell = (usize, PowerManagerKind);
 
-/// The memo's guarded state: finished reports plus the cells some
-/// caller has claimed and is currently simulating. Claiming under the
-/// lock is what stops two concurrent `warm_up`/`report` callers from
-/// simulating the same cell twice.
-#[derive(Debug, Default)]
-struct MemoState {
-    done: HashMap<Cell, AppReport>,
-    in_flight: HashSet<Cell>,
-}
-
 /// Generated traces for the six-application suite plus a memo of
 /// simulator reports, so experiments that share configurations (Figures
 /// 6–8 all need TP/LT/PCAP) do not re-simulate.
@@ -69,8 +59,7 @@ pub struct Workbench {
     seed: u64,
     traces: Vec<ApplicationTrace>,
     prepared: Vec<OnceLock<PreparedTrace>>,
-    memo: Mutex<MemoState>,
-    memo_ready: Condvar,
+    memo: Mutex<HashMap<Cell, AppReport>>,
 }
 
 impl Workbench {
@@ -148,9 +137,19 @@ impl Workbench {
             seed,
             traces,
             prepared,
-            memo: Mutex::new(MemoState::default()),
-            memo_ready: Condvar::new(),
+            memo: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// This workbench with every trace cut to its first `max_runs`
+    /// executions: the `--quick` suite of `pcap bench` and
+    /// `pcap profile`. Preparations and the memo start empty.
+    pub fn truncated(self, max_runs: usize) -> Workbench {
+        let mut traces = self.traces;
+        for trace in &mut traces {
+            trace.runs.truncate(max_runs);
+        }
+        Workbench::from_traces_seeded(self.seed, traces, self.config)
     }
 
     /// The shared [`PreparedTrace`] of application `trace_idx`, built
@@ -176,8 +175,7 @@ impl Workbench {
     }
 
     /// Builds every application's [`PreparedTrace`] up front, fanning
-    /// the builds out on `jobs` worker threads (the timed "prepare"
-    /// phase of `pcap bench`). Idempotent.
+    /// the builds out on `jobs` worker threads. Idempotent.
     pub fn prepare_all(&self, jobs: usize) {
         self.prepare_all_observed(jobs, &NullPipeline);
     }
@@ -205,14 +203,9 @@ impl Workbench {
     /// The per-cell simulation is a pure function of
     /// `(trace, config, kind)`, so a warmed workbench returns exactly
     /// the reports a cold one would — parallel warm-up changes wall
-    /// clock, never output.
-    ///
-    /// Cells are *claimed* under the memo lock before simulating:
-    /// concurrent `warm_up` (or [`report`](Self::report)) callers
-    /// partition the pending cells instead of racing to simulate the
-    /// same cell twice, and this call returns only once every
-    /// requested cell is done (waiting on cells another caller
-    /// claimed).
+    /// clock, never output. For the same reason concurrent callers
+    /// need no coordination beyond the memo lock: a cell two of them
+    /// simulate lands in the memo with identical bytes either way.
     pub fn warm_up(&self, kinds: &[PowerManagerKind], jobs: usize) {
         self.warm_up_observed(kinds, jobs, &NullPipeline);
     }
@@ -228,23 +221,19 @@ impl Workbench {
         jobs: usize,
         pipeline: &P,
     ) {
-        let requested: Vec<Cell> = (0..self.traces.len())
-            .flat_map(|trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
-            .collect();
-        let claimed: Vec<Cell> = {
-            let mut memo = self.memo.lock().expect("memo lock");
-            requested
-                .iter()
-                .filter(|cell| !memo.done.contains_key(cell) && memo.in_flight.insert(**cell))
-                .copied()
+        let pending: Vec<Cell> = {
+            let memo = self.memo.lock().expect("memo lock");
+            (0..self.traces.len())
+                .flat_map(|trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
+                .filter(|cell| !memo.contains_key(cell))
                 .collect()
         };
-        if !claimed.is_empty() {
-            // Share one preparation per app across the claimed cells.
+        if !pending.is_empty() {
+            // Share one preparation per app across the pending cells.
             self.prepare_all_observed(jobs, pipeline);
             let reports = SweepRunner::new(jobs).run_observed(
                 "warm_up",
-                &claimed,
+                &pending,
                 |_, &(trace_idx, kind)| {
                     evaluate_prepared_with(
                         self.prepared(trace_idx),
@@ -259,42 +248,20 @@ impl Workbench {
                 },
                 pipeline,
             );
-            let mut memo = self.memo.lock().expect("memo lock");
-            for (cell, report) in claimed.into_iter().zip(reports) {
-                memo.in_flight.remove(&cell);
-                memo.done.insert(cell, report);
-            }
-            self.memo_ready.notify_all();
-        }
-        // Wait for any requested cells claimed by concurrent callers.
-        let mut memo = self.memo.lock().expect("memo lock");
-        while !requested.iter().all(|cell| memo.done.contains_key(cell)) {
-            memo = self.memo_ready.wait(memo).expect("memo lock");
+            self.memo
+                .lock()
+                .expect("memo lock")
+                .extend(pending.into_iter().zip(reports));
         }
     }
 
     /// Inserts a pre-computed report into the memo (used by the
     /// multi-seed sweep, which batches simulation across workbenches).
     pub fn prime(&self, trace_idx: usize, kind: PowerManagerKind, report: AppReport) {
-        self.prime_observed(trace_idx, kind, report, &NullPipeline);
-    }
-
-    /// [`prime`](Self::prime) with a [`PipelineObserver`] attached:
-    /// counts the insertion on the `memo_prime` counter.
-    pub fn prime_observed<P: PipelineObserver>(
-        &self,
-        trace_idx: usize,
-        kind: PowerManagerKind,
-        report: AppReport,
-        pipeline: &P,
-    ) {
-        if P::ENABLED {
-            pipeline.counter_add("memo_prime", 1);
-        }
-        let mut memo = self.memo.lock().expect("memo lock");
-        memo.in_flight.remove(&(trace_idx, kind));
-        memo.done.insert((trace_idx, kind), report);
-        self.memo_ready.notify_all();
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .insert((trace_idx, kind), report);
     }
 
     /// The simulation configuration.
@@ -313,21 +280,10 @@ impl Workbench {
     }
 
     /// The simulator report for one application × one manager,
-    /// memoized. If another caller is already simulating the cell,
-    /// waits for its result instead of duplicating the work.
+    /// memoized.
     pub fn report(&self, trace_idx: usize, kind: PowerManagerKind) -> AppReport {
-        let cell = (trace_idx, kind);
-        {
-            let mut memo = self.memo.lock().expect("memo lock");
-            loop {
-                if let Some(r) = memo.done.get(&cell) {
-                    return r.clone();
-                }
-                if memo.in_flight.insert(cell) {
-                    break; // claimed: this caller simulates it
-                }
-                memo = self.memo_ready.wait(memo).expect("memo lock");
-            }
+        if let Some(report) = self.memo.lock().expect("memo lock").get(&(trace_idx, kind)) {
+            return report.clone();
         }
         let report = evaluate_prepared(self.prepared(trace_idx), &self.config, kind);
         self.prime(trace_idx, kind, report.clone());
@@ -384,7 +340,7 @@ mod tests {
         let parallel = Workbench::from_traces(vec![tiny_trace()], SimConfig::paper());
         serial.warm_up(&GRID_KINDS, 1);
         parallel.warm_up(&GRID_KINDS, 8);
-        assert_eq!(serial.memo.lock().unwrap().done.len(), GRID_KINDS.len());
+        assert_eq!(serial.memo.lock().unwrap().len(), GRID_KINDS.len());
         for kind in GRID_KINDS {
             assert_eq!(
                 serial.report(0, kind),
@@ -395,23 +351,25 @@ mod tests {
         }
         // A second warm-up has nothing left to simulate.
         serial.warm_up(&GRID_KINDS, 4);
-        assert_eq!(serial.memo.lock().unwrap().done.len(), GRID_KINDS.len());
+        assert_eq!(serial.memo.lock().unwrap().len(), GRID_KINDS.len());
     }
 
     #[test]
-    fn concurrent_warm_up_simulates_each_cell_once() {
-        // Many threads warm the same grid; the prepare counter bounds
-        // the preparation work (one per run), and the memo ends exactly
-        // full — claimed cells are never simulated twice into the memo.
-        let bench = Workbench::from_traces(vec![tiny_trace(), tiny_trace()], SimConfig::paper());
+    fn concurrent_warm_ups_return_the_serial_reports() {
+        let traces = || vec![tiny_trace(), tiny_trace()];
+        let serial = Workbench::from_traces(traces(), SimConfig::paper());
+        serial.warm_up(&GRID_KINDS, 1);
+        let bench = Workbench::from_traces(traces(), SimConfig::paper());
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| bench.warm_up(&GRID_KINDS, 2));
+                scope.spawn(|| {
+                    start.wait();
+                    bench.warm_up(&GRID_KINDS, 2);
+                });
             }
         });
-        let memo = bench.memo.lock().unwrap();
-        assert_eq!(memo.done.len(), 2 * GRID_KINDS.len());
-        assert!(memo.in_flight.is_empty());
+        assert_eq!(*bench.memo.lock().unwrap(), *serial.memo.lock().unwrap());
     }
 
     #[test]
@@ -428,7 +386,7 @@ mod tests {
         let a = bench.report(0, PowerManagerKind::Timeout);
         let b = bench.report(0, PowerManagerKind::Timeout);
         assert_eq!(a, b);
-        assert_eq!(bench.memo.lock().unwrap().done.len(), 1);
+        assert_eq!(bench.memo.lock().unwrap().len(), 1);
         assert_eq!(bench.traces().len(), 1);
         assert_eq!(bench.seed(), 0);
     }

@@ -39,9 +39,9 @@
 //! and resumed.
 //!
 //! The module also exports [`atomic_write`]: write-to-temp +
-//! `rename`, the commit protocol used for `BENCH_sim.json` and golden
-//! snapshot files so a mid-write crash can never leave a truncated
-//! committed artifact.
+//! `rename`, the commit protocol used for golden snapshot files and
+//! flight-recorder dumps so a mid-write crash can never leave a
+//! truncated committed artifact.
 
 use crate::engine::AppReport;
 use crate::factory::PowerManagerKind;
@@ -58,6 +58,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File magic: the first eight bytes of every journal.
@@ -404,19 +405,26 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Oversized`] when the payload exceeds
-    /// [`MAX_RECORD_LEN`], [`JournalError::Io`] on write failures.
+    /// [`MAX_RECORD_LEN`], [`JournalError::Corrupt`] when the cell is
+    /// already committed with different bytes (a broken determinism
+    /// contract), [`JournalError::Io`] on write failures.
     pub fn append(&mut self, cell_key: u64, result: &[u8]) -> Result<(), JournalError> {
         let payload_len = RECORD_OVERHEAD + result.len();
         if payload_len > MAX_RECORD_LEN {
             return Err(JournalError::Oversized { len: payload_len });
         }
         if let Some(existing) = self.completed.get(&cell_key) {
-            debug_assert_eq!(
-                existing.as_slice(),
-                result,
-                "determinism violation: cell {cell_key:#018x} recomputed with different bytes"
-            );
+            let differs = existing.as_slice() != result;
             self.release(cell_key);
+            if differs {
+                return Err(JournalError::Corrupt {
+                    offset: 0,
+                    reason: format!(
+                        "cell {cell_key:#018x} recomputed with different bytes than its \
+                         committed record"
+                    ),
+                });
+            }
             return Ok(());
         }
         let mut record = Vec::with_capacity(4 + payload_len);
@@ -481,7 +489,10 @@ impl Journal {
 /// in the same directory (same filesystem, so `rename` is atomic),
 /// are synced, and the temp file is renamed over the target. A crash
 /// at any point leaves either the old committed file or the new one —
-/// never a truncated hybrid.
+/// never a truncated hybrid. Each call gets its own temp file (pid
+/// plus a process-wide sequence number), so concurrent writers of one
+/// target never rename each other's temp file away; the last rename
+/// wins whole.
 ///
 /// # Errors
 ///
@@ -502,7 +513,9 @@ pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
         Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
         _ => PathBuf::from("."),
     };
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
+    let sequence = SEQUENCE.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.tmp.{}.{sequence}", std::process::id()));
     let commit = (|| {
         let mut file = File::create(&tmp)?;
         file.write_all(contents)?;
@@ -1073,13 +1086,12 @@ mod tests {
         // A writer that dies mid-write leaves only a partial temp file:
         // the committed target is never opened for writing, so it can
         // never be observed truncated.
-        let tmp = dir.join(format!(".golden.csv.tmp.{}", std::process::id()));
+        let tmp = dir.join(".golden.csv.tmp.4294967295.0");
         fs::write(&tmp, b"par").unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"complete-v1");
-        // A retry commits cleanly over both target and stale temp.
+        // A retry commits cleanly past the dead writer's temp file.
         atomic_write(&target, b"complete-v2").unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"complete-v2");
-        assert!(!tmp.exists(), "retry must reclaim the stale temp file");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,8 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// This is the observability hook for the prepare-once contract: after
 /// a warmed grid, the counter must equal the number of distinct
-/// `(run, cache+disk config)` pairs — not runs × managers. `pcap bench`
-/// reports the per-phase deltas.
+/// `(run, cache+disk config)` pairs — not runs × managers.
+/// `tests/prepare_once.rs` pins the per-phase deltas: preparing a
+/// workbench adds one build per run, warming its manager grid adds none.
 static PREPARE_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Total [`RunStreams::build`] invocations so far in this process.

@@ -2,18 +2,20 @@
 //! (`pcap_sim::journal`): record round trips through the wire codec,
 //! torn-tail recovery at *every* byte offset of the final record,
 //! journal-resumed fleet sweeps byte-identical to uninterrupted runs,
-//! and named rejection of mismatched or corrupted journals.
+//! named rejection of mismatched or corrupted journals, and
+//! [`atomic_write`] under concurrent writers.
 
 use pcap_dpm::sim::journal::{fnv1a64, Journal, JournalError, JOURNAL_HEADER_LEN, JOURNAL_SCHEMA};
 use pcap_dpm::sim::{
-    fleet_journal_config, run_journaled, sweep_fleet, sweep_fleet_journaled, PowerManagerKind,
-    SimConfig, SweepRunner,
+    atomic_write, fleet_journal_config, run_journaled, sweep_fleet, sweep_fleet_journaled,
+    PowerManagerKind, SimConfig, SweepRunner,
 };
 use pcap_dpm::workload::DevicePopulation;
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 fn temp_journal(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pcap-journal-it-{tag}-{}.jnl", std::process::id()))
@@ -165,6 +167,64 @@ fn schema_and_config_mismatches_are_named_errors() {
     let err = Journal::open(&path, 0xabc).unwrap_err();
     assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
     cleanup(&path);
+}
+
+/// Recomputing a committed cell is legal only byte for byte: an equal
+/// duplicate is a no-op, a differing one is corruption naming the cell
+/// in every build profile, and the file keeps only the first record.
+#[test]
+fn recomputed_cell_with_different_bytes_is_corrupt() {
+    let path = temp_journal("recompute");
+    cleanup(&path);
+    let mut journal = Journal::open(&path, 0xabc).unwrap();
+    journal.append(0x2a, b"data").unwrap();
+    let committed = fs::read(&path).unwrap();
+    journal.append(0x2a, b"data").unwrap();
+    let err = journal.append(0x2a, b"DATA").unwrap_err();
+    assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("0x000000000000002a"), "{err}");
+    assert_eq!(fs::read(&path).unwrap(), committed);
+    assert_eq!(journal.result(0x2a), Some(&b"data"[..]));
+    drop(journal);
+    assert_eq!(
+        Journal::open(&path, 0xabc).unwrap().result(0x2a),
+        Some(&b"data"[..])
+    );
+    cleanup(&path);
+}
+
+/// Concurrent writers of one target each commit a whole file: no call
+/// fails because another thread renamed its temp file away, and the
+/// target ends holding exactly one writer's complete contents.
+#[test]
+fn concurrent_atomic_writes_to_one_path_all_commit_whole() {
+    const THREADS: usize = 8;
+    const WRITES: usize = 300;
+    let dir = std::env::temp_dir().join(format!("pcap-atomic-it-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let target = dir.join("flight.jsonl");
+    let contents = |thread: usize, write: usize| format!("writer {thread} write {write}\n");
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (start, target) = (&start, &target);
+            scope.spawn(move || {
+                start.wait();
+                for write in 0..WRITES {
+                    atomic_write(target, contents(thread, write).as_bytes())
+                        .unwrap_or_else(|e| panic!("writer {thread} write {write}: {e}"));
+                }
+            });
+        }
+    });
+    let last = fs::read_to_string(&target).unwrap();
+    assert!(
+        (0..THREADS).any(|thread| last == contents(thread, WRITES - 1)),
+        "target holds no writer's final contents: {last:?}"
+    );
+    let leftovers = fs::read_dir(&dir).unwrap().count();
+    assert_eq!(leftovers, 1, "every temp file is renamed or removed");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
