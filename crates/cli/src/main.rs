@@ -30,11 +30,12 @@ use pcap_obs::{
 };
 use pcap_report::profiling::QUICK_RUNS;
 use pcap_report::{
-    audit_tables, explain_tables, figure_chart, fleet_table, profile_pipeline, run_sweep,
-    sweep_table, verify_snapshot, write_snapshot, Experiment, Figure, Workbench, GOLDEN_SEED,
-    GRID_KINDS, SWEEP_KINDS,
+    audit_tables, explain_tables, figure_chart, fleet_table, profile_pipeline,
+    run_grid_journal_config, run_sweep, run_sweep_journaled, sweep_journal_config, sweep_table,
+    verify_snapshot, write_snapshot, Experiment, Figure, Workbench, GOLDEN_SEED, GRID_KINDS,
+    SWEEP_KINDS,
 };
-use pcap_sim::{SimConfig, WorkloadProfile};
+use pcap_sim::{Journal, JournalError, SimConfig, WorkloadProfile};
 use pcap_trace::io::write_jsonl;
 use pcap_workload::{AppModel, DevicePopulation, PaperApp};
 use std::io::Write;
@@ -353,6 +354,17 @@ fn run() -> Result<(), String> {
     let options = parse_args(&args)?;
     let mut positional = options.positional.iter();
     let command = positional.next().map(String::as_str).unwrap_or("help");
+    let journaled = matches!(command, "run" | "sweep");
+    if options.journal.is_some() && !journaled {
+        return Err(format!(
+            "--journal applies to run and sweep only, not {command}"
+        ));
+    }
+    if options.prometheus.is_some() && journaled && options.journal.is_none() {
+        return Err(format!(
+            "--prometheus on {command} exports journal progress and needs --journal FILE"
+        ));
+    }
     match command {
         "list" => {
             for e in Experiment::ALL {
@@ -367,7 +379,10 @@ fn run() -> Result<(), String> {
             let bench = Workbench::generate_par(options.seed, SimConfig::paper(), options.jobs)
                 .map_err(|e| e.to_string())?;
             if let Some(path) = &options.journal {
-                warm_bench_journaled(&bench, options.jobs, path, options.prometheus.as_deref())?;
+                let hash = run_grid_journal_config(bench.seed(), bench.config(), &GRID_KINDS);
+                with_journal("run", path, hash, &options, |journal| {
+                    bench.warm_up_journaled(&GRID_KINDS, options.jobs, journal)
+                })?;
             }
             emit(&experiment.run(&bench), options.csv);
             Ok(())
@@ -381,10 +396,14 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "all" => {
+            // One seed's workbench at a time; only its sweep reports
+            // outlive it.
             let seeds = options.seeds.clone().unwrap_or_else(|| vec![options.seed]);
-            let benches = run_sweep(&seeds, &SimConfig::paper(), &GRID_KINDS, options.jobs)
-                .map_err(|e| e.to_string())?;
-            for (seed, bench) in &benches {
+            let mut per_seed = Vec::with_capacity(seeds.len());
+            for &seed in &seeds {
+                let bench = Workbench::generate_par(seed, SimConfig::paper(), options.jobs)
+                    .map_err(|e| e.to_string())?;
+                bench.warm_up(&GRID_KINDS, options.jobs);
                 if seeds.len() > 1 {
                     if options.csv {
                         println!("# seed {seed}");
@@ -393,8 +412,9 @@ fn run() -> Result<(), String> {
                     }
                 }
                 for experiment in Experiment::ALL {
-                    emit(&experiment.run(bench), options.csv);
+                    emit(&experiment.run(&bench), options.csv);
                 }
+                per_seed.push(bench.reports(&SWEEP_KINDS));
             }
             if seeds.len() > 1 {
                 if options.csv {
@@ -402,7 +422,7 @@ fn run() -> Result<(), String> {
                 } else {
                     println!("===== sweep =====\n");
                 }
-                emit(&[sweep_table(&benches, &SWEEP_KINDS)], options.csv);
+                emit(&[sweep_table(&seeds, &per_seed, &SWEEP_KINDS)], options.csv);
             }
             Ok(())
         }
@@ -415,39 +435,17 @@ fn run() -> Result<(), String> {
                 .clone()
                 .unwrap_or_else(|| (GOLDEN_SEED..GOLDEN_SEED + 5).collect());
             let config = SimConfig::paper();
-            if let Some(path) = &options.journal {
-                let mut journal = pcap_sim::Journal::open(
-                    path,
-                    pcap_report::sweep_journal_config(&seeds, &config, &SWEEP_KINDS),
-                )
-                .map_err(|e| e.to_string())?;
-                let per_seed = pcap_report::run_sweep_journaled(
-                    &seeds,
-                    &config,
-                    &SWEEP_KINDS,
-                    options.jobs,
-                    &mut journal,
-                )
-                .map_err(|e| e.to_string())?;
-                let grids: Vec<Vec<pcap_sim::AppReport>> =
-                    per_seed.into_iter().map(|(_, grid)| grid).collect();
-                emit(
-                    &[pcap_report::sweep_table_from_reports(
-                        &seeds,
-                        &grids,
-                        &SWEEP_KINDS,
-                    )],
-                    options.csv,
-                );
-                eprintln!("pcap sweep: journal {}", journal.progress().summary());
-                if let Some(prom) = &options.prometheus {
-                    write_journal_prometheus(journal.progress(), prom)?;
+            let per_seed = match &options.journal {
+                Some(path) => {
+                    let hash = sweep_journal_config(&seeds, &config, &SWEEP_KINDS);
+                    with_journal("sweep", path, hash, &options, |journal| {
+                        run_sweep_journaled(&seeds, &config, &SWEEP_KINDS, options.jobs, journal)
+                    })?
                 }
-                return Ok(());
-            }
-            let benches = run_sweep(&seeds, &config, &SWEEP_KINDS, options.jobs)
-                .map_err(|e| e.to_string())?;
-            emit(&[sweep_table(&benches, &SWEEP_KINDS)], options.csv);
+                None => run_sweep(&seeds, &config, &SWEEP_KINDS, options.jobs)
+                    .map_err(|e| e.to_string())?,
+            };
+            emit(&[sweep_table(&seeds, &per_seed, &SWEEP_KINDS)], options.csv);
             Ok(())
         }
         "verify" => {
@@ -728,93 +726,43 @@ fn run_fleet_sweep(devices: u64, options: &Options) -> Result<(), String> {
     let kind = pcap_sim::PowerManagerKind::PCAP;
     let config = SimConfig::paper();
     let runner = pcap_sim::SweepRunner::new(options.jobs);
-    let report = if let Some(path) = &options.journal {
-        let mut journal = pcap_sim::Journal::open(
-            path,
-            pcap_sim::fleet_journal_config(devices, options.seed, max_runs, kind),
-        )
-        .map_err(|e| e.to_string())?;
-        let report =
-            pcap_sim::sweep_fleet_journaled(&pop, &config, kind, &runner, max_runs, &mut journal)
-                .map_err(|e| e.to_string())?;
-        eprintln!("pcap sweep: journal {}", journal.progress().summary());
-        if let Some(prom) = &options.prometheus {
-            write_journal_prometheus(journal.progress(), prom)?;
+    let report = match &options.journal {
+        Some(path) => {
+            let hash = pcap_sim::fleet_journal_config(devices, options.seed, max_runs, kind);
+            with_journal("sweep", path, hash, options, |journal| {
+                pcap_sim::sweep_fleet_journaled(&pop, &config, kind, &runner, max_runs, journal)
+            })?
         }
-        report
-    } else {
-        pcap_sim::sweep_fleet(&pop, &config, kind, &runner, max_runs).map_err(|e| e.to_string())?
+        None => pcap_sim::sweep_fleet(&pop, &config, kind, &runner, max_runs)
+            .map_err(|e| e.to_string())?,
     };
     emit(&[fleet_table(&report)], options.csv);
     Ok(())
 }
 
-/// `pcap run --journal`: warms the workbench's full `app × manager`
-/// grid through a crash-safe journal, so a killed `pcap run` resumes
-/// from the finished cells instead of recomputing them. Decoded
-/// reports are primed into the workbench memo; the experiment then
-/// renders from the memo, byte-identical to an unjournaled run.
-fn warm_bench_journaled(
-    bench: &Workbench,
-    jobs: usize,
+/// The three journaled branches (`pcap run`, seed and fleet sweeps):
+/// opens the journal at `path` pinned to `config_hash`, runs `driver`
+/// against it, prints the progress summary on stderr and, with
+/// `--prometheus FILE`, exports the `pcap_journal_*_total` counters,
+/// validated before they are written.
+fn with_journal<R>(
+    command: &str,
     path: &str,
-    prometheus: Option<&str>,
-) -> Result<(), String> {
-    // The run-grid journal shares the sweep config hash (seed, full
-    // SimConfig, kind list) but chains it through a distinct domain, so
-    // a seed-sweep journal can never be mistaken for a run-grid one.
-    let mut domain = pcap_workload::ConfigHash::new("run-grid");
-    domain.push(pcap_report::sweep_journal_config(
-        &[bench.seed()],
-        bench.config(),
-        &GRID_KINDS,
-    ));
-    let mut journal = pcap_sim::Journal::open(path, domain.finish()).map_err(|e| e.to_string())?;
-    bench.prepare_all(jobs);
-    let runner = pcap_sim::SweepRunner::new(jobs);
-    let cells: Vec<(u64, (usize, pcap_sim::PowerManagerKind))> = (0..bench.traces().len())
-        .flat_map(|trace_idx| {
-            GRID_KINDS.iter().enumerate().map(move |(kind_idx, &kind)| {
-                (
-                    ((trace_idx as u64) << 32) | kind_idx as u64,
-                    (trace_idx, kind),
-                )
-            })
-        })
-        .collect();
-    let config = bench.config().clone();
-    let results = pcap_sim::run_journaled(&mut journal, &runner, &cells, |&(trace_idx, kind)| {
-        let report = pcap_sim::evaluate_prepared(bench.prepared(trace_idx), &config, kind);
-        Ok(pcap_sim::encode_reports(std::slice::from_ref(&report)))
-    })
-    .map_err(|e| e.to_string())?;
-    for ((_, (trace_idx, kind)), bytes) in cells.iter().zip(results) {
-        let report = pcap_sim::decode_reports(&bytes)
-            .map_err(|e| e.to_string())?
-            .pop()
-            .ok_or("empty journal cell")?;
-        bench.prime(*trace_idx, *kind, report);
+    config_hash: u64,
+    options: &Options,
+    driver: impl FnOnce(&mut Journal) -> Result<R, JournalError>,
+) -> Result<R, String> {
+    let mut journal = Journal::open(path, config_hash).map_err(|e| e.to_string())?;
+    let result = driver(&mut journal).map_err(|e| e.to_string())?;
+    eprintln!("pcap {command}: journal {}", journal.progress().summary());
+    if let Some(path) = &options.prometheus {
+        let text = render_journal_progress(journal.progress());
+        validate_prometheus_strict(&text)
+            .map_err(|e| format!("internal error: invalid journal exposition: {e}"))?;
+        std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("pcap: wrote journal progress metrics to {path}");
     }
-    eprintln!("pcap run: journal {}", journal.progress().summary());
-    if let Some(prom) = prometheus {
-        write_journal_prometheus(journal.progress(), prom)?;
-    }
-    Ok(())
-}
-
-/// `--prometheus FILE` on a journaled command: exports the journal's
-/// resume/compute/cede/torn-byte counters as Prometheus text
-/// (`pcap_journal_*_total`), validated before it is written.
-fn write_journal_prometheus(
-    progress: &pcap_obs::JournalProgress,
-    path: &str,
-) -> Result<(), String> {
-    let text = render_journal_progress(&progress.snapshot());
-    validate_prometheus_strict(&text)
-        .map_err(|e| format!("internal error: invalid journal exposition: {e}"))?;
-    std::fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!("pcap: wrote journal progress metrics to {path}");
-    Ok(())
+    Ok(result)
 }
 
 /// Parses a `host:port` flag value with a named error.

@@ -46,6 +46,22 @@ fn bad_flags_fail_before_any_work() {
         (&["bench", "--check"][..], "unknown flag --check"),
         (&["bench", "--label", "x"][..], "unknown flag --label"),
         (&["frobnicate"][..], "unknown command"),
+        (
+            &["all", "--seeds", "42..52", "--journal", "f.jnl"][..],
+            "--journal applies to run and sweep only, not all",
+        ),
+        (
+            &["verify", "--journal", "f.jnl"][..],
+            "--journal applies to run and sweep only, not verify",
+        ),
+        (
+            &["run", "table2", "--prometheus", "m.prom"][..],
+            "--prometheus on run exports journal progress and needs --journal FILE",
+        ),
+        (
+            &["sweep", "--devices", "30", "--prometheus", "m.prom"][..],
+            "--prometheus on sweep exports journal progress and needs --journal FILE",
+        ),
     ] {
         let out = pcap(args);
         assert!(!out.status.success(), "{args:?} must fail");

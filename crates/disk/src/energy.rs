@@ -193,10 +193,10 @@ impl GapBreakdown {
     /// plus residency power when (and only when) that is cheaper. A
     /// zero-length window is a no-op.
     ///
-    /// Factored out of [`managed_with_window_state`]
-    /// (`Self::managed_with_window_state`) so the multi-state descent
-    /// engine applies the identical float operations to its own
-    /// breakdowns.
+    /// Factored out of
+    /// [`managed_with_window_state`](Self::managed_with_window_state) so
+    /// the multi-state descent engine applies the identical float
+    /// operations to its own breakdowns.
     pub fn substitute_window(self, state: &LowPowerState, window: SimDuration) -> GapBreakdown {
         if window.is_zero() {
             return self;

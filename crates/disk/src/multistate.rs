@@ -15,8 +15,8 @@ use pcap_types::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a [`MultiStateParams`] ladder failed [`validate`]
-/// (`MultiStateParams::validate`).
+/// Why a [`MultiStateParams`] ladder failed
+/// [`validate`](MultiStateParams::validate).
 ///
 /// Ladders can arrive through deserialization, so every structural
 /// assumption the engines rely on — finite non-negative values, power

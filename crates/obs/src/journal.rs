@@ -4,90 +4,34 @@
 //! the pipeline observer gives the grid: how many cells were already
 //! on disk when the run started, how many this process computed, how
 //! many it ceded to a cooperating process, and whether crash recovery
-//! had to truncate a torn tail. [`JournalProgress`] is a plain bag of
-//! relaxed atomics — safe to share across the sweep workers, free to
-//! read at any time, and rendered in one line by
-//! [`JournalProgress::summary`].
+//! had to truncate a torn tail. [`JournalProgress`] is a plain `Copy`
+//! struct of counters: only the code holding the journal updates it,
+//! and [`JournalProgress::summary`] renders it in one line.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live counters of one journaled sweep. All updates are `Relaxed`:
-/// the counters are telemetry, never control flow.
-#[derive(Debug, Default)]
-pub struct JournalProgress {
-    /// Cells found complete in the journal before any work ran.
-    pub resumed: AtomicU64,
-    /// Cells this process computed and appended.
-    pub computed: AtomicU64,
-    /// Cells skipped because a cooperating process finished them
-    /// while this one was running.
-    pub ceded: AtomicU64,
-    /// Bytes of torn tail records truncated during recovery.
-    pub torn_bytes: AtomicU64,
-    /// Journal rescans performed (start-up plus each claim round).
-    pub refreshes: AtomicU64,
-}
-
-impl JournalProgress {
-    /// A zeroed counter set.
-    pub fn new() -> JournalProgress {
-        JournalProgress::default()
-    }
-
-    /// Adds `n` to one counter by name; unknown names are ignored (the
-    /// same forgiving contract as [`crate::PipelineObserver::counter_add`]).
-    pub fn add(&self, counter: &str, n: u64) {
-        match counter {
-            "resumed" => self.resumed.fetch_add(n, Ordering::Relaxed),
-            "computed" => self.computed.fetch_add(n, Ordering::Relaxed),
-            "ceded" => self.ceded.fetch_add(n, Ordering::Relaxed),
-            "torn_bytes" => self.torn_bytes.fetch_add(n, Ordering::Relaxed),
-            "refreshes" => self.refreshes.fetch_add(n, Ordering::Relaxed),
-            _ => 0,
-        };
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> JournalProgressSnapshot {
-        JournalProgressSnapshot {
-            resumed: self.resumed.load(Ordering::Relaxed),
-            computed: self.computed.load(Ordering::Relaxed),
-            ceded: self.ceded.load(Ordering::Relaxed),
-            torn_bytes: self.torn_bytes.load(Ordering::Relaxed),
-            refreshes: self.refreshes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// One human-readable status line, e.g.
-    /// `resumed 12, computed 4, ceded 0, torn bytes truncated 0`.
-    pub fn summary(&self) -> String {
-        let s = self.snapshot();
-        format!(
-            "resumed {}, computed {}, ceded {}, torn bytes truncated {}",
-            s.resumed, s.computed, s.ceded, s.torn_bytes
-        )
-    }
-}
-
-/// A plain (non-atomic) copy of [`JournalProgress`].
+/// Counters of one journaled sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JournalProgressSnapshot {
+pub struct JournalProgress {
     /// Cells found complete in the journal before any work ran.
     pub resumed: u64,
     /// Cells this process computed and appended.
     pub computed: u64,
-    /// Cells finished by a cooperating process mid-run.
+    /// Cells skipped because a cooperating process finished them
+    /// while this one was running.
     pub ceded: u64,
     /// Bytes of torn tail records truncated during recovery.
     pub torn_bytes: u64,
-    /// Journal rescans performed.
+    /// Journal rescans performed (start-up plus each claim round).
     pub refreshes: u64,
 }
 
-impl JournalProgressSnapshot {
-    /// Total cells accounted for (resumed + computed + ceded).
-    pub fn total_cells(&self) -> u64 {
-        self.resumed + self.computed + self.ceded
+impl JournalProgress {
+    /// One human-readable status line, e.g.
+    /// `resumed 12, computed 4, ceded 0, torn bytes truncated 0`.
+    pub fn summary(&self) -> String {
+        format!(
+            "resumed {}, computed {}, ceded {}, torn bytes truncated {}",
+            self.resumed, self.computed, self.ceded, self.torn_bytes
+        )
     }
 }
 
@@ -96,20 +40,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_by_name() {
-        let p = JournalProgress::new();
-        p.add("resumed", 3);
-        p.add("computed", 2);
-        p.add("computed", 1);
-        p.add("torn_bytes", 17);
-        p.add("nonsense", 99); // ignored, not a panic
-        let s = p.snapshot();
-        assert_eq!(s.resumed, 3);
-        assert_eq!(s.computed, 3);
-        assert_eq!(s.ceded, 0);
-        assert_eq!(s.torn_bytes, 17);
-        assert_eq!(s.total_cells(), 6);
-        assert!(p.summary().contains("computed 3"));
-        assert!(p.summary().contains("torn bytes truncated 17"));
+    fn summary_names_every_reported_counter() {
+        let p = JournalProgress {
+            resumed: 3,
+            computed: 3,
+            torn_bytes: 17,
+            ..JournalProgress::default()
+        };
+        assert_eq!(
+            p.summary(),
+            "resumed 3, computed 3, ceded 0, torn bytes truncated 17"
+        );
     }
 }

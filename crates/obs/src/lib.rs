@@ -49,7 +49,7 @@ pub mod summary;
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use flight::{validate_flight_dump, FlightDumpStats, FlightEvent, FlightKind, FlightRecorder};
 pub use histogram::{AtomicHistogram, LogHistogram};
-pub use journal::{JournalProgress, JournalProgressSnapshot};
+pub use journal::JournalProgress;
 pub use log::RateGate;
 pub use prom::{
     parse_prometheus_samples, render_journal_progress, render_prometheus, scraped_histogram,
@@ -129,10 +129,10 @@ impl PipelineObserver for NullPipeline {
     fn span_end(&self, _name: &str) {}
 }
 
-/// Per-worker telemetry for one [`SweepRunner`] scope: how many tasks
-/// the worker claimed and how its wall-clock time split between task
-/// execution (`busy_us`) and everything else — claiming, queue
-/// coordination and scheduler preemption (`wait_us`).
+/// Per-worker telemetry for one `pcap_sim::SweepRunner` scope: how
+/// many tasks the worker claimed and how its wall-clock time split
+/// between task execution (`busy_us`) and everything else — claiming,
+/// queue coordination and scheduler preemption (`wait_us`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WorkerStats {
     /// The runner scope this worker served (e.g. `"warm_up"`).

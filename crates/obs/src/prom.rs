@@ -12,7 +12,7 @@
 //! [`scraped_histogram`] read a scrape back for consumers like
 //! `pcap top`.
 
-use crate::journal::JournalProgressSnapshot;
+use crate::journal::JournalProgress;
 use crate::recorder::TraceRecorder;
 use crate::LogHistogram;
 use std::fmt::{Display, Write as _};
@@ -193,7 +193,7 @@ pub fn render_prometheus(recorder: &TraceRecorder) -> String {
 /// Renders journal resume/compute counters as a Prometheus scrape
 /// (with metadata), so journaled sweeps are scrapeable rather than
 /// stderr-only. Passes [`validate_prometheus_strict`].
-pub fn render_journal_progress(progress: &JournalProgressSnapshot) -> String {
+pub fn render_journal_progress(progress: JournalProgress) -> String {
     let mut out = PromWriter::new();
     for (name, help, value) in [
         (
@@ -607,11 +607,13 @@ mod tests {
 
     #[test]
     fn journal_progress_render_validates_strictly() {
-        let progress = crate::JournalProgress::new();
-        progress.add("resumed", 3);
-        progress.add("computed", 2);
-        progress.add("torn_bytes", 17);
-        let text = render_journal_progress(&progress.snapshot());
+        let progress = JournalProgress {
+            resumed: 3,
+            computed: 2,
+            torn_bytes: 17,
+            ..JournalProgress::default()
+        };
+        let text = render_journal_progress(progress);
         validate_prometheus_strict(&text).expect("journal scrape validates");
         assert!(text.contains("pcap_journal_resumed_total 3"));
         assert!(text.contains("pcap_journal_computed_total 2"));

@@ -6,8 +6,9 @@
 //! captures every stage span, per-worker telemetry sample and registry
 //! counter the run produces. The pipeline itself is the same code the
 //! un-profiled commands execute: every `*_observed` entry point is the
-//! implementation its plain twin delegates to with [`NullPipeline`],
-//! so profiling can never diverge from what it claims to measure.
+//! implementation its plain twin delegates to with
+//! [`NullPipeline`](pcap_obs::NullPipeline), so profiling can never
+//! diverge from what it claims to measure.
 
 use crate::snapshot::snapshot_files_observed;
 use crate::workbench::{Workbench, GRID_KINDS};

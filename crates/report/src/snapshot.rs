@@ -1,11 +1,12 @@
 //! Golden-report regression snapshots.
 //!
-//! `pcap verify` serializes every [`AppReport`] of the full
-//! `app × manager` grid and every experiment table at the pinned
-//! [`GOLDEN_SEED`], then compares the result byte-for-byte against the
-//! committed `golden/` directory. Any drift — a changed number, a
-//! missing file, an extra file — is a regression (or an intentional
-//! change that must be re-blessed with `pcap verify --update`).
+//! `pcap verify` serializes every [`AppReport`](pcap_sim::AppReport)
+//! of the full `app × manager` grid and every experiment table at the
+//! pinned [`GOLDEN_SEED`], then compares the result byte-for-byte
+//! against the committed `golden/` directory. Any drift — a changed
+//! number, a missing file, an extra file — is a regression (or an
+//! intentional change that must be re-blessed with
+//! `pcap verify --update`).
 //!
 //! The zero-tolerance comparison is only possible because the whole
 //! pipeline is deterministic: traces are pure functions of

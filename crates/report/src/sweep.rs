@@ -2,9 +2,14 @@
 //!
 //! The paper's robustness claims (§6) are statements about behaviour
 //! across user sessions; in this reproduction that means across
-//! workload seeds. This module fans the full `seed × app × manager`
-//! grid across a [`SweepRunner`] and aggregates per-seed savings and
-//! accuracy into a mean/min/max table — the `sweep` experiment.
+//! workload seeds. This module evaluates the `seed × app` grid as one
+//! [`SweepRunner`] task per `(seed, app)` cell and aggregates per-seed
+//! savings and accuracy into a mean/min/max table — the `sweep`
+//! experiment. A cell generates one trace, prepares it and evaluates
+//! every manager against it, then drops both, so a sweep holds at most
+//! one trace per worker: memory is bounded by the job count, not the
+//! seed count. `--journal` persists the same cells, one journal record
+//! per seed.
 //!
 //! Determinism contract: trace generation depends only on
 //! `(app, seed)`, simulation only on `(trace, config, kind)`, and all
@@ -13,13 +18,13 @@
 //! `--jobs` value.
 
 use crate::tables::{pct1, Table};
-use crate::workbench::Workbench;
 use pcap_sim::{
     decode_reports, encode_reports, evaluate_prepared, run_journaled, AppReport, Journal,
     JournalError, PowerManagerKind, PreparedTrace, SeedStat, SimConfig, SweepRunner,
 };
 use pcap_trace::TraceError;
 use pcap_workload::{AppModel, ConfigHash, PaperApp};
+use std::ops::Range;
 
 /// The managers aggregated by the `sweep` experiment: the paper's
 /// headline predictors plus the clairvoyant bound.
@@ -30,9 +35,24 @@ pub const SWEEP_KINDS: [PowerManagerKind; 4] = [
     PowerManagerKind::Oracle,
 ];
 
-/// Generates one workbench per seed and simulates `kinds` for every
-/// `(seed, app)` cell, batching the whole grid through one parallel
-/// runner.
+/// One `(seed, app)` cell: generates the app's trace, prepares its
+/// streams once and evaluates every kind against them, in kind order.
+fn sweep_cell(
+    seed: u64,
+    app: PaperApp,
+    config: &SimConfig,
+    kinds: &[PowerManagerKind],
+) -> Result<Vec<AppReport>, TraceError> {
+    let prepared = PreparedTrace::build(&app.spec().generate_trace(seed)?, config);
+    Ok(kinds
+        .iter()
+        .map(|&kind| evaluate_prepared(&prepared, config, kind))
+        .collect())
+}
+
+/// Simulates `kinds` on every `(seed, app)` cell, one runner task per
+/// cell. Returns one report grid per seed in app-major × kind order,
+/// the layout [`sweep_table`] reads.
 ///
 /// # Errors
 ///
@@ -42,55 +62,21 @@ pub fn run_sweep(
     config: &SimConfig,
     kinds: &[PowerManagerKind],
     jobs: usize,
-) -> Result<Vec<(u64, Workbench)>, TraceError> {
-    let runner = SweepRunner::new(jobs);
-    let apps = PaperApp::ALL;
-
-    // Stage 1: every (seed, app) trace, seed-major so per-seed chunks
-    // come back contiguous.
-    let generation_tasks: Vec<(u64, PaperApp)> = seeds
+) -> Result<Vec<Vec<AppReport>>, TraceError> {
+    let cells: Vec<(u64, PaperApp)> = seeds
         .iter()
-        .flat_map(|&seed| apps.iter().map(move |&app| (seed, app)))
+        .flat_map(|&seed| PaperApp::ALL.map(|app| (seed, app)))
         .collect();
-    let traces = runner
-        .run(&generation_tasks, |_, &(seed, app)| {
-            app.spec().generate_trace(seed)
+    let reports = SweepRunner::new(jobs)
+        .run(&cells, |_, &(seed, app)| {
+            sweep_cell(seed, app, config, kinds)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-    let mut traces = traces.into_iter();
-    let benches: Vec<(u64, Workbench)> = seeds
-        .iter()
-        .map(|&seed| {
-            let suite: Vec<_> = (0..apps.len())
-                .map(|_| traces.next().expect("chunk"))
-                .collect();
-            (
-                seed,
-                Workbench::from_traces_seeded(seed, suite, config.clone()),
-            )
-        })
-        .collect();
-
-    // Stage 2: per-seed batches. Each app's streams (cache filtering,
-    // gap extraction) are prepared exactly once per seed — into the
-    // workbench's shared `PreparedTrace` slots, so downstream
-    // experiments (Table 1 profiles, on-demand cells, predictor-only
-    // ablations) reuse them instead of re-preparing — then the whole
-    // kind grid simulates against those shared preparations.
-    for (_, bench) in &benches {
-        bench.prepare_all(jobs);
-        let simulation_tasks: Vec<(usize, PowerManagerKind)> = (0..apps.len())
-            .flat_map(|trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
-            .collect();
-        let reports = runner.run(&simulation_tasks, |_, &(trace_idx, kind)| {
-            evaluate_prepared(bench.prepared(trace_idx), config, kind)
-        });
-        for (&(trace_idx, kind), report) in simulation_tasks.iter().zip(reports) {
-            bench.prime(trace_idx, kind, report);
-        }
-    }
-    Ok(benches)
+    Ok(reports
+        .chunks(PaperApp::ALL.len())
+        .map(<[Vec<AppReport>]>::concat)
+        .collect())
 }
 
 /// The config hash a seed-sweep journal is pinned to: the exact seed
@@ -111,13 +97,22 @@ pub fn sweep_journal_config(seeds: &[u64], config: &SimConfig, kinds: &[PowerMan
     hash.finish()
 }
 
+/// The config hash a `pcap run --journal` grid is pinned to: the
+/// seed-sweep hash of its one seed, chained through a distinct
+/// `run-grid` domain so a seed-sweep journal can never be mistaken for
+/// a run-grid one.
+pub fn run_grid_journal_config(seed: u64, config: &SimConfig, kinds: &[PowerManagerKind]) -> u64 {
+    let mut domain = ConfigHash::new("run-grid");
+    domain.push(sweep_journal_config(&[seed], config, kinds));
+    domain.finish()
+}
+
 /// [`run_sweep`] against a journal: one cell per seed (the cell key is
-/// the seed itself), each holding the full `app × kind` report grid.
-/// Seeds already committed are decoded instead of recomputed; pending
-/// seeds are claimed via the journal's advisory locks so concurrent or
-/// restarted processes cooperate. Returns per-seed reports in app-major
-/// × kind order, ready for [`sweep_table_from_reports`] — always read
-/// back from journal bytes, so the readout is identical no matter
+/// the seed itself) holding the seed's six `(seed, app)` cells in
+/// order. Seeds already committed are decoded instead of recomputed;
+/// pending seeds are claimed via the journal's advisory locks so
+/// concurrent or restarted processes cooperate. The grids are always
+/// read back from journal bytes, so the readout is identical no matter
 /// which process computed which seed.
 ///
 /// # Errors
@@ -130,17 +125,12 @@ pub fn run_sweep_journaled(
     kinds: &[PowerManagerKind],
     jobs: usize,
     journal: &mut Journal,
-) -> Result<Vec<(u64, Vec<AppReport>)>, JournalError> {
-    let runner = SweepRunner::new(jobs);
+) -> Result<Vec<Vec<AppReport>>, JournalError> {
     let cells: Vec<(u64, u64)> = seeds.iter().map(|&seed| (seed, seed)).collect();
-    let results = run_journaled(journal, &runner, &cells, |&seed| {
+    let results = run_journaled(journal, &SweepRunner::new(jobs), &cells, |&seed| {
         let mut reports = Vec::with_capacity(PaperApp::ALL.len() * kinds.len());
         for app in PaperApp::ALL {
-            let trace = app.spec().generate_trace(seed).map_err(|e| e.to_string())?;
-            let prepared = PreparedTrace::build(&trace, config);
-            for &kind in kinds {
-                reports.push(evaluate_prepared(&prepared, config, kind));
-            }
+            reports.extend(sweep_cell(seed, app, config, kinds).map_err(|e| e.to_string())?);
         }
         Ok(encode_reports(&reports))
     })?;
@@ -148,46 +138,26 @@ pub fn run_sweep_journaled(
         .iter()
         .zip(results)
         .map(|(&seed, bytes)| {
-            let reports = decode_reports(&bytes).map_err(|e| JournalError::Corrupt {
+            decode_reports(&bytes).map_err(|e| JournalError::Corrupt {
                 offset: 0,
                 reason: format!("seed {seed} payload: {e}"),
-            })?;
-            Ok((seed, reports))
+            })
         })
         .collect()
 }
 
 /// Aggregates a sweep into the mean/min/max table: one row per
-/// `app × manager`, plus per-manager suite averages.
-pub fn sweep_table(benches: &[(u64, Workbench)], kinds: &[PowerManagerKind]) -> Table {
-    let seeds: Vec<u64> = benches.iter().map(|(seed, _)| *seed).collect();
-    let apps = benches.first().map_or(0, |(_, bench)| bench.traces().len());
-    let per_seed: Vec<Vec<AppReport>> = benches
-        .iter()
-        .map(|(_, bench)| {
-            (0..apps)
-                .flat_map(|trace_idx| kinds.iter().map(move |&kind| bench.report(trace_idx, kind)))
-                .collect()
-        })
-        .collect();
-    sweep_table_from_reports(&seeds, &per_seed, kinds)
-}
-
-/// [`sweep_table`] over bare report grids (one `Vec<AppReport>` per
-/// seed, app-major × kind order, as produced by
-/// [`run_sweep_journaled`]). [`sweep_table`] delegates here, so the
-/// journaled and workbench paths render through one implementation and
-/// are byte-identical by construction.
-pub fn sweep_table_from_reports(
+/// `app × manager`, plus per-manager suite averages. `per_seed` holds
+/// one report grid per seed, app-major × kind, as [`run_sweep`] and
+/// [`run_sweep_journaled`] return them.
+pub fn sweep_table(
     seeds: &[u64],
     per_seed: &[Vec<AppReport>],
     kinds: &[PowerManagerKind],
 ) -> Table {
-    let apps = if kinds.is_empty() {
-        0
-    } else {
-        per_seed.first().map_or(0, |grid| grid.len() / kinds.len())
-    };
+    let apps = per_seed
+        .first()
+        .map_or(0, |grid| grid.len() / kinds.len().max(1));
     let mut t = Table::new(
         format!(
             "Sweep: savings and accuracy across {} seeds ({})",
@@ -207,25 +177,27 @@ pub fn sweep_table_from_reports(
             "miss max",
         ],
     );
-    let report_of = |bench_idx: usize, trace_idx: usize, kind_idx: usize| -> &AppReport {
-        &per_seed[bench_idx][trace_idx * kinds.len() + kind_idx]
+    // One manager's reports for the apps in `app_range`, seed-major.
+    let column = |kind_idx: usize, app_range: Range<usize>| -> Vec<&AppReport> {
+        per_seed
+            .iter()
+            .flat_map(|grid| {
+                app_range
+                    .clone()
+                    .map(move |app| &grid[app * kinds.len() + kind_idx])
+            })
+            .collect()
     };
-    let stat_row = |t: &mut Table, app: &str, kind_idx: usize, cells: &[(usize, usize)]| {
-        let kind = kinds[kind_idx];
-        // `cells` are (seed index, trace index) pairs to average over.
-        let collect = |metric: &dyn Fn(&AppReport) -> f64| -> SeedStat {
-            let samples: Vec<f64> = cells
-                .iter()
-                .map(|&(bench_idx, trace_idx)| metric(report_of(bench_idx, trace_idx, kind_idx)))
-                .collect();
-            SeedStat::of(&samples)
+    let mut stat_row = |app: &str, kind_idx: usize, reports: &[&AppReport]| {
+        let stat = |metric: fn(&AppReport) -> f64| {
+            SeedStat::of(&reports.iter().map(|&r| metric(r)).collect::<Vec<_>>())
         };
-        let savings = collect(&|r| r.savings());
-        let coverage = collect(&|r| r.global.coverage());
-        let miss = collect(&|r| r.global.miss_rate());
+        let savings = stat(AppReport::savings);
+        let coverage = stat(|r| r.global.coverage());
+        let miss = stat(|r| r.global.miss_rate());
         t.row(vec![
             app.to_owned(),
-            kind.label(),
+            kinds[kind_idx].label(),
             pct1(savings.mean),
             pct1(savings.min),
             pct1(savings.max),
@@ -236,29 +208,24 @@ pub fn sweep_table_from_reports(
             pct1(miss.max),
         ]);
     };
-    for trace_idx in 0..apps {
-        let app = report_of(0, trace_idx, 0).app.clone();
+    for app in 0..apps {
         for kind_idx in 0..kinds.len() {
-            let cells: Vec<(usize, usize)> = (0..per_seed.len())
-                .map(|bench_idx| (bench_idx, trace_idx))
-                .collect();
-            stat_row(&mut t, &app, kind_idx, &cells);
+            let reports = column(kind_idx, app..app + 1);
+            stat_row(&reports[0].app, kind_idx, &reports);
         }
     }
     // Suite-wide aggregation: every app × seed sample per manager.
     for kind_idx in 0..kinds.len() {
-        let cells: Vec<(usize, usize)> = (0..per_seed.len())
-            .flat_map(|bench_idx| (0..apps).map(move |trace_idx| (bench_idx, trace_idx)))
-            .collect();
-        stat_row(&mut t, "AVERAGE", kind_idx, &cells);
+        stat_row("AVERAGE", kind_idx, &column(kind_idx, 0..apps));
     }
     t
 }
 
 /// Renders a streaming fleet sweep as the fleet table: one row per
 /// paper app (aggregated over every device running it) plus the
-/// whole-fleet TOTAL row. Pure function of the [`FleetReport`], so the
-/// table inherits the report's `--jobs`-independence.
+/// whole-fleet TOTAL row. Pure function of the
+/// [`FleetReport`](pcap_sim::FleetReport), so the table inherits the
+/// report's `--jobs`-independence.
 pub fn fleet_table(report: &pcap_sim::FleetReport) -> Table {
     let mut t = Table::new(
         format!(
@@ -322,63 +289,21 @@ fn render_seeds(seeds: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workbench::Workbench;
 
-    fn truncated_sweep(seeds: &[u64], jobs: usize) -> Vec<(u64, Workbench)> {
-        // Full multi-seed sweeps are exercised by the CLI; tests use a
-        // reduced suite for speed by truncating each generated trace.
-        let benches = run_sweep(seeds, &SimConfig::paper(), &[], jobs).expect("valid specs");
-        let benches: Vec<(u64, Workbench)> = benches
-            .into_iter()
-            .map(|(seed, bench)| {
-                let traces: Vec<_> = bench
-                    .traces()
-                    .iter()
-                    .map(|t| {
-                        let mut t = t.clone();
-                        t.runs.truncate(3);
-                        t
-                    })
-                    .collect();
-                (
-                    seed,
-                    Workbench::from_traces_seeded(seed, traces, SimConfig::paper()),
-                )
-            })
-            .collect();
-        for (_, bench) in &benches {
-            bench.warm_up(&SWEEP_KINDS, jobs);
+    #[test]
+    fn sweep_cells_match_each_seeds_workbench_reports() {
+        let config = SimConfig::paper();
+        let seeds = [42u64, 43];
+        let per_seed = run_sweep(&seeds, &config, &SWEEP_KINDS, 2).expect("valid specs");
+        assert_eq!(per_seed.len(), seeds.len());
+        for (&seed, grid) in seeds.iter().zip(&per_seed) {
+            let bench = Workbench::generate_par(seed, config.clone(), 2).expect("valid specs");
+            assert_eq!(*grid, bench.reports(&SWEEP_KINDS), "seed {seed}");
         }
-        benches
-    }
-
-    #[test]
-    fn sweep_table_is_job_count_invariant() {
-        let seeds = [42u64, 43];
-        let serial = sweep_table(&truncated_sweep(&seeds, 1), &SWEEP_KINDS);
-        let parallel = sweep_table(&truncated_sweep(&seeds, 8), &SWEEP_KINDS);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.to_csv(), parallel.to_csv());
         // 6 apps × 4 kinds + 4 AVERAGE rows.
-        assert_eq!(serial.rows.len(), 6 * 4 + 4);
-    }
-
-    #[test]
-    fn sweep_table_from_reports_matches_workbench_path() {
-        let seeds = [42u64, 43];
-        let benches = truncated_sweep(&seeds, 2);
-        let via_bench = sweep_table(&benches, &SWEEP_KINDS);
-        // The same grid, flattened to bare reports (the journal layout:
-        // app-major × kind), must render the identical table.
-        let per_seed: Vec<Vec<_>> = benches
-            .iter()
-            .map(|(_, bench)| {
-                (0..bench.traces().len())
-                    .flat_map(|ti| SWEEP_KINDS.iter().map(move |&k| bench.report(ti, k)))
-                    .collect()
-            })
-            .collect();
-        let via_reports = sweep_table_from_reports(&seeds, &per_seed, &SWEEP_KINDS);
-        assert_eq!(via_bench.to_csv(), via_reports.to_csv());
+        let table = sweep_table(&seeds, &per_seed, &SWEEP_KINDS);
+        assert_eq!(table.rows.len(), 6 * 4 + 4);
     }
 
     #[test]
@@ -394,6 +319,11 @@ mod tests {
         assert_ne!(
             base,
             sweep_journal_config(&[42, 43], &config, &SWEEP_KINDS[..3])
+        );
+        assert_ne!(
+            run_grid_journal_config(42, &config, &SWEEP_KINDS),
+            sweep_journal_config(&[42], &config, &SWEEP_KINDS),
+            "the run grid hashes through its own domain"
         );
     }
 

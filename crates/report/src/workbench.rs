@@ -10,8 +10,9 @@
 use pcap_core::PcapVariant;
 use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    evaluate_app, evaluate_prepared, evaluate_prepared_with, AppReport, NullObserver,
-    PowerManagerKind, PreparedTrace, SimConfig, SweepRunner,
+    decode_reports, encode_reports, evaluate_app, evaluate_prepared, evaluate_prepared_with,
+    run_journaled, AppReport, Journal, JournalError, NullObserver, PowerManagerKind, PreparedTrace,
+    SimConfig, SweepRunner,
 };
 use pcap_trace::{ApplicationTrace, TraceError};
 use pcap_workload::{AppModel, PaperApp};
@@ -223,8 +224,7 @@ impl Workbench {
     ) {
         let pending: Vec<Cell> = {
             let memo = self.memo.lock().expect("memo lock");
-            (0..self.traces.len())
-                .flat_map(|trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
+            self.grid(kinds)
                 .filter(|cell| !memo.contains_key(cell))
                 .collect()
         };
@@ -255,13 +255,65 @@ impl Workbench {
         }
     }
 
-    /// Inserts a pre-computed report into the memo (used by the
-    /// multi-seed sweep, which batches simulation across workbenches).
-    pub fn prime(&self, trace_idx: usize, kind: PowerManagerKind, report: AppReport) {
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .insert((trace_idx, kind), report);
+    /// [`warm_up`](Self::warm_up) through a crash-safe journal (`pcap
+    /// run --journal`): each `(trace, kind)` cell is one journal record
+    /// keyed `trace << 32 | kind index`, so a killed run resumes from
+    /// the finished cells instead of recomputing them. Every cell is
+    /// decoded from the journal into the memo, so the experiments render
+    /// byte-identically to an unjournaled run.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] on journal I/O or integrity failures.
+    pub fn warm_up_journaled(
+        &self,
+        kinds: &[PowerManagerKind],
+        jobs: usize,
+        journal: &mut Journal,
+    ) -> Result<(), JournalError> {
+        self.prepare_all(jobs);
+        // `grid` is app-major, so `i % kinds.len()` is the kind index.
+        let cells: Vec<(u64, Cell)> = self
+            .grid(kinds)
+            .enumerate()
+            .map(|(i, cell)| (((cell.0 as u64) << 32) | (i % kinds.len()) as u64, cell))
+            .collect();
+        let results = run_journaled(
+            journal,
+            &SweepRunner::new(jobs),
+            &cells,
+            |&(trace_idx, kind)| {
+                let report = evaluate_prepared(self.prepared(trace_idx), &self.config, kind);
+                Ok(encode_reports(std::slice::from_ref(&report)))
+            },
+        )?;
+        let mut memo = self.memo.lock().expect("memo lock");
+        for ((key, cell), bytes) in cells.into_iter().zip(results) {
+            let report = decode_reports(&bytes)
+                .map_err(|e| e.to_string())
+                .and_then(|mut one| one.pop().ok_or_else(|| "empty cell".to_owned()))
+                .map_err(|reason| JournalError::Corrupt {
+                    offset: 0,
+                    reason: format!("cell {key:#018x} payload: {reason}"),
+                })?;
+            memo.insert(cell, report);
+        }
+        Ok(())
+    }
+
+    /// Every `(trace, kind)` cell, app-major: the order of the warm-up,
+    /// its journal and [`reports`](Self::reports).
+    fn grid<'a>(&self, kinds: &'a [PowerManagerKind]) -> impl Iterator<Item = Cell> + 'a {
+        (0..self.traces.len())
+            .flat_map(move |trace_idx| kinds.iter().map(move |&kind| (trace_idx, kind)))
+    }
+
+    /// The reports of every application under every kind, app-major ×
+    /// kind: one seed's grid as [`crate::run_sweep`] returns it.
+    pub fn reports(&self, kinds: &[PowerManagerKind]) -> Vec<AppReport> {
+        self.grid(kinds)
+            .map(|(trace_idx, kind)| self.report(trace_idx, kind))
+            .collect()
     }
 
     /// The simulation configuration.
@@ -286,7 +338,10 @@ impl Workbench {
             return report.clone();
         }
         let report = evaluate_prepared(self.prepared(trace_idx), &self.config, kind);
-        self.prime(trace_idx, kind, report.clone());
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .insert((trace_idx, kind), report.clone());
         report
     }
 

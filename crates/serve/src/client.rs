@@ -1,7 +1,7 @@
 //! The replay load client behind `pcap load`: streams a
-//! [`ReplayPlan`]'s runs at a configurable event rate against a
-//! running daemon and measures achieved decision throughput and
-//! per-run round-trip latency.
+//! [`ReplayPlan`](pcap_workload::ReplayPlan)'s runs at a configurable
+//! event rate against a running daemon and measures achieved decision
+//! throughput and per-run round-trip latency.
 //!
 //! One writer (the calling thread) frames and sends events; one reader
 //! thread decodes the decision stream and stamps `RunEnd → RunSummary`

@@ -221,7 +221,7 @@ impl Journal {
             config_hash,
             completed: HashMap::new(),
             claims: HashMap::new(),
-            progress: JournalProgress::new(),
+            progress: JournalProgress::default(),
         };
         journal.refresh()?;
         Ok(journal)
@@ -238,8 +238,8 @@ impl Journal {
     }
 
     /// Progress counters (resumed / computed / torn bytes, …).
-    pub fn progress(&self) -> &JournalProgress {
-        &self.progress
+    pub fn progress(&self) -> JournalProgress {
+        self.progress
     }
 
     /// Whether `cell_key` has a committed result.
@@ -282,7 +282,7 @@ impl Journal {
     }
 
     fn refresh_locked(&mut self) -> Result<(), JournalError> {
-        self.progress.add("refreshes", 1);
+        self.progress.refreshes += 1;
         self.file
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, e))?;
@@ -301,7 +301,7 @@ impl Journal {
                 });
             }
             if !bytes.is_empty() {
-                self.progress.add("torn_bytes", bytes.len() as u64);
+                self.progress.torn_bytes += bytes.len() as u64;
             }
             self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
             self.file
@@ -390,7 +390,7 @@ impl Journal {
     /// Truncates a torn tail: drops `torn` bytes so the file ends at
     /// `valid_end`, the start of the half-written record.
     fn truncate_tail(&mut self, valid_end: usize, torn: usize) -> Result<(), JournalError> {
-        self.progress.add("torn_bytes", torn as u64);
+        self.progress.torn_bytes += torn as u64;
         self.file
             .set_len(valid_end as u64)
             .map_err(|e| io_err(&self.path, e))?;
@@ -442,7 +442,7 @@ impl Journal {
         write.map_err(|e| io_err(&self.path, e))?;
 
         self.completed.insert(cell_key, result.to_vec());
-        self.progress.add("computed", 1);
+        self.progress.computed += 1;
         self.release(cell_key);
         Ok(())
     }
@@ -557,7 +557,7 @@ where
         .iter()
         .filter(|(key, _)| journal.is_done(*key))
         .count() as u64;
-    journal.progress.add("resumed", resumed);
+    journal.progress.resumed += resumed;
     let mut computed = 0u64;
     loop {
         let pending: Vec<&(u64, T)> = cells
@@ -607,7 +607,7 @@ where
         journal.refresh()?;
     }
     let ceded = (cells.len() as u64).saturating_sub(resumed + computed);
-    journal.progress.add("ceded", ceded);
+    journal.progress.ceded += ceded;
     cells
         .iter()
         .map(|(key, _)| {
@@ -911,7 +911,7 @@ mod tests {
         let j = Journal::open(&path, 7).unwrap();
         assert!(j.is_done(10));
         assert!(!j.is_done(11));
-        assert!(j.progress().snapshot().torn_bytes > 0);
+        assert!(j.progress().torn_bytes > 0);
         drop(j);
         // Flip a result byte mid-file: that is corruption, not a tear.
         let mut bad = full.clone();
@@ -985,9 +985,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(computed.load(Ordering::Relaxed), 8);
-        let snapshot = j.progress().snapshot();
-        assert_eq!(snapshot.resumed, 8);
-        assert_eq!(snapshot.computed, 8);
+        assert_eq!(j.progress().resumed, 8);
+        assert_eq!(j.progress().computed, 8);
         assert_eq!(
             results,
             (0..16u64)

@@ -26,9 +26,7 @@
 //! # Ok::<(), pcap_trace::TraceError>(())
 //! ```
 
-// `deny` rather than `forbid`: the sweep runner's lock-free result
-// slots carry one reviewed `#[allow(unsafe_code)]` (see `sweep.rs`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -16,36 +16,24 @@
 //! [`run`](SweepRunner::run) delegates to it with the compile-out
 //! [`NullPipeline`], so the un-profiled path pays nothing.
 //!
+//! One worker loop serves every job count: it runs inline on the
+//! calling thread when one worker suffices, and on scoped threads
+//! otherwise. Each worker returns the `(task index, result)` pairs it
+//! computed, and the caller places them in task order after the join —
+//! no shared result slots, no `unsafe`.
+//!
 //! A panic inside a task does not wedge the pool: the panicking worker
-//! stores the payload, every worker drains out via an abort flag, and
-//! the panic resumes on the caller *after* all workers joined — no
-//! partially-initialised result slot is ever read.
+//! keeps the payload, every worker drains out via an abort flag, and
+//! the panic resumes on the caller *after* all workers joined.
 //!
 //! [`SeedStat`] aggregates per-seed metrics (mean/min/max) for the
 //! multi-seed sweep experiment built on top of the runner.
 
 use pcap_obs::{NullPipeline, PipelineObserver, WorkerStats};
 use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// One pre-sized result slot, written lock-free by exactly one worker.
-///
-/// The atomic cursor hands each task index to exactly one worker, so
-/// at most one thread ever writes a given slot, and the scope join
-/// orders all writes before the merge's reads — slots need no lock.
-struct Slot<R>(UnsafeCell<Option<R>>);
-
-// SAFETY: a `Slot` is shared across the scoped workers, but the
-// `fetch_add` cursor gives each task index — hence each slot — to
-// exactly one worker, so there are no concurrent accesses to the
-// inner value; the merge reads only after `thread::scope` joins every
-// worker. `R: Send` is required to move the value across threads.
-#[allow(unsafe_code)]
-unsafe impl<R: Send> Sync for Slot<R> {}
 
 /// A pool of scoped worker threads that evaluates an ordered task list
 /// and returns results in canonical (task) order.
@@ -75,10 +63,8 @@ impl SweepRunner {
     /// order, regardless of which worker finished first.
     ///
     /// Workers pull tasks from a shared atomic cursor (dynamic load
-    /// balancing: simulation costs vary wildly across apps) and write
-    /// each result into the pre-sized, lock-free slot of its task
-    /// index, so the merge is a canonical-order readout with no
-    /// per-task lock.
+    /// balancing: simulation costs vary wildly across apps), so each
+    /// task index goes to exactly one worker.
     ///
     /// # Panics
     ///
@@ -107,6 +93,8 @@ impl SweepRunner {
     /// [`NullPipeline`] every instrumentation site — including the
     /// label construction and the two `Instant` reads per task —
     /// compiles out, and the behaviour is exactly [`run`](Self::run).
+    /// A single worker runs on the calling thread and still reports as
+    /// worker 0, so `--jobs 1` profiles carry spans and telemetry too.
     pub fn run_observed<T, R, F, L, O>(
         &self,
         scope_name: &str,
@@ -122,142 +110,87 @@ impl SweepRunner {
         L: Fn(usize, &T) -> String + Sync,
         O: PipelineObserver,
     {
-        if self.jobs <= 1 || tasks.len() <= 1 {
-            return self.run_serial(scope_name, tasks, &worker, &label, observer);
-        }
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let slots: Vec<Slot<R>> = tasks.iter().map(|_| Slot(UnsafeCell::new(None))).collect();
-        std::thread::scope(|scope| {
-            for worker_index in 0..self.jobs.min(tasks.len()) {
-                let (cursor, abort, panic_slot) = (&cursor, &abort, &panic_slot);
-                let (slots, worker, label) = (&slots, &worker, &label);
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    if O::ENABLED {
-                        observer.thread_label(&format!("{scope_name} worker {worker_index}"));
+        // One worker: its `(task index, result)` pairs, or the payload
+        // of the task that panicked.
+        let work = |worker_index: usize| {
+            let started = Instant::now();
+            if O::ENABLED {
+                observer.thread_label(&format!("{scope_name} worker {worker_index}"));
+            }
+            let mut done = Vec::new();
+            let mut busy_us = 0u64;
+            let mut panicked = None;
+            while !abort.load(Ordering::Relaxed) {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(index) else {
+                    break;
+                };
+                let result = if O::ENABLED {
+                    let name = label(index, task);
+                    let task_start = Instant::now();
+                    observer.span_begin(&name);
+                    let result = catch_unwind(AssertUnwindSafe(|| worker(index, task)));
+                    observer.span_end(&name);
+                    let micros = task_start.elapsed().as_micros() as u64;
+                    busy_us += micros;
+                    if result.is_ok() {
+                        observer.task_done(&name, micros);
                     }
-                    let mut tasks_done = 0u64;
-                    let mut busy_us = 0u64;
-                    while !abort.load(Ordering::Relaxed) {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(index) else {
-                            break;
-                        };
-                        let result = if O::ENABLED {
-                            let name = label(index, task);
-                            let task_start = Instant::now();
-                            observer.span_begin(&name);
-                            let result = catch_unwind(AssertUnwindSafe(|| worker(index, task)));
-                            observer.span_end(&name);
-                            let micros = task_start.elapsed().as_micros() as u64;
-                            busy_us += micros;
-                            if result.is_ok() {
-                                tasks_done += 1;
-                                observer.task_done(&name, micros);
-                            }
-                            result
-                        } else {
-                            catch_unwind(AssertUnwindSafe(|| worker(index, task)))
-                        };
-                        match result {
-                            Ok(result) => {
-                                // SAFETY: `fetch_add` yielded `index` to this
-                                // worker alone, so no other thread touches
-                                // `slots[index]`; the merge below reads only
-                                // after the scope joins.
-                                #[allow(unsafe_code)]
-                                unsafe {
-                                    *slots[index].0.get() = Some(result);
-                                }
-                            }
-                            Err(payload) => {
-                                // First panic wins; park the payload, tell
-                                // every worker to drain, and keep the slot
-                                // empty — the caller resumes the panic
-                                // before the merge could read it.
-                                let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
-                                slot.get_or_insert(payload);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+                    result
+                } else {
+                    catch_unwind(AssertUnwindSafe(|| worker(index, task)))
+                };
+                match result {
+                    Ok(result) => done.push((index, result)),
+                    Err(payload) => {
+                        // Tell every worker to drain; the caller resumes
+                        // the panic after the join.
+                        abort.store(true, Ordering::Relaxed);
+                        panicked = Some(payload);
+                        break;
                     }
-                    if O::ENABLED {
-                        observer.worker_done(WorkerStats {
-                            scope: scope_name.to_owned(),
-                            worker: worker_index,
-                            tasks: tasks_done,
-                            busy_us,
-                            elapsed_us: started.elapsed().as_micros() as u64,
-                        });
-                    }
+                }
+            }
+            if O::ENABLED {
+                observer.worker_done(WorkerStats {
+                    scope: scope_name.to_owned(),
+                    worker: worker_index,
+                    tasks: done.len() as u64,
+                    busy_us,
+                    elapsed_us: started.elapsed().as_micros() as u64,
                 });
             }
-        });
-        if let Some(payload) = panic_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            resume_unwind(payload);
+            panicked.map_or(Ok(done), Err)
+        };
+        let workers = self.jobs.min(tasks.len());
+        let outputs: Vec<_> = if workers <= 1 {
+            vec![work(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|worker_index| {
+                        let work = &work;
+                        scope.spawn(move || work(worker_index))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("workers catch task panics"))
+                    .collect()
+            })
+        };
+        let mut slots: Vec<Option<R>> = tasks.iter().map(|_| None).collect();
+        for output in outputs {
+            for (index, result) in output.unwrap_or_else(|payload| resume_unwind(payload)) {
+                slots[index] = Some(result);
+            }
         }
         slots
             .into_iter()
-            .map(|slot| {
-                slot.0
-                    .into_inner()
-                    .expect("every task index was claimed exactly once")
-            })
+            .map(|slot| slot.expect("every task index was claimed exactly once"))
             .collect()
-    }
-
-    /// The single-threaded path, instrumented identically (worker 0 on
-    /// the calling thread) so `--jobs 1` profiles still carry spans and
-    /// telemetry.
-    fn run_serial<T, R, F, L, O>(
-        &self,
-        scope_name: &str,
-        tasks: &[T],
-        worker: &F,
-        label: &L,
-        observer: &O,
-    ) -> Vec<R>
-    where
-        F: Fn(usize, &T) -> R,
-        L: Fn(usize, &T) -> String,
-        O: PipelineObserver,
-    {
-        if !O::ENABLED {
-            return tasks
-                .iter()
-                .enumerate()
-                .map(|(index, task)| worker(index, task))
-                .collect();
-        }
-        let started = Instant::now();
-        observer.thread_label(&format!("{scope_name} worker 0"));
-        let mut busy_us = 0u64;
-        let results = tasks
-            .iter()
-            .enumerate()
-            .map(|(index, task)| {
-                let name = label(index, task);
-                let task_start = Instant::now();
-                observer.span_begin(&name);
-                let result = worker(index, task);
-                observer.span_end(&name);
-                let micros = task_start.elapsed().as_micros() as u64;
-                busy_us += micros;
-                observer.task_done(&name, micros);
-                result
-            })
-            .collect();
-        observer.worker_done(WorkerStats {
-            scope: scope_name.to_owned(),
-            worker: 0,
-            tasks: tasks.len() as u64,
-            busy_us,
-            elapsed_us: started.elapsed().as_micros() as u64,
-        });
-        results
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper traces each application separately and evaluates them in
 //! isolation ("Each application was traced separately, creating an
 //! independent trace for each application", §6) — but its Global
-//! Shutdown Predictor (§5) is motivated by "real systems [where] many
+//! Shutdown Predictor (§5) is motivated by "real systems \[where\] many
 //! processes are running concurrently". This module builds that
 //! scenario: it overlays one execution of each application into a
 //! single multi-application session, remapping process ids and framing

@@ -81,18 +81,16 @@ fn same_seed_runs_are_byte_identical() {
 #[test]
 fn multi_seed_sweep_is_job_count_invariant() {
     // End-to-end through run_sweep: generation, simulation, and
-    // aggregation on 1 vs 8 workers produce identical CSV. Traces are
-    // full-length here but only two seeds × the sweep kinds run.
+    // aggregation on 1 vs 8 workers produce identical reports and CSV.
+    // Traces are full-length here but only two seeds × the sweep kinds
+    // run.
     let config = SimConfig::paper();
     let seeds = [42u64, 43];
     let serial = run_sweep(&seeds, &config, &SWEEP_KINDS, 1).expect("valid specs");
     let parallel = run_sweep(&seeds, &config, &SWEEP_KINDS, 8).expect("valid specs");
-    for ((seed_a, bench_a), (seed_b, bench_b)) in serial.iter().zip(&parallel) {
-        assert_eq!(seed_a, seed_b);
-        assert_eq!(bench_a.traces(), bench_b.traces());
-    }
-    let a = sweep_table(&serial, &SWEEP_KINDS);
-    let b = sweep_table(&parallel, &SWEEP_KINDS);
+    assert_eq!(serial, parallel);
+    let a = sweep_table(&seeds, &serial, &SWEEP_KINDS);
+    let b = sweep_table(&seeds, &parallel, &SWEEP_KINDS);
     assert_eq!(a, b);
     assert_eq!(a.to_csv(), b.to_csv());
     assert_eq!(a.render(), b.render());

@@ -269,7 +269,7 @@ fn journaled_fleet_sweep_is_byte_identical_to_uninterrupted() {
     let resumed =
         sweep_fleet_journaled(&pop, &config, kind, &runner, max_runs, &mut journal).unwrap();
     assert_eq!(serde_json::to_string(&resumed).unwrap(), baseline_json);
-    let progress = journal.progress().snapshot();
+    let progress = journal.progress();
     assert!(progress.torn_bytes > 0, "the tear must be recorded");
     assert_eq!(progress.computed, 1, "only the torn chunk recomputes");
     drop(journal);
@@ -278,7 +278,7 @@ fn journaled_fleet_sweep_is_byte_identical_to_uninterrupted() {
     let mut journal = Journal::open(&path, config_hash).unwrap();
     let warm = sweep_fleet_journaled(&pop, &config, kind, &runner, max_runs, &mut journal).unwrap();
     assert_eq!(serde_json::to_string(&warm).unwrap(), baseline_json);
-    let progress = journal.progress().snapshot();
+    let progress = journal.progress();
     assert_eq!(progress.computed, 0, "nothing recomputes on a warm journal");
     cleanup(&path);
 }
