@@ -32,8 +32,8 @@ use pcap_report::profiling::QUICK_RUNS;
 use pcap_report::{
     audit_tables, explain_tables, figure_chart, fleet_table, profile_pipeline,
     run_grid_journal_config, run_sweep, run_sweep_journaled, sweep_journal_config, sweep_table,
-    verify_snapshot, write_snapshot, Experiment, Figure, Workbench, GOLDEN_SEED, GRID_KINDS,
-    SWEEP_KINDS,
+    traced_eval, verify_snapshot, write_snapshot, Experiment, Figure, Workbench, GOLDEN_SEED,
+    GRID_KINDS, SWEEP_KINDS,
 };
 use pcap_sim::{Journal, JournalError, SimConfig, WorkloadProfile};
 use pcap_trace::io::write_jsonl;
@@ -462,21 +462,21 @@ fn run() -> Result<(), String> {
                 );
                 return Ok(());
             }
-            let drifts = verify_snapshot(&bench, dir).map_err(|e| e.to_string())?;
-            if drifts.is_empty() {
+            let check = verify_snapshot(&bench, dir).map_err(|e| e.to_string())?;
+            if check.drifts.is_empty() {
                 eprintln!(
                     "pcap: golden snapshot OK ({} files, seed {})",
-                    pcap_report::snapshot_files(&bench).len(),
+                    check.files,
                     bench.seed()
                 );
                 Ok(())
             } else {
-                for drift in &drifts {
+                for drift in &check.drifts {
                     eprintln!("pcap: drift: {drift}");
                 }
                 Err(format!(
                     "{} file(s) drifted from {} — if intentional, re-bless with `pcap verify --update`",
-                    drifts.len(),
+                    check.drifts.len(),
                     dir.display()
                 ))
             }
@@ -959,7 +959,6 @@ fn run_load_client(options: &Options) -> Result<(), String> {
     );
     let load_options = pcap_serve::LoadOptions {
         events_per_sec: options.rate,
-        ..pcap_serve::LoadOptions::default()
     };
     let report =
         pcap_serve::run_load(&endpoint, &plan, &load_options).map_err(|e| e.to_string())?;
@@ -1183,8 +1182,8 @@ fn overhead_guard(name: &str, arms: &str, overhead: f64, enforced: bool) -> Resu
 ///
 /// * observer (DESIGN.md §8): the engine with `NullObserver` must not
 ///   run measurably slower than with the cheapest attached sink;
-/// * tracing (DESIGN.md §10): a recording [`TraceRecorder`] must stay
-///   within 2% of `NullPipeline`;
+/// * tracing (DESIGN.md §10): wrapping each evaluation in `pcap
+///   profile`'s recording `eval:` span must cost under 2%;
 /// * serve (DESIGN.md §15): the daemon's flight recorder and stage
 ///   histograms must cost under 2% of replay throughput.
 ///
@@ -1221,21 +1220,20 @@ fn run_bench(options: &Options) -> Result<(), String> {
                 bench.config(),
                 pcap_sim::PowerManagerKind::PCAP,
                 &mut sink,
-                &pcap_obs::NullPipeline,
             );
             std::hint::black_box((&report, &sink.metrics));
         }
     };
+    // The recording arm wraps each evaluation the way `pcap profile`
+    // wraps a grid cell.
     let eval_traced = || {
         let recorder = TraceRecorder::new();
         for idx in 0..bench.traces().len() {
-            let report = pcap_sim::evaluate_prepared_with(
-                bench.prepared(idx),
-                bench.config(),
-                pcap_sim::PowerManagerKind::PCAP,
-                &mut pcap_sim::NullObserver,
-                &recorder,
-            );
+            let prepared = bench.prepared(idx);
+            let kind = pcap_sim::PowerManagerKind::PCAP;
+            let report = traced_eval(&recorder, prepared, kind, || {
+                pcap_sim::evaluate_prepared(prepared, bench.config(), kind)
+            });
             std::hint::black_box(&report);
         }
         std::hint::black_box(recorder.elapsed_us());

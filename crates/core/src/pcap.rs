@@ -71,9 +71,6 @@ pub struct PcapConfig {
     /// 6 ("which maximizes energy savings and minimizes
     /// mispredictions").
     pub history_len: usize,
-    /// If true (default), kernel flush-daemon write-backs do not enter
-    /// signatures — they carry no application PC.
-    pub ignore_kernel_accesses: bool,
     /// Path-encoding scheme (the paper's additive encoding by default;
     /// §3.2 leaves alternatives unexplored — see
     /// [`SignatureScheme`]).
@@ -89,7 +86,6 @@ impl PcapConfig {
             wait_window: SimDuration::from_secs(1),
             breakeven: SimDuration::from_secs_f64(5.43),
             history_len: 6,
-            ignore_kernel_accesses: true,
             scheme: SignatureScheme::Additive,
         }
     }
@@ -195,7 +191,9 @@ impl IdlePredictor for Pcap {
     }
 
     fn on_access(&mut self, access: &DiskAccess, _upcoming_idle: SimDuration) -> ShutdownVote {
-        if !(access.is_kernel() && self.config.ignore_kernel_accesses) {
+        // Kernel flush-daemon write-backs carry no application PC, so
+        // they never enter signatures.
+        if !access.is_kernel() {
             self.signature.observe(access.pc);
             self.last_fd = Some(access.fd);
         }

@@ -202,16 +202,6 @@ impl<P> WithBackup<P> {
     pub fn primary(&self) -> &P {
         &self.primary
     }
-
-    /// Mutable access to the wrapped primary.
-    pub fn primary_mut(&mut self) -> &mut P {
-        &mut self.primary
-    }
-
-    /// Consumes the wrapper, returning the primary.
-    pub fn into_primary(self) -> P {
-        self.primary
-    }
 }
 
 impl<P: IdlePredictor> IdlePredictor for WithBackup<P> {

@@ -52,11 +52,6 @@ pub struct EnergyLedger {
 }
 
 impl EnergyLedger {
-    /// Total energy across all states and transitions.
-    pub fn total_energy(&self) -> Joules {
-        self.busy_energy + self.idle_energy + self.standby_energy + self.transition_energy
-    }
-
     /// Total wall-clock time accounted for.
     pub fn total_time(&self) -> SimDuration {
         self.busy_time + self.idle_time + self.standby_time + self.transition_time

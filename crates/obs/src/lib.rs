@@ -31,8 +31,8 @@
 //!
 //! PR 10 adds the daemon-facing pieces (DESIGN.md §15): [`flight`],
 //! the always-on lock-free crash ring dumped on panic/`SIGUSR1`/
-//! `/debug/flight`, and [`log`], the leveled rate-limited structured
-//! logging facade behind `PCAP_LOG`.
+//! `/debug/flight`, and [`log`], the daemon's rate-limited structured
+//! warn line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,82 +1,14 @@
-//! Leveled, rate-limited structured logging (DESIGN.md §15).
+//! The daemon's rate-limited warn line (DESIGN.md §15).
 //!
-//! One line of JSONL per event on stderr, so daemon logs are machine
-//! parseable from day one and interleave cleanly with the crash-time
-//! flight dump. The level comes from `PCAP_LOG`
-//! (`error|warn|info|debug`, default `info`), read once per process.
-//! `debug`-level calls compile out entirely in release builds through
-//! the same `const` pattern as `NullPipeline`: the call sites guard on
-//! [`DEBUG_ENABLED`], a `cfg!(debug_assertions)` constant, so the
-//! optimizer removes both the branch and the formatting behind it.
-//!
+//! [`warn`] writes one JSONL line to stderr, so daemon logs are machine
+//! parseable and interleave cleanly with the crash-time flight dump.
 //! Hot paths must not log per event; they go through a [`RateGate`],
 //! which admits a bounded number of lines per window and counts the
 //! rest, reporting the suppressed total on the next admitted line.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Log severity, most severe first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// The process cannot do its job.
-    Error,
-    /// Degraded but continuing (bad frames, dropped events).
-    Warn,
-    /// Lifecycle landmarks (startup, shutdown, dumps written).
-    Info,
-    /// Per-operation detail; compiled out in release builds.
-    Debug,
-}
-
-impl Level {
-    /// The lowercase name used both in `PCAP_LOG` and in output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-        }
-    }
-
-    /// Parses a `PCAP_LOG` value (case-insensitive).
-    pub fn parse(value: &str) -> Option<Level> {
-        match value.to_ascii_lowercase().as_str() {
-            "error" => Some(Level::Error),
-            "warn" => Some(Level::Warn),
-            "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            _ => None,
-        }
-    }
-}
-
-/// Whether `debug`-level logging exists in this build at all. Mirrors
-/// `NullPipeline`'s `const ENABLED` compile-out: in release builds the
-/// constant is `false`, so `if log::DEBUG_ENABLED { log::debug(...) }`
-/// call sites are removed by the optimizer, formatting included.
-pub const DEBUG_ENABLED: bool = cfg!(debug_assertions);
-
-fn max_level() -> Level {
-    static MAX: OnceLock<Level> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("PCAP_LOG")
-            .ok()
-            .as_deref()
-            .and_then(Level::parse)
-            .unwrap_or(Level::Info)
-    })
-}
-
-/// Whether a message at `level` would be emitted under the current
-/// `PCAP_LOG` setting. Callers building expensive field values should
-/// check this first.
-pub fn enabled(level: Level) -> bool {
-    (level != Level::Debug || DEBUG_ENABLED) && level <= max_level()
-}
 
 fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -94,21 +26,14 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Formats one log line without emitting it (the testable core of
-/// [`log`]): `{"ts_us":…,"level":…,"target":…,"msg":…,"fields":{…}}`.
-pub fn format_line(
-    ts_us: u64,
-    level: Level,
-    target: &str,
-    msg: &str,
-    fields: &[(&str, &str)],
-) -> String {
+/// Formats one warn line without emitting it (the testable core of
+/// [`warn`]):
+/// `{"ts_us":…,"level":"warn","target":…,"msg":…,"fields":{…}}`.
+fn warn_line(ts_us: u64, target: &str, msg: &str, fields: &[(&str, &str)]) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"ts_us\":");
     out.push_str(&ts_us.to_string());
-    out.push_str(",\"level\":\"");
-    out.push_str(level.name());
-    out.push_str("\",\"target\":\"");
+    out.push_str(",\"level\":\"warn\",\"target\":\"");
     escape_into(&mut out, target);
     out.push_str("\",\"msg\":\"");
     escape_into(&mut out, msg);
@@ -131,43 +56,16 @@ pub fn format_line(
     out
 }
 
-/// Emits one structured JSONL line to stderr if `level` is enabled.
-/// `target` names the subsystem (`"serve"`, `"journal"`); `fields`
-/// carry the structured payload.
-pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, &str)]) {
-    if !enabled(level) {
-        return;
-    }
+/// Emits one structured warn line to stderr. `target` names the
+/// subsystem (`"serve"`); `fields` carry the structured payload.
+pub fn warn(target: &str, msg: &str, fields: &[(&str, &str)]) {
     let ts_us = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0);
-    let line = format_line(ts_us, level, target, msg, fields);
+    let line = warn_line(ts_us, target, msg, fields);
     let mut stderr = std::io::stderr().lock();
     let _ = writeln!(stderr, "{line}");
-}
-
-/// [`log`] at [`Level::Error`].
-pub fn error(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Error, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Warn`].
-pub fn warn(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Warn, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Info`].
-pub fn info(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    log(Level::Info, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Debug`]; a no-op in release builds
-/// ([`DEBUG_ENABLED`]).
-pub fn debug(target: &str, msg: &str, fields: &[(&str, &str)]) {
-    if DEBUG_ENABLED {
-        log(Level::Debug, target, msg, fields);
-    }
 }
 
 /// A token-bucket-style limiter for hot-path logging: at most `limit`
@@ -228,23 +126,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_order_and_parse() {
-        assert!(Level::Error < Level::Warn);
-        assert!(Level::Warn < Level::Info);
-        assert!(Level::Info < Level::Debug);
-        for level in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
-            assert_eq!(Level::parse(level.name()), Some(level));
-        }
-        assert_eq!(Level::parse("INFO"), Some(Level::Info));
-        assert_eq!(Level::parse("trace"), None);
-        assert_eq!(Level::parse(""), None);
-    }
-
-    #[test]
     fn formatted_lines_are_valid_json() {
-        let line = format_line(
+        let line = warn_line(
             42,
-            Level::Warn,
             "serve",
             "bad frame \"x\"\n",
             &[("conn", "7"), ("why\t", "over\\size")],
@@ -272,17 +156,9 @@ mod tests {
 
     #[test]
     fn fieldless_lines_omit_the_fields_object() {
-        let line = format_line(1, Level::Info, "serve", "up", &[]);
+        let line = warn_line(1, "serve", "up", &[]);
         assert!(!line.contains("fields"));
         serde_json::from_str::<serde::Value>(&line).expect("still valid JSON");
-    }
-
-    #[test]
-    fn debug_compiles_out_in_release() {
-        assert_eq!(DEBUG_ENABLED, cfg!(debug_assertions));
-        if !DEBUG_ENABLED {
-            assert!(!enabled(Level::Debug));
-        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub mod workbench;
 pub use audit::{audit_app, audit_tables, explain_tables};
 pub use chart::{figure_chart, Figure};
 pub use experiments::Experiment;
-pub use profiling::{profile_pipeline, ProfileSummary};
+pub use profiling::{profile_pipeline, traced_eval, ProfileSummary};
 pub use snapshot::{
-    snapshot_files, snapshot_files_observed, verify_snapshot, write_snapshot, Drift, GOLDEN_SEED,
+    snapshot_files, snapshot_files_observed, verify_snapshot, write_snapshot, Drift, SnapshotCheck,
+    GOLDEN_SEED,
 };
 pub use sweep::{
     fleet_table, run_grid_journal_config, run_sweep, run_sweep_journaled, sweep_journal_config,

@@ -175,14 +175,23 @@ pub fn write_snapshot(bench: &Workbench, dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Compares the live snapshot for `bench` against the golden directory,
-/// byte-for-byte. Returns every drift found (empty = pass).
+/// What [`verify_snapshot`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotCheck {
+    /// Files in the live snapshot.
+    pub files: usize,
+    /// Every divergence from the golden directory (empty = pass).
+    pub drifts: Vec<Drift>,
+}
+
+/// Renders the live snapshot for `bench` once and compares it against
+/// the golden directory, byte-for-byte.
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures other than "golden file absent"
 /// (which is reported as [`Drift::Missing`]).
-pub fn verify_snapshot(bench: &Workbench, dir: &Path) -> io::Result<Vec<Drift>> {
+pub fn verify_snapshot(bench: &Workbench, dir: &Path) -> io::Result<SnapshotCheck> {
     let mut drifts = Vec::new();
     let expected = snapshot_files(bench);
     for (rel, actual) in &expected {
@@ -216,7 +225,10 @@ pub fn verify_snapshot(bench: &Workbench, dir: &Path) -> io::Result<Vec<Drift>> 
             }
         }
     }
-    Ok(drifts)
+    Ok(SnapshotCheck {
+        files: expected.len(),
+        drifts,
+    })
 }
 
 fn first_divergence(rel: &str, golden: &str, actual: &str) -> Drift {
@@ -289,14 +301,22 @@ mod tests {
     fn snapshot_roundtrip_and_drift_detection() {
         let dir = std::env::temp_dir().join(format!("pcap-golden-{}", std::process::id()));
         let bench = tiny_bench();
+        let verify = |dir: &Path| verify_snapshot(&bench, dir).expect("verify").drifts;
         write_snapshot(&bench, &dir).expect("write");
-        assert_eq!(verify_snapshot(&bench, &dir).expect("verify"), vec![]);
+        // The one render yields both the verdict and the file count.
+        assert_eq!(
+            verify_snapshot(&bench, &dir).expect("verify"),
+            SnapshotCheck {
+                files: snapshot_files(&bench).len(),
+                drifts: vec![],
+            }
+        );
 
         // Corrupt one report: drift is localised to that file.
         let victim = dir.join("reports/tiny.tp.json");
         let original = fs::read_to_string(&victim).unwrap();
         fs::write(&victim, original.replace(':', " :")).unwrap();
-        let drifts = verify_snapshot(&bench, &dir).expect("verify");
+        let drifts = verify(&dir);
         assert_eq!(drifts.len(), 1);
         assert!(
             matches!(&drifts[0], Drift::Changed { file, .. } if file == "reports/tiny.tp.json")
@@ -306,13 +326,13 @@ mod tests {
         fs::write(&victim, original).unwrap();
         fs::write(dir.join("tables/ghost.csv"), "boo\n").unwrap();
         fs::remove_file(dir.join("tables/fig7.csv")).unwrap();
-        let drifts = verify_snapshot(&bench, &dir).expect("verify");
+        let drifts = verify(&dir);
         assert!(drifts.contains(&Drift::Missing("tables/fig7.csv".into())));
         assert!(drifts.contains(&Drift::Unexpected("tables/ghost.csv".into())));
 
         // Re-blessing wipes stale files and passes again.
         write_snapshot(&bench, &dir).expect("rewrite");
-        assert_eq!(verify_snapshot(&bench, &dir).expect("verify"), vec![]);
+        assert_eq!(verify(&dir), vec![]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,11 +8,9 @@
 //! filtering and gap extraction once per app instead of once per cell.
 
 use pcap_core::PcapVariant;
-use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    decode_reports, encode_reports, evaluate_app, evaluate_prepared, evaluate_prepared_with,
-    run_journaled, AppReport, Journal, JournalError, NullObserver, PowerManagerKind, PreparedTrace,
-    SimConfig, SweepRunner,
+    decode_reports, encode_reports, evaluate_app, evaluate_prepared, run_journaled, AppReport,
+    Journal, JournalError, PowerManagerKind, PreparedTrace, SimConfig, SweepRunner,
 };
 use pcap_trace::{ApplicationTrace, TraceError};
 use pcap_workload::{AppModel, PaperApp};
@@ -88,32 +86,8 @@ impl Workbench {
         config: SimConfig,
         jobs: usize,
     ) -> Result<Workbench, TraceError> {
-        Workbench::generate_par_observed(seed, config, jobs, &NullPipeline)
-    }
-
-    /// [`generate_par`](Self::generate_par) with a [`PipelineObserver`]
-    /// attached: each trace generation runs inside a `generate:{app}`
-    /// span on a `"generate"` runner scope.
-    ///
-    /// # Errors
-    ///
-    /// Propagates trace-validation failures from the generator (a
-    /// workload-spec bug).
-    pub fn generate_par_observed<P: PipelineObserver>(
-        seed: u64,
-        config: SimConfig,
-        jobs: usize,
-        pipeline: &P,
-    ) -> Result<Workbench, TraceError> {
-        let apps = PaperApp::ALL;
         let traces = SweepRunner::new(jobs)
-            .run_observed(
-                "generate",
-                &apps,
-                |_, app| app.spec().generate_trace(seed),
-                |_, app| format!("generate:{}", app.name()),
-                pipeline,
-            )
+            .run(&PaperApp::ALL, |_, app| app.spec().generate_trace(seed))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Workbench::from_traces_seeded(seed, traces, config))
@@ -161,41 +135,13 @@ impl Workbench {
             .get_or_init(|| PreparedTrace::build(&self.traces[trace_idx], &self.config))
     }
 
-    /// [`prepared`](Self::prepared) with a [`PipelineObserver`]
-    /// attached: a first-use build runs inside a `build:{app}` span
-    /// and feeds the `prepare_us` histogram and `prepared_runs`
-    /// counter (an already-built preparation emits nothing).
-    pub fn prepared_observed<P: PipelineObserver>(
-        &self,
-        trace_idx: usize,
-        pipeline: &P,
-    ) -> &PreparedTrace {
-        self.prepared[trace_idx].get_or_init(|| {
-            PreparedTrace::build_traced(&self.traces[trace_idx], &self.config, pipeline)
-        })
-    }
-
     /// Builds every application's [`PreparedTrace`] up front, fanning
     /// the builds out on `jobs` worker threads. Idempotent.
     pub fn prepare_all(&self, jobs: usize) {
-        self.prepare_all_observed(jobs, &NullPipeline);
-    }
-
-    /// [`prepare_all`](Self::prepare_all) with a [`PipelineObserver`]
-    /// attached: the fan-out runs on a `"prepare"` runner scope with
-    /// one `prepare:{app}` task span per application, each wrapping the
-    /// engine-level `build:{app}` span of the actual stream build.
-    pub fn prepare_all_observed<P: PipelineObserver>(&self, jobs: usize, pipeline: &P) {
         let indices: Vec<usize> = (0..self.traces.len()).collect();
-        SweepRunner::new(jobs).run_observed(
-            "prepare",
-            &indices,
-            |_, &i| {
-                self.prepared_observed(i, pipeline);
-            },
-            |_, &i| format!("prepare:{}", self.traces[i].app),
-            pipeline,
-        );
+        SweepRunner::new(jobs).run(&indices, |_, &i| {
+            self.prepared(i);
+        });
     }
 
     /// Simulates every `(trace, kind)` cell not already memoized, on
@@ -208,20 +154,6 @@ impl Workbench {
     /// need no coordination beyond the memo lock: a cell two of them
     /// simulate lands in the memo with identical bytes either way.
     pub fn warm_up(&self, kinds: &[PowerManagerKind], jobs: usize) {
-        self.warm_up_observed(kinds, jobs, &NullPipeline);
-    }
-
-    /// [`warm_up`](Self::warm_up) with a [`PipelineObserver`] attached:
-    /// claimed cells evaluate on a `"warm_up"` runner scope — one
-    /// `cell:{app}×{manager}` span per cell, with the engine's nested
-    /// `eval:{app}×{manager}` span inside it — and per-worker
-    /// [`pcap_obs::WorkerStats`] report how evenly the grid sharded.
-    pub fn warm_up_observed<P: PipelineObserver>(
-        &self,
-        kinds: &[PowerManagerKind],
-        jobs: usize,
-        pipeline: &P,
-    ) {
         let pending: Vec<Cell> = {
             let memo = self.memo.lock().expect("memo lock");
             self.grid(kinds)
@@ -230,24 +162,10 @@ impl Workbench {
         };
         if !pending.is_empty() {
             // Share one preparation per app across the pending cells.
-            self.prepare_all_observed(jobs, pipeline);
-            let reports = SweepRunner::new(jobs).run_observed(
-                "warm_up",
-                &pending,
-                |_, &(trace_idx, kind)| {
-                    evaluate_prepared_with(
-                        self.prepared(trace_idx),
-                        &self.config,
-                        kind,
-                        &mut NullObserver,
-                        pipeline,
-                    )
-                },
-                |_, &(trace_idx, kind)| {
-                    format!("cell:{}×{}", self.traces[trace_idx].app, kind.label())
-                },
-                pipeline,
-            );
+            self.prepare_all(jobs);
+            let reports = SweepRunner::new(jobs).run(&pending, |_, &(trace_idx, kind)| {
+                evaluate_prepared(self.prepared(trace_idx), &self.config, kind)
+            });
             self.memo
                 .lock()
                 .expect("memo lock")

@@ -24,22 +24,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Load-run parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
     /// Target event rate in events/s (`None` = as fast as possible).
     pub events_per_sec: Option<u64>,
-    /// Give up waiting for outstanding responses after this long.
-    pub response_timeout: Duration,
 }
 
-impl Default for LoadOptions {
-    fn default() -> LoadOptions {
-        LoadOptions {
-            events_per_sec: None,
-            response_timeout: Duration::from_secs(60),
-        }
-    }
-}
+/// How long [`run_load`] waits for outstanding responses after the
+/// last frame is sent.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// What a load run achieved.
 #[derive(Debug, Clone)]
@@ -287,7 +280,7 @@ pub fn run_load(
     buf.clear();
 
     // Wait for every device to be positively retired.
-    let deadline = Instant::now() + options.response_timeout;
+    let deadline = Instant::now() + RESPONSE_TIMEOUT;
     let mut timed_out = false;
     while shared.devices_done.load(Ordering::Acquire) < devices {
         if Instant::now() > deadline {

@@ -92,15 +92,17 @@ pub struct ServeMetrics {
     pub shards: Vec<ShardStats>,
     started: Instant,
     sample_every: u64,
-    sample_capacity: usize,
     samples: Mutex<VecDeque<DecisionRecord>>,
 }
 
+/// Capacity of the audit sample ring behind `/audit`.
+const SAMPLE_CAPACITY: usize = 256;
+
 impl ServeMetrics {
     /// Metrics for `shards` shard workers, keeping one audit sample per
-    /// `sample_every` decisions in a ring of `sample_capacity` records
+    /// `sample_every` decisions in a ring of the latest 256 records
     /// (`sample_every == 0` disables sampling).
-    pub fn new(shards: usize, sample_every: u64, sample_capacity: usize) -> ServeMetrics {
+    pub fn new(shards: usize, sample_every: u64) -> ServeMetrics {
         ServeMetrics {
             connections: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
@@ -121,7 +123,6 @@ impl ServeMetrics {
             shards: (0..shards).map(|_| ShardStats::default()).collect(),
             started: Instant::now(),
             sample_every,
-            sample_capacity,
             samples: Mutex::new(VecDeque::new()),
         }
     }
@@ -140,7 +141,7 @@ impl ServeMetrics {
         self.gap_us.record(record.global_gap.as_micros());
         if self.sample_every > 0 && n.is_multiple_of(self.sample_every) {
             let mut ring = self.samples.lock().expect("sample ring poisoned");
-            if ring.len() == self.sample_capacity {
+            if ring.len() == SAMPLE_CAPACITY {
                 ring.pop_front();
             }
             ring.push_back(*record);
@@ -375,7 +376,7 @@ mod tests {
 
     #[test]
     fn rendered_exposition_validates_strictly() {
-        let m = ServeMetrics::new(3, 1, 16);
+        let m = ServeMetrics::new(3, 1);
         m.connections.fetch_add(2, Ordering::Relaxed);
         m.shards[0].enqueued.fetch_add(5, Ordering::Relaxed);
         m.shards[0].processed.fetch_add(3, Ordering::Relaxed);
@@ -406,7 +407,7 @@ mod tests {
 
     #[test]
     fn uptime_is_monotone_and_rendered() {
-        let m = ServeMetrics::new(1, 0, 0);
+        let m = ServeMetrics::new(1, 0);
         let a = m.uptime_seconds();
         let b = m.uptime_seconds();
         assert!(b >= a && a >= 0.0);
@@ -415,22 +416,23 @@ mod tests {
 
     #[test]
     fn sampling_keeps_a_bounded_ring() {
-        let m = ServeMetrics::new(1, 2, 3);
-        for i in 0..20 {
+        let m = ServeMetrics::new(1, 2);
+        for i in 0..600 {
             m.observe_decision(&record(GapVerdict::Hit, i));
         }
         let samples = m.sampled_records();
-        assert_eq!(samples.len(), 3, "ring is capacity-bounded");
-        // Every 2nd decision is sampled; the ring holds the last three.
+        assert_eq!(samples.len(), SAMPLE_CAPACITY, "ring is capacity-bounded");
+        // Every 2nd decision is sampled; the ring holds the last 256:
+        // decisions 89, 91, …, 599.
         assert_eq!(
             samples
                 .iter()
                 .map(|r| r.global_gap.as_micros())
                 .collect::<Vec<_>>(),
-            vec![15, 17, 19]
+            (89..600).step_by(2).collect::<Vec<_>>()
         );
         // sample_every = 0 disables sampling.
-        let off = ServeMetrics::new(1, 0, 3);
+        let off = ServeMetrics::new(1, 0);
         off.observe_decision(&record(GapVerdict::Hit, 1));
         assert!(off.sampled_records().is_empty());
     }

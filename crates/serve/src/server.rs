@@ -82,8 +82,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Keep one full audit record per this many decisions (0 = off).
     pub sample_every: u64,
-    /// Capacity of the audit sample ring.
-    pub sample_capacity: usize,
     /// Flight-recorder slots per ring (one ring per shard plus one for
     /// the reader threads; 0 disables recording entirely).
     pub flight_capacity: usize,
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             shards: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_depth: 1024,
             sample_every: 64,
-            sample_capacity: 256,
             flight_capacity: 4096,
             stage_metrics: true,
         }
@@ -280,11 +277,7 @@ pub fn start(
     if endpoints.is_empty() {
         return Err(Error::new(ErrorKind::InvalidInput, "no listen endpoints"));
     }
-    let metrics = Arc::new(ServeMetrics::new(
-        config.shards,
-        config.sample_every,
-        config.sample_capacity,
-    ));
+    let metrics = Arc::new(ServeMetrics::new(config.shards, config.sample_every));
     // One flight ring per shard (single-writer) plus one shared ring
     // for all reader threads.
     let flight = Arc::new(FlightRecorder::new(
@@ -473,10 +466,12 @@ fn spawn_acceptor<L: Acceptable>(
                             connection_reader(conn, read, write, &shared);
                         })
                         .expect("spawn connection reader");
-                    readers
-                        .lock()
-                        .expect("reader registry poisoned")
-                        .push(handle);
+                    let mut readers = readers.lock().expect("reader registry poisoned");
+                    // Drop the handles of exited readers: an exited
+                    // thread keeps its stack mapped until it is joined
+                    // or detached, and dropping its handle detaches it.
+                    readers.retain(|h| !h.is_finished());
+                    readers.push(handle);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -1028,5 +1023,37 @@ fn metrics_http_loop(
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_readers_leave_the_registry() {
+        let sock =
+            std::env::temp_dir().join(format!("pcap-serve-readers-{}.sock", std::process::id()));
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let handle = start(config, &[Endpoint::Uds(sock.clone())], None).expect("start");
+        for cycle in 1..=64 {
+            drop(UnixStream::connect(&sock).expect("connect"));
+            // The reader has seen EOF before the next connection is
+            // accepted, so every earlier reader has exited by then.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while handle.metrics.disconnects.load(Ordering::Relaxed) < cycle {
+                assert!(Instant::now() < deadline, "reader {cycle} never saw EOF");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let kept = handle.readers.lock().expect("reader registry").len();
+        handle.shutdown();
+        assert!(
+            kept <= 4,
+            "{kept} reader handles kept after 64 closed connections"
+        );
     }
 }

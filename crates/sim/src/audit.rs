@@ -399,13 +399,7 @@ pub fn audit_prepared(
     kind: PowerManagerKind,
 ) -> AuditOutcome {
     let mut collector = AuditCollector::new();
-    let report = evaluate_prepared_with(
-        prepared,
-        config,
-        kind,
-        &mut collector,
-        &pcap_obs::NullPipeline,
-    );
+    let report = evaluate_prepared_with(prepared, config, kind, &mut collector);
     collector.into_outcome(report)
 }
 

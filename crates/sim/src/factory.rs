@@ -177,7 +177,6 @@ impl Manager {
             wait_window: self.config.wait_window,
             breakeven: self.config.disk.breakeven_time(),
             history_len: self.config.pcap_history_len,
-            ignore_kernel_accesses: true,
             scheme: self.config.signature_scheme,
         }
     }

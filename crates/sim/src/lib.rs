@@ -61,8 +61,8 @@ pub use multistate::{
 pub use prepared::{evaluate_prepared, evaluate_prepared_with, PreparedTrace};
 pub use profile::WorkloadProfile;
 pub use stream::{
-    stream_device_report, sweep_fleet, sweep_fleet_observed, DeviceOutcome, FleetReport, FleetSlot,
-    ShardEvaluator, StreamWorker, FLEET_CHUNK,
+    stream_device_report, sweep_fleet, DeviceOutcome, FleetReport, FleetSlot, ShardEvaluator,
+    StreamWorker, FLEET_CHUNK,
 };
 pub use streams::{prepare_call_count, Lifetime, RunStreams};
 pub use sweep::{SeedStat, SweepRunner};

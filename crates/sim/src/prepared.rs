@@ -20,7 +20,6 @@ use crate::sweep::SweepRunner;
 use crate::SimConfig;
 use pcap_cache::CacheConfig;
 use pcap_disk::DiskParams;
-use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_trace::ApplicationTrace;
 use std::sync::Arc;
 
@@ -62,32 +61,6 @@ impl PreparedTrace {
     ) -> PreparedTrace {
         let streams = runner.run(&trace.runs, |_, run| RunStreams::build(run, config));
         PreparedTrace::assemble(trace, config, streams)
-    }
-
-    /// [`build`](Self::build) with a [`pcap_obs::PipelineObserver`]
-    /// attached: the whole preparation runs inside a `build:{app}`
-    /// span (distinct from the runner-level `prepare:{app}` task span
-    /// that may wrap it, mirroring the `cell:`/`eval:` split), its
-    /// duration feeds the `prepare_us` histogram, and the number of
-    /// prepared runs feeds the `prepared_runs` counter. With
-    /// [`pcap_obs::NullPipeline`] this is exactly
-    /// [`build`](Self::build).
-    pub fn build_traced<P: pcap_obs::PipelineObserver>(
-        trace: &ApplicationTrace,
-        config: &SimConfig,
-        pipeline: &P,
-    ) -> PreparedTrace {
-        if P::ENABLED {
-            let name = format!("build:{}", trace.app);
-            let started = std::time::Instant::now();
-            pipeline.span_begin(&name);
-            let prepared = PreparedTrace::build(trace, config);
-            pipeline.span_end(&name);
-            pipeline.observe_us("prepare_us", started.elapsed().as_micros() as u64);
-            pipeline.counter_add("prepared_runs", prepared.len() as u64);
-            return prepared;
-        }
-        PreparedTrace::build(trace, config)
     }
 
     fn assemble(
@@ -154,42 +127,26 @@ pub fn evaluate_prepared(
     config: &SimConfig,
     kind: PowerManagerKind,
 ) -> AppReport {
-    evaluate_prepared_with(prepared, config, kind, &mut NullObserver, &NullPipeline)
+    evaluate_prepared_with(prepared, config, kind, &mut NullObserver)
 }
 
-/// [`evaluate_prepared`] with observers attached: a
-/// [`DecisionObserver`] for the per-decision audit stream (`pcap
-/// audit`'s [`AuditCollector`](crate::AuditCollector), the bench
-/// guard's [`MetricsObserver`](crate::MetricsObserver)) and a
-/// [`PipelineObserver`] for pipeline-level spans and counters (`pcap
-/// profile`). [`NullObserver`] and [`NullPipeline`] compile their layer
-/// out.
-///
-/// Pipeline events: one `eval:{app}×{manager}` span around the whole
-/// run loop, one `runs` counter increment per simulated run, and an
-/// `eval_us` histogram sample for the span's duration.
+/// [`evaluate_prepared`] with a [`DecisionObserver`] attached for the
+/// per-decision audit stream (`pcap audit`'s
+/// [`AuditCollector`](crate::AuditCollector), the bench guard's
+/// [`MetricsObserver`](crate::MetricsObserver)). [`NullObserver`]
+/// compiles the layer out. Pipeline spans are the caller's to open
+/// around the call, as `pcap profile` does.
 ///
 /// # Panics
 ///
 /// Panics if `config` disagrees with the preparation config on cache
 /// or disk parameters (the streams would be stale).
-pub fn evaluate_prepared_with<O: DecisionObserver, P: PipelineObserver>(
+pub fn evaluate_prepared_with<O: DecisionObserver>(
     prepared: &PreparedTrace,
     config: &SimConfig,
     kind: PowerManagerKind,
     observer: &mut O,
-    pipeline: &P,
 ) -> AppReport {
-    if P::ENABLED {
-        let name = format!("eval:{}×{}", prepared.app(), kind.label());
-        let started = std::time::Instant::now();
-        pipeline.span_begin(&name);
-        let report = evaluate_charged(prepared, config, kind, &mut TwoStateCharge, observer);
-        pipeline.span_end(&name);
-        pipeline.observe_us("eval_us", started.elapsed().as_micros() as u64);
-        pipeline.counter_add("runs", prepared.len() as u64);
-        return report;
-    }
     evaluate_charged(prepared, config, kind, &mut TwoStateCharge, observer)
 }
 

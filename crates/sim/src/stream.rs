@@ -426,38 +426,9 @@ pub fn sweep_fleet(
     runner: &SweepRunner,
     max_runs: Option<usize>,
 ) -> Result<FleetReport, TraceError> {
-    sweep_fleet_observed(pop, config, kind, runner, max_runs, &pcap_obs::NullPipeline)
-}
-
-/// [`sweep_fleet`] with a [`pcap_obs::PipelineObserver`] attached: each
-/// chunk runs inside a `fleet:{start}..{end}` task span, and every
-/// chunk feeds the `fleet_devices` counter.
-///
-/// # Errors
-///
-/// Propagates the first [`TraceError`] from run generation, in fleet
-/// order.
-pub fn sweep_fleet_observed<P: pcap_obs::PipelineObserver>(
-    pop: &DevicePopulation,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    runner: &SweepRunner,
-    max_runs: Option<usize>,
-    pipeline: &P,
-) -> Result<FleetReport, TraceError> {
-    let results = runner.run_observed(
-        "fleet",
-        &fleet_chunks(pop.devices()),
-        |_, &chunk| {
-            let slots = evaluate_chunk(pop, config, kind, max_runs, chunk)?;
-            if P::ENABLED {
-                pipeline.counter_add("fleet_devices", chunk.1 - chunk.0);
-            }
-            Ok(slots)
-        },
-        |_, &(start, end)| format!("fleet:{start}..{end}"),
-        pipeline,
-    );
+    let results = runner.run(&fleet_chunks(pop.devices()), |_, &chunk| {
+        evaluate_chunk(pop, config, kind, max_runs, chunk)
+    });
     FleetReport::from_chunks(pop, kind, max_runs, results)
 }
 

@@ -266,11 +266,6 @@ impl RunStreams {
         self.access_pidx[i] as usize
     }
 
-    /// The lifetime of the process at compact index `pidx`.
-    pub fn lifetime_at(&self, pidx: usize) -> Lifetime {
-        self.lifetimes[pidx]
-    }
-
     /// The lifetime of `pid`, if it appears in the run.
     pub fn lifetime(&self, pid: Pid) -> Option<Lifetime> {
         self.pid_index(pid).map(|i| self.lifetimes[i])

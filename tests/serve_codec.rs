@@ -19,7 +19,7 @@ use pcap_dpm::types::{
 };
 use pcap_dpm::workload::{AppModel, PaperApp};
 use proptest::prelude::*;
-use serve_common::{decisions_of, drive_uds, push_run, temp_sock};
+use serve_common::{decisions_of, drive, push_run, temp_sock};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
@@ -277,7 +277,7 @@ fn oversized_prefix_closes_connection_but_not_server() {
     let mut script = Vec::new();
     push_run(&mut script, 9, &run);
     script.push(ClientFrame::DeviceEnd { device: 9 });
-    let frames = drive_uds(&sock, &script, 1);
+    let frames = drive(&Endpoint::Uds(sock.clone()), &script, 1);
     assert_eq!(decisions_of(&frames, 9), offline);
     handle.shutdown();
 }

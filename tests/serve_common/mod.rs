@@ -1,16 +1,17 @@
 //! Shared driver for the serve integration tests: a minimal client
-//! that writes a scripted frame sequence to a UDS endpoint while a
-//! background thread collects every server frame until the expected
-//! number of `DeviceSummary` frames (or EOF/timeout).
+//! that writes a scripted frame sequence to a daemon endpoint (Unix
+//! socket or TCP) while a background thread collects every server
+//! frame until the expected number of `DeviceSummary` frames (or
+//! EOF/timeout).
 
 // Each integration-test crate includes this module and uses a subset.
 #![allow(dead_code)]
 
-use pcap_dpm::serve::{decode_server, encode_client, ClientFrame, ServerFrame};
+use pcap_dpm::serve::{decode_server, encode_client, ClientFrame, Endpoint, ServerFrame};
 use pcap_dpm::types::wire;
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -27,16 +28,34 @@ pub fn temp_sock(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Writes `script` to the daemon at `path` and returns every server
+/// Writes `script` to the daemon at `endpoint` and returns every server
 /// frame received, in arrival order. Completion: `expect_summaries`
 /// `DeviceSummary` frames observed (script should end with that many
 /// `DeviceEnd` frames), EOF, or a 60 s safety timeout.
-pub fn drive_uds(path: &Path, script: &[ClientFrame], expect_summaries: u64) -> Vec<ServerFrame> {
-    let stream = UnixStream::connect(path).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .unwrap();
-    let mut read = stream.try_clone().expect("clone stream");
+pub fn drive(
+    endpoint: &Endpoint,
+    script: &[ClientFrame],
+    expect_summaries: u64,
+) -> Vec<ServerFrame> {
+    let timeout = Some(Duration::from_millis(50));
+    let (mut read, mut write): (Box<dyn Read + Send>, Box<dyn Write>) = match endpoint {
+        Endpoint::Tcp(addr) => {
+            let stream = TcpStream::connect(addr).expect("connect to daemon");
+            stream.set_read_timeout(timeout).unwrap();
+            (
+                Box::new(stream.try_clone().expect("clone stream")),
+                Box::new(stream),
+            )
+        }
+        Endpoint::Uds(path) => {
+            let stream = UnixStream::connect(path).expect("connect to daemon");
+            stream.set_read_timeout(timeout).unwrap();
+            (
+                Box::new(stream.try_clone().expect("clone stream")),
+                Box::new(stream),
+            )
+        }
+    };
     let frames: Arc<Mutex<Vec<ServerFrame>>> = Arc::new(Mutex::new(Vec::new()));
     let summaries = Arc::new(AtomicU64::new(0));
     let reader = {
@@ -84,7 +103,6 @@ pub fn drive_uds(path: &Path, script: &[ClientFrame], expect_summaries: u64) -> 
     for frame in script {
         encode_client(frame, &mut out);
     }
-    let mut write = stream;
     write.write_all(&out).expect("write script");
     write.flush().unwrap();
     reader.join().expect("reader thread");

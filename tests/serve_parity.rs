@@ -1,13 +1,14 @@
 //! Online/offline parity: the daemon's decision stream for the six
 //! seed-42 paper apps is byte-identical to the offline audit stream
-//! (`audit_prepared`), for any shard count and client interleaving.
+//! (`audit_prepared`), for any shard count, client interleaving and
+//! transport (Unix socket or TCP).
 
 mod serve_common;
 
 use pcap_dpm::serve::{put_record, ClientFrame, Endpoint, ServeConfig};
 use pcap_dpm::sim::{audit_prepared, DecisionRecord, PreparedTrace, SimConfig};
 use pcap_dpm::workload::{AppModel, DevicePopulation, PaperApp};
-use serve_common::{decisions_of, drive_uds, push_run, temp_sock};
+use serve_common::{decisions_of, drive, push_run, temp_sock};
 
 /// Offline reference: per-app audit records at seed 42.
 fn offline_records(config: &SimConfig) -> Vec<Vec<DecisionRecord>> {
@@ -69,27 +70,28 @@ fn script_six_apps(pop: &DevicePopulation, order: Order) -> Vec<ClientFrame> {
     script
 }
 
-fn assert_parity(shards: usize, order: Order, tag: &str, offline: &[Vec<DecisionRecord>]) {
+fn assert_parity(shards: usize, order: Order, listen: Endpoint, offline: &[Vec<DecisionRecord>]) {
     let pop = DevicePopulation::new(6, 42);
     let script = script_six_apps(&pop, order);
-    let sock = temp_sock(tag);
     let config = ServeConfig {
         shards,
         ..ServeConfig::default()
     };
-    let handle = pcap_dpm::serve::start(config, &[Endpoint::Uds(sock.clone())], None).unwrap();
-    let frames = drive_uds(&sock, &script, 6);
+    let handle = pcap_dpm::serve::start(config, std::slice::from_ref(&listen), None).unwrap();
+    // Port 0 binds an ephemeral port: dial the address the daemon got.
+    let dial = handle.tcp_addr().map_or(listen, Endpoint::Tcp);
+    let frames = drive(&dial, &script, 6);
     handle.shutdown();
     for device in 0..6u64 {
         let online = decisions_of(&frames, device);
         assert_eq!(
             online, offline[device as usize],
-            "{tag}: device {device} decision stream diverged (shards={shards})"
+            "{dial:?}: device {device} decision stream diverged (shards={shards})"
         );
         assert_eq!(
             record_bytes(&online),
             record_bytes(&offline[device as usize]),
-            "{tag}: device {device} decision bytes diverged (shards={shards})"
+            "{dial:?}: device {device} decision bytes diverged (shards={shards})"
         );
     }
 }
@@ -99,7 +101,10 @@ fn serve_decisions_match_offline_audit_across_shard_counts() {
     let config = SimConfig::paper();
     let offline = offline_records(&config);
     assert!(offline.iter().any(|r| !r.is_empty()));
-    assert_parity(1, Order::DeviceMajor, "parity-s1", &offline);
-    assert_parity(3, Order::Interleaved, "parity-s3", &offline);
-    assert_parity(8, Order::Interleaved, "parity-s8", &offline);
+    let uds = |tag| Endpoint::Uds(temp_sock(tag));
+    let tcp = Endpoint::Tcp(([127, 0, 0, 1], 0).into());
+    assert_parity(1, Order::DeviceMajor, uds("parity-s1"), &offline);
+    assert_parity(3, Order::Interleaved, uds("parity-s3"), &offline);
+    assert_parity(3, Order::Interleaved, tcp, &offline);
+    assert_parity(8, Order::Interleaved, uds("parity-s8"), &offline);
 }

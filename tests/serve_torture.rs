@@ -8,7 +8,7 @@ mod serve_common;
 use pcap_dpm::serve::{encode_client, ClientFrame, Endpoint, ServeConfig};
 use pcap_dpm::sim::{audit_prepared, DecisionRecord, PreparedTrace, SimConfig};
 use pcap_dpm::workload::{AppModel, PaperApp};
-use serve_common::{decisions_of, drive_uds, push_run, temp_sock};
+use serve_common::{decisions_of, drive, push_run, temp_sock};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
@@ -81,7 +81,7 @@ fn torture_disconnects_drain_and_reconnects_get_fresh_state() {
             for &device in &unique {
                 script.push(ClientFrame::DeviceEnd { device });
             }
-            let frames = drive_uds(&sock, &script, unique.len() as u64);
+            let frames = drive(&Endpoint::Uds(sock.clone()), &script, unique.len() as u64);
             (devices, unique, frames)
         }));
     }
@@ -173,7 +173,7 @@ fn torture_disconnects_drain_and_reconnects_get_fresh_state() {
     let mut script = Vec::new();
     push_run(&mut script, 0, &run0);
     script.push(ClientFrame::DeviceEnd { device: 0 });
-    let frames = drive_uds(&sock, &script, 1);
+    let frames = drive(&Endpoint::Uds(sock.clone()), &script, 1);
     assert_eq!(
         decisions_of(&frames, 0),
         offline_run0,

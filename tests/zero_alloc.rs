@@ -1,15 +1,13 @@
 //! Pins the zero-overhead-when-disabled contract at the allocator
-//! level: driving the instrumented evaluation path with
-//! [`NullPipeline`] must perform exactly the same number of heap
-//! allocations as the uninstrumented path — the `O::ENABLED` guards
-//! must compile the span names, timestamps and registry updates out
-//! entirely, not merely skip their delivery.
+//! level: `pcap profile`'s span around an evaluation
+//! ([`traced_eval`]) with [`NullPipeline`] must perform exactly the
+//! same number of heap allocations as the bare evaluation — the
+//! `ENABLED` guards must compile the span names, timestamps and
+//! registry updates out entirely, not merely skip their delivery.
 
 use pcap_dpm::obs::{span, NullPipeline, PipelineObserver, TraceRecorder};
-use pcap_dpm::sim::{
-    evaluate_prepared, evaluate_prepared_with, NullObserver, PowerManagerKind, PreparedTrace,
-    SimConfig,
-};
+use pcap_dpm::report::traced_eval;
+use pcap_dpm::sim::{evaluate_prepared, PowerManagerKind, PreparedTrace, SimConfig};
 use pcap_dpm::workload::{AppModel, PaperApp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,10 +58,10 @@ fn disabled_tracing_allocates_nothing_extra() {
     });
     assert_eq!(n, 0, "NullPipeline primitives must not allocate");
 
-    // The full evaluation path: the traced variant with NullPipeline
-    // must allocate exactly as much as the plain one. Warm both paths
-    // first so one-time lazy state (manager tables, scratch growth)
-    // doesn't skew the steady-state counts.
+    // The full evaluation path: a NullPipeline span around
+    // evaluate_prepared must allocate exactly as much as the bare
+    // call. Warm both paths first so one-time lazy state (manager
+    // tables, engine buffer growth) doesn't skew the steady-state counts.
     let trace = {
         let mut t = PaperApp::Nedit
             .spec()
@@ -75,31 +73,22 @@ fn disabled_tracing_allocates_nothing_extra() {
     let config = SimConfig::paper();
     let prepared = PreparedTrace::build(&trace, &config);
     let kind = PowerManagerKind::PCAP;
-    std::hint::black_box(evaluate_prepared(&prepared, &config, kind));
-    std::hint::black_box(evaluate_prepared_with(
-        &prepared,
-        &config,
-        kind,
-        &mut NullObserver,
-        &NullPipeline,
-    ));
+    let evaluate = || evaluate_prepared(&prepared, &config, kind);
+    std::hint::black_box(evaluate());
+    std::hint::black_box(traced_eval(&NullPipeline, &prepared, kind, evaluate));
 
-    let (plain, _) = allocs_during(|| evaluate_prepared(&prepared, &config, kind));
-    let (disabled, _) = allocs_during(|| {
-        evaluate_prepared_with(&prepared, &config, kind, &mut NullObserver, &NullPipeline)
-    });
+    let (plain, _) = allocs_during(evaluate);
+    let (disabled, _) = allocs_during(|| traced_eval(&NullPipeline, &prepared, kind, evaluate));
     assert_eq!(
         disabled, plain,
-        "NullPipeline tracing must add zero allocations to evaluate_prepared"
+        "a NullPipeline span must add zero allocations to evaluate_prepared"
     );
 
     // Sanity check on the counter itself: an enabled recorder pays for
     // its span name and event storage, so it must allocate strictly
     // more than the disabled path.
     let recorder = TraceRecorder::new();
-    let (enabled, _) = allocs_during(|| {
-        evaluate_prepared_with(&prepared, &config, kind, &mut NullObserver, &recorder)
-    });
+    let (enabled, _) = allocs_during(|| traced_eval(&recorder, &prepared, kind, evaluate));
     assert!(
         enabled > disabled,
         "recorder must be visible to the counter: {enabled} vs {disabled}"
