@@ -38,12 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pages;
 pub mod prefetch;
 
-pub use pcap_types::LruMap;
 pub use prefetch::{PcReadahead, ReadaheadConfig};
 
-use pcap_types::{DiskAccess, Fd, FileId, IoEvent, IoKind, Pid, SimDuration, SimTime, TraceEvent};
+use pages::{PageKey, PageTable};
+use pcap_types::{DiskAccess, Fd, IoEvent, IoKind, Pid, SimDuration, SimTime, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the file cache.
@@ -135,9 +136,6 @@ struct PageState {
     dirtied_at: SimTime,
 }
 
-/// Cache key: one 4 KB page of one file.
-type PageKey = (FileId, u64);
-
 /// The file cache simulator; see the [crate docs](crate) for an example.
 ///
 /// Events must be fed in non-decreasing time order (as produced by
@@ -145,7 +143,7 @@ type PageKey = (FileId, u64);
 #[derive(Debug, Clone)]
 pub struct FileCache {
     config: CacheConfig,
-    pages: LruMap<PageKey, PageState>,
+    pages: PageTable<PageState>,
     stats: CacheStats,
     readahead: Option<PcReadahead>,
     /// Flush ticks processed so far (tick k fires at k·interval).
@@ -165,7 +163,7 @@ impl FileCache {
         let readahead = config.readahead.map(PcReadahead::new);
         FileCache {
             config,
-            pages: LruMap::new(capacity),
+            pages: PageTable::new(capacity),
             stats: CacheStats::default(),
             readahead,
             ticks_done: 0,
@@ -179,7 +177,7 @@ impl FileCache {
     }
 
     /// Returns the cache to its cold state while keeping every allocated
-    /// capacity (page map, readahead tables), so one cache instance can
+    /// capacity (page table, readahead tables), so one cache instance can
     /// filter an unbounded stream of runs without per-run allocation.
     ///
     /// A reset cache is behaviorally indistinguishable from
@@ -212,14 +210,32 @@ impl FileCache {
     /// Runs pending flush-daemon wakeups up to (and including) `now`;
     /// each wakeup writes back the pages that have been dirty for at
     /// least the flush interval (age-based write-back, as in Linux).
+    ///
+    /// Wakeups that would find nothing expired are skipped: the loop
+    /// jumps to the first wakeup at or after the oldest dirty page's
+    /// expiry (or straight to `now` when nothing is dirty), so its cost
+    /// is one pass per flush, not per wakeup since the last event. A
+    /// skipped wakeup flushes nothing and touches no counter.
     fn run_flush_ticks(&mut self, now: SimTime, out: &mut Vec<DiskAccess>) {
         let wakeup = self.config.flush_wakeup.as_micros();
         if wakeup == 0 {
             return;
         }
         let due = now.as_micros() / wakeup;
+        let interval = self.config.flush_interval.as_micros();
         while self.ticks_done < due {
-            self.ticks_done += 1;
+            let oldest_dirty = self
+                .pages
+                .iter()
+                .filter(|(_, s)| s.dirty)
+                .map(|(_, s)| s.dirtied_at.as_micros())
+                .min();
+            let Some(dirtied_at) = oldest_dirty else {
+                self.ticks_done = due;
+                break;
+            };
+            let first_expired = dirtied_at.saturating_add(interval).div_ceil(wakeup);
+            self.ticks_done = first_expired.clamp(self.ticks_done + 1, due);
             let tick_time = SimTime::from_micros(self.ticks_done * wakeup);
             if let Some(access) = self.flush_expired(tick_time) {
                 self.stats.flush_runs += 1;
@@ -232,9 +248,8 @@ impl FileCache {
     /// one coalesced kernel write access (or `None` if none expired).
     ///
     /// The access is attributed to the process that dirtied the oldest
-    /// expired page, oldest `(dirtied_at, key)` first — a deterministic
-    /// choice (hash-map iteration order must never leak into simulation
-    /// results). Two passes over the page map instead of a sorted
+    /// expired page, oldest `(dirtied_at, key)` first — a choice that
+    /// does not depend on the page table's slot order. Two passes over the page table instead of a sorted
     /// scratch vector keep this allocation-free on the streaming path.
     fn flush_expired(&mut self, time: SimTime) -> Option<DiskAccess> {
         let expire = self.config.flush_interval;
@@ -292,6 +307,10 @@ impl FileCache {
     }
 
     /// The page range `[first, last]` touched by an I/O event.
+    ///
+    /// Runs validated by `TraceRunBuilder::finish` keep `offset + len`
+    /// within `u64` and `len` within `pcap_trace::MAX_RW_COUNT`, so the
+    /// sum cannot overflow and a range's page count fits a `u32`.
     fn page_range(&self, io: &IoEvent) -> (u64, u64) {
         let first = io.offset / self.config.page_size;
         let last = if io.len == 0 {
@@ -505,6 +524,7 @@ pub fn filter_run_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcap_types::FileId;
 
     fn ev(t: u64, kind: IoKind, file: u64, offset: u64, len: u64) -> IoEvent {
         IoEvent {
@@ -651,6 +671,34 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].time, SimTime::from_secs(70));
         assert_eq!(c.stats().flush_runs, 2);
+    }
+
+    #[test]
+    fn far_future_event_skips_idle_wakeups() {
+        // 2^60 µs is about 2.3 × 10^11 flush wakeups after the write;
+        // walking them one by one would take hours, so the access runs
+        // on a thread and the test fails rather than hangs.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut c = FileCache::new(CacheConfig::paper());
+            c.access(&ev(2, IoKind::Write, 1, 0, 4096));
+            let mut far = ev(0, IoKind::Close, 1, 0, 0);
+            far.time = SimTime::from_micros(1 << 60);
+            let out = c.access(&far);
+            tx.send((out, *c.stats(), c.dirty_pages())).unwrap();
+        });
+        let received = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            !matches!(received, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "flush catch-up must not walk every wakeup"
+        );
+        worker.join().expect("cache thread panicked");
+        let (out, stats, dirty) = received.expect("result sent before the thread ended");
+        assert_eq!(out.len(), 1);
+        assert!(out[0].is_kernel());
+        assert_eq!(out[0].time, SimTime::from_secs(35));
+        assert_eq!((stats.flush_runs, stats.flushed_pages), (1, 1));
+        assert_eq!(dirty, 0);
     }
 
     #[test]

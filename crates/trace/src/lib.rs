@@ -44,6 +44,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
+/// Largest byte count one I/O event may carry: Linux's per-call cap on
+/// `read`/`write` (`MAX_RW_COUNT`, `INT_MAX` rounded down to a 4 KB
+/// page), 524,288 pages of 4 KB.
+pub const MAX_RW_COUNT: u64 = 0x7fff_f000;
+
 /// Errors produced while building, validating or (de)serializing traces.
 #[derive(Debug)]
 pub enum TraceError {
@@ -61,6 +66,16 @@ pub enum TraceError {
     DuplicatePid(Pid),
     /// A process never exits before the end of the run.
     MissingExit(Pid),
+    /// An I/O event's byte range ends past `u64::MAX`, or its length
+    /// exceeds [`MAX_RW_COUNT`].
+    IoRange {
+        /// Index of the offending event (in time order).
+        index: usize,
+        /// The event's starting byte offset.
+        offset: u64,
+        /// The event's length in bytes.
+        len: u64,
+    },
     /// Underlying I/O failure while reading or writing a trace file.
     Io(std::io::Error),
     /// Malformed JSON while reading a trace file.
@@ -79,6 +94,11 @@ impl fmt::Display for TraceError {
             TraceError::EventAfterExit(pid) => write!(f, "event after exit of {pid}"),
             TraceError::DuplicatePid(pid) => write!(f, "fork of already-live {pid}"),
             TraceError::MissingExit(pid) => write!(f, "{pid} never exits"),
+            TraceError::IoRange { index, offset, len } => write!(
+                f,
+                "event {index} reads or writes {len} bytes at offset {offset}: \
+                 over the {MAX_RW_COUNT}-byte per-call cap or past the 64-bit offset range"
+            ),
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::Parse(e) => write!(f, "trace parse error: {e}"),
             TraceError::Format(msg) => write!(f, "trace format error: {msg}"),
@@ -246,15 +266,16 @@ impl TraceRunBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceError`] if any event references an unknown or
-    /// already-exited process, a fork duplicates a live pid, or a
-    /// process never exits.
+    /// already-exited process, a fork duplicates a live pid, a process
+    /// never exits, or an I/O's byte range overflows or exceeds
+    /// [`MAX_RW_COUNT`] ([`TraceError::IoRange`]).
     pub fn finish(mut self) -> Result<TraceRun, TraceError> {
         self.events.sort_by_key(TraceEvent::time);
 
         let mut live: HashSet<Pid> = HashSet::from([self.root]);
         let mut exited: HashSet<Pid> = HashSet::new();
         let mut end = SimTime::ZERO;
-        for e in &self.events {
+        for (index, e) in self.events.iter().enumerate() {
             end = end.max(e.time());
             match *e {
                 TraceEvent::Fork { parent, child, .. } => {
@@ -286,6 +307,13 @@ impl TraceRunBuilder {
                             TraceError::EventAfterExit(io.pid)
                         } else {
                             TraceError::UnknownPid(io.pid)
+                        });
+                    }
+                    if io.len > MAX_RW_COUNT || io.offset.checked_add(io.len).is_none() {
+                        return Err(TraceError::IoRange {
+                            index,
+                            offset: io.offset,
+                            len: io.len,
                         });
                     }
                 }
@@ -375,6 +403,44 @@ mod tests {
         let mut b = TraceRunBuilder::new(Pid(1));
         b.event(io_at(20, Pid(1)));
         assert!(matches!(b.finish(), Err(TraceError::MissingExit(Pid(1)))));
+    }
+
+    #[test]
+    fn io_byte_ranges_are_bounded() {
+        let with_range = |offset: u64, len: u64| {
+            let mut b = TraceRunBuilder::new(Pid(1));
+            b.io(
+                SimTime::from_millis(1),
+                Pid(1),
+                Pc(0x42),
+                IoKind::Read,
+                Fd(3),
+                FileId(1),
+                offset,
+                len,
+            );
+            b.exit(SimTime::from_millis(2), Pid(1));
+            b.finish()
+        };
+        // Exactly one call's worth is accepted, at any offset that
+        // leaves room for it.
+        assert!(with_range(0, MAX_RW_COUNT).is_ok());
+        assert!(with_range(u64::MAX - MAX_RW_COUNT, MAX_RW_COUNT).is_ok());
+        assert!(with_range(u64::MAX, 0).is_ok());
+        assert!(matches!(
+            with_range(0, MAX_RW_COUNT + 1),
+            Err(TraceError::IoRange { index: 0, offset: 0, len }) if len == MAX_RW_COUNT + 1
+        ));
+        let err = with_range(u64::MAX - 100, 4096).unwrap_err();
+        assert!(matches!(
+            err,
+            TraceError::IoRange {
+                index: 0,
+                len: 4096,
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("per-call cap"), "{err}");
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Small utility collections shared across the workspace.
 //!
-//! [`LruMap`] backs the file cache (64 pages in the paper configuration) and the
-//! optional prediction-table capacity limit in
-//! [`pcap-core`](https://docs.rs/pcap-core). Recency is a monotone
-//! per-entry sequence number: touching an entry is a single in-place
-//! store on the hash-table hot path, and eviction scans for the minimum
-//! sequence — `O(capacity)` but only on inserts into a full map, which
-//! the unbounded prediction tables never hit. The whole structure
-//! performs **zero heap allocations in steady state** (the streaming
-//! fleet pipeline replays millions of devices through one cache, so the
-//! per-access path must not churn the allocator): values live inline in
-//! the table, eviction reuses the table's storage, and `clear` keeps
-//! its capacity.
+//! [`LruMap`] backs the prediction tables of
+//! [`pcap-core`](https://docs.rs/pcap-core), unbounded by default and
+//! optionally capped for the LRU-capacity ablation. Recency is a
+//! monotone per-entry sequence number: touching an entry is a single
+//! in-place store on the hash-table hot path, and eviction scans for
+//! the minimum sequence — `O(capacity)` but only on inserts into a full
+//! map, which the unbounded tables never hit. The tables grow with the
+//! PCs a client sends, so the map keeps std's keyed `RandomState` hash.
+//! The whole structure performs **zero heap allocations in steady
+//! state** once its table has grown: values live inline in the table,
+//! eviction reuses the table's storage, and `clear` keeps its capacity.
+//! (The file cache has its own page table with O(1) eviction.)
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -123,11 +123,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// recency.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, (_, v))| (k, v))
-    }
-
-    /// Mutable iteration in unspecified order without affecting recency.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.entries.iter_mut().map(|(k, (_, v))| (k, v))
     }
 
     /// Iterates over keys from least- to most-recently used, without

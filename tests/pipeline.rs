@@ -74,6 +74,80 @@ fn cache_reduces_or_preserves_access_count() {
     }
 }
 
+/// Pins what the paper's 256 KB cache does on each full Table 1 trace
+/// at seed 42: I/O events in, disk accesses out, and the summed
+/// per-run `CacheStats`. These traces almost never re-touch a resident
+/// page, so they barely exercise recency order; the page table's
+/// proptest against `LruMap` in `pcap-cache` covers that.
+#[test]
+fn table1_cache_counters_are_pinned() {
+    use pcap_dpm::cache::{filter_run, CacheStats};
+    // (app, I/O events, disk accesses, page hits, page misses,
+    //  evictions, eviction write-backs, flushed pages, flush runs)
+    let expected: [(PaperApp, usize, usize, [u64; 6]); 6] = [
+        (
+            PaperApp::Mozilla,
+            72_660,
+            71_941,
+            [876, 138_892, 135_803, 2_292, 415, 161],
+        ),
+        (
+            PaperApp::Writer,
+            81_768,
+            81_143,
+            [33, 235_576, 235_062, 280, 73, 23],
+        ),
+        (
+            PaperApp::Impress,
+            113_241,
+            113_640,
+            [19, 375_953, 377_441, 1_513, 169, 16],
+        ),
+        (
+            PaperApp::Xemacs,
+            67_747,
+            67_664,
+            [99, 135_204, 133_258, 28, 68, 13],
+        ),
+        (PaperApp::Nedit, 6_049, 6_049, [29, 12_016, 10_276, 0, 0, 0]),
+        (
+            PaperApp::Mplayer,
+            464_711,
+            464_711,
+            [31, 960_158, 958_174, 0, 0, 0],
+        ),
+    ];
+    let config = SimConfig::paper();
+    for (app, ios, accesses, counters) in expected {
+        let trace = app.spec().generate_trace(42).expect("valid spec");
+        let mut total = CacheStats::default();
+        let mut disk = 0;
+        for run in &trace.runs {
+            let (out, stats) = filter_run(run, &config.cache);
+            disk += out.len();
+            total.page_hits += stats.page_hits;
+            total.page_misses += stats.page_misses;
+            total.evictions += stats.evictions;
+            total.eviction_writebacks += stats.eviction_writebacks;
+            total.flushed_pages += stats.flushed_pages;
+            total.flush_runs += stats.flush_runs;
+        }
+        let got = [
+            total.page_hits,
+            total.page_misses,
+            total.evictions,
+            total.eviction_writebacks,
+            total.flushed_pages,
+            total.flush_runs,
+        ];
+        assert_eq!(
+            (trace.total_ios(), disk, got),
+            (ios, accesses, counters),
+            "{app}"
+        );
+    }
+}
+
 #[test]
 fn simulator_is_deterministic() {
     let trace = truncated(PaperApp::Writer, 3);

@@ -71,9 +71,11 @@ proptest! {
 proptest! {
     /// The cache never exceeds its capacity, never emits out-of-order
     /// accesses, and only the flush daemon writes with the kernel PC
-    /// (given app-PC events).
+    /// (given app-PC events) — at the paper's 64 pages and at one and
+    /// two pages, where almost every access evicts.
     #[test]
     fn cache_invariants(
+        capacity_pages in 0usize..3,
         events in prop::collection::vec(
             (0u64..120_000u64, 0u8..3, 0u64..4, 0u64..40, 1u64..5),
             1..150,
@@ -81,8 +83,10 @@ proptest! {
     ) {
         let mut sorted = events;
         sorted.sort_by_key(|e| e.0);
-        let mut cache = FileCache::new(CacheConfig::paper());
-        let capacity = CacheConfig::paper().capacity_pages() as usize;
+        let mut config = CacheConfig::paper();
+        config.capacity_bytes = [1, 2, 64][capacity_pages] * config.page_size;
+        let capacity = config.capacity_pages() as usize;
+        let mut cache = FileCache::new(config);
         let mut last_time = SimTime::ZERO;
         for (t_ms, kind, file, page, pages) in sorted {
             let kind = match kind {

@@ -3,13 +3,14 @@
 //! no-panic on byte soup, and the server's bad-frame policy
 //! (truncated header, oversized length prefix, unknown frame tag)
 //! keeping connection and device state consistent while counting
-//! `bad_frames`.
+//! `bad_frames`, plus the rejection of runs whose I/O byte ranges are
+//! out of bounds.
 
 mod serve_common;
 
 use pcap_dpm::core::VoteSource;
 use pcap_dpm::serve::{
-    decode_client, decode_server, encode_client, encode_server, get_record, put_record,
+    decode_client, decode_server, encode_client, encode_server, get_record, put_record, shard_of,
     ClientFrame, Endpoint, ServeConfig, ServerFrame,
 };
 use pcap_dpm::sim::{audit_prepared, DecisionRecord, GapVerdict, PreparedTrace, SimConfig};
@@ -320,5 +321,48 @@ fn unknown_tag_is_skipped_and_device_state_stays_consistent() {
         "decision count must match the clean offline run"
     );
     drop(stream);
+    handle.shutdown();
+}
+
+#[test]
+fn out_of_range_io_rejects_the_run_and_spares_its_shard() {
+    let (handle, sock) = start_server("iorange");
+    let metrics = handle.metrics().clone();
+    let (run, offline) = nedit_run0();
+    let good = 11u64;
+    let bad = (good + 1..)
+        .find(|&d| shard_of(d, 2) == shard_of(good, 2))
+        .unwrap();
+
+    // The same run, with one read whose byte range ends past u64::MAX.
+    let mut hostile = run.clone();
+    let io = hostile
+        .events
+        .iter_mut()
+        .find_map(|e| match e {
+            TraceEvent::Io(io) if io.kind == IoKind::Read => Some(io),
+            _ => None,
+        })
+        .expect("nedit reads");
+    io.offset = u64::MAX - 100;
+
+    let mut script = Vec::new();
+    push_run(&mut script, bad, &hostile);
+    push_run(&mut script, good, &run);
+    script.push(ClientFrame::DeviceEnd { device: good });
+    script.push(ClientFrame::DeviceEnd { device: bad });
+    let frames = drive(&Endpoint::Uds(sock.clone()), &script, 2);
+
+    assert!(frames.contains(&ServerFrame::RunRejected {
+        device: bad,
+        run: 0
+    }));
+    assert!(decisions_of(&frames, bad).is_empty());
+    assert_eq!(metrics.run_rejects.load(Ordering::Relaxed), 1);
+    assert_eq!(decisions_of(&frames, good), offline);
+    assert!(frames.iter().any(|f| matches!(
+        f,
+        ServerFrame::DeviceSummary { device, runs: 0, .. } if *device == bad
+    )));
     handle.shutdown();
 }
