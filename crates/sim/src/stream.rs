@@ -96,7 +96,8 @@ impl StreamWorker {
     }
 
     /// Evaluates device `device` of `pop` end to end: generates each
-    /// run (the only allocating stage), streams it through
+    /// run (the only stage that allocates once buffers are warm, per
+    /// run rather than per I/O), streams it through
     /// [`evaluate_run`](Self::evaluate_run), and drops it.
     /// `max_runs` truncates the device's Table 1 execution count (the
     /// `--quick` mode); `None` evaluates the full trace.

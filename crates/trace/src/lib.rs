@@ -52,11 +52,6 @@ pub const MAX_RW_COUNT: u64 = 0x7fff_f000;
 /// Errors produced while building, validating or (de)serializing traces.
 #[derive(Debug)]
 pub enum TraceError {
-    /// Events are not in non-decreasing time order.
-    UnsortedEvents {
-        /// Index of the offending event.
-        index: usize,
-    },
     /// An event references a process that was never forked (and is not
     /// the root).
     UnknownPid(Pid),
@@ -87,9 +82,6 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::UnsortedEvents { index } => {
-                write!(f, "event {index} is earlier than its predecessor")
-            }
             TraceError::UnknownPid(pid) => write!(f, "event references unforked {pid}"),
             TraceError::EventAfterExit(pid) => write!(f, "event after exit of {pid}"),
             TraceError::DuplicatePid(pid) => write!(f, "fork of already-live {pid}"),
@@ -267,8 +259,10 @@ impl TraceRunBuilder {
     ///
     /// Returns a [`TraceError`] if any event references an unknown or
     /// already-exited process, a fork duplicates a live pid, a process
-    /// never exits, or an I/O's byte range overflows or exceeds
-    /// [`MAX_RW_COUNT`] ([`TraceError::IoRange`]).
+    /// never exits ([`TraceError::MissingExit`] names the first such
+    /// pid in start order: the root, then children in fork order), or
+    /// an I/O's byte range overflows or exceeds [`MAX_RW_COUNT`]
+    /// ([`TraceError::IoRange`]).
     pub fn finish(mut self) -> Result<TraceRun, TraceError> {
         self.events.sort_by_key(TraceEvent::time);
 
@@ -319,14 +313,20 @@ impl TraceRunBuilder {
                 }
             }
         }
-        if let Some(&pid) = live.iter().next() {
-            return Err(TraceError::MissingExit(pid));
-        }
-        Ok(TraceRun {
+        let run = TraceRun {
             root: self.root,
             events: self.events,
             end,
-        })
+        };
+        if !live.is_empty() {
+            let first_live = run
+                .pids()
+                .into_iter()
+                .find(|pid| live.contains(pid))
+                .expect("every live pid is the root or a forked child");
+            return Err(TraceError::MissingExit(first_live));
+        }
+        Ok(run)
     }
 }
 
@@ -381,13 +381,19 @@ mod tests {
 
     #[test]
     fn io_after_exit_rejected() {
-        let mut b = TraceRunBuilder::new(Pid(1));
-        b.exit(SimTime::from_millis(10), Pid(1));
-        b.event(io_at(20, Pid(1)));
-        assert!(matches!(
-            b.finish(),
-            Err(TraceError::EventAfterExit(Pid(1)))
-        ));
+        // Also with an I/O by the same pid before its exit.
+        for io_before_exit in [false, true] {
+            let mut b = TraceRunBuilder::new(Pid(1));
+            if io_before_exit {
+                b.event(io_at(5, Pid(1)));
+            }
+            b.exit(SimTime::from_millis(10), Pid(1));
+            b.event(io_at(20, Pid(1)));
+            assert!(matches!(
+                b.finish(),
+                Err(TraceError::EventAfterExit(Pid(1)))
+            ));
+        }
     }
 
     #[test]
@@ -403,6 +409,36 @@ mod tests {
         let mut b = TraceRunBuilder::new(Pid(1));
         b.event(io_at(20, Pid(1)));
         assert!(matches!(b.finish(), Err(TraceError::MissingExit(Pid(1)))));
+    }
+
+    #[test]
+    fn missing_exit_names_the_first_live_pid_in_start_order() {
+        // The root, then children in fork order — never an order that
+        // depends on a hash set's random keys.
+        let build = |children: [u32; 5], root_exits: bool| {
+            let mut b = TraceRunBuilder::new(Pid(1));
+            for (i, child) in (1..).zip(children) {
+                b.fork(SimTime::from_millis(i), Pid(1), Pid(child));
+            }
+            if root_exits {
+                b.exit(SimTime::from_millis(10), Pid(1));
+            }
+            b.finish()
+        };
+        for _ in 0..64 {
+            assert!(matches!(
+                build([2, 3, 4, 5, 6], false),
+                Err(TraceError::MissingExit(Pid(1)))
+            ));
+            assert!(matches!(
+                build([2, 3, 4, 5, 6], true),
+                Err(TraceError::MissingExit(Pid(2)))
+            ));
+            assert!(matches!(
+                build([6, 5, 4, 3, 2], true),
+                Err(TraceError::MissingExit(Pid(6)))
+            ));
+        }
     }
 
     #[test]

@@ -26,11 +26,10 @@
 use crate::dists::{CountDist, TimeDist};
 use pcap_capture::{CaptureStrategy, InstrumentedProcess, SiteMap};
 use pcap_trace::{TraceError, TraceRun, TraceRunBuilder};
-use pcap_types::{Fd, FileId, IoKind, Pid, SimDuration, SimTime};
+use pcap_types::{Fd, FileId, IoKind, Pc, Pid, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One I/O operation issued by an activity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -438,77 +437,129 @@ fn fnv64(chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-/// Per-run file bookkeeping: stable fds per tag, per-instance file ids,
-/// sequential cursors.
-struct FileSpace {
-    app: String,
+/// Per-run file bookkeeping: one entry per file tag, interned on first
+/// use in the run by the tag borrowed from the spec (an app has a
+/// handful of tags, so a linear scan finds them).
+struct FileSpace<'a> {
+    app: &'a str,
     run: usize,
-    /// tag → instance counter (bumped by fresh activities).
-    instances: HashMap<String, u64>,
-    /// (tag, instance) → sequential page cursor.
-    cursors: HashMap<(String, u64), u64>,
+    tags: Vec<TagFile<'a>>,
 }
 
-impl FileSpace {
-    fn new(app: &str, run: usize) -> FileSpace {
+/// One file tag's state within a run.
+struct TagFile<'a> {
+    tag: &'a str,
+    /// Stable descriptor for the tag: deterministic across runs and
+    /// executions (§4.1.2 — descriptors "show less variability").
+    fd: Fd,
+    /// Instance counter, bumped by fresh activities.
+    instance: u64,
+    /// The current instance's file id.
+    file: FileId,
+    /// Sequential page cursor of the current instance.
+    cursor: u64,
+}
+
+impl<'a> FileSpace<'a> {
+    fn new(app: &'a str, run: usize) -> FileSpace<'a> {
         FileSpace {
-            app: app.to_owned(),
+            app,
             run,
-            instances: HashMap::new(),
-            cursors: HashMap::new(),
+            tags: Vec::new(),
         }
     }
 
-    /// Stable descriptor for a tag: deterministic across runs and
-    /// executions (§4.1.2 — descriptors "show less variability").
-    fn fd(&self, tag: &str) -> Fd {
-        Fd(3 + (fnv64(&[tag.as_bytes()]) % 13) as u32)
-    }
-
-    fn instance(&self, tag: &str) -> u64 {
-        self.instances.get(tag).copied().unwrap_or(0)
-    }
-
-    /// Bump the instance of a tag (fresh content).
-    fn refresh(&mut self, tag: &str) {
-        *self.instances.entry(tag.to_owned()).or_insert(0) += 1;
-    }
-
-    fn file_id(&self, tag: &str) -> FileId {
+    fn file_id(&self, tag: &str, instance: u64) -> FileId {
         FileId(fnv64(&[
             self.app.as_bytes(),
             tag.as_bytes(),
             &self.run.to_le_bytes(),
-            &self.instance(tag).to_le_bytes(),
+            &instance.to_le_bytes(),
         ]))
     }
 
-    /// Advances the sequential cursor of the tag's current instance by
-    /// `pages`, returning the starting byte offset.
-    fn advance(&mut self, tag: &str, pages: u64) -> u64 {
-        let key = (tag.to_owned(), self.instance(tag));
-        let cursor = self.cursors.entry(key).or_insert(0);
-        let offset = *cursor * 4096;
-        *cursor += pages;
+    /// Index of the tag's entry, interned at instance 0 on first use.
+    fn intern(&mut self, tag: &'a str) -> usize {
+        if let Some(index) = self.tags.iter().position(|f| f.tag == tag) {
+            return index;
+        }
+        self.tags.push(TagFile {
+            tag,
+            fd: Fd(3 + (fnv64(&[tag.as_bytes()]) % 13) as u32),
+            instance: 0,
+            file: self.file_id(tag, 0),
+            cursor: 0,
+        });
+        self.tags.len() - 1
+    }
+
+    /// The tag's entry: its fd, current file id and cursor.
+    fn open(&mut self, tag: &'a str) -> &mut TagFile<'a> {
+        let index = self.intern(tag);
+        &mut self.tags[index]
+    }
+
+    /// Bumps the tag to a new instance (fresh content) whose cursor
+    /// starts at page 0.
+    fn refresh(&mut self, tag: &'a str) {
+        let index = self.intern(tag);
+        let instance = self.tags[index].instance + 1;
+        let file = self.file_id(tag, instance);
+        let entry = &mut self.tags[index];
+        entry.instance = instance;
+        entry.file = file;
+        entry.cursor = 0;
+    }
+}
+
+impl TagFile<'_> {
+    /// Advances the current instance's cursor by `pages`, returning the
+    /// starting byte offset.
+    fn advance(&mut self, pages: u32) -> u64 {
+        let offset = self.cursor * 4096;
+        self.cursor += u64::from(pages);
         offset
     }
 }
 
+/// One process of the run.
+struct Process {
+    stack: InstrumentedProcess,
+    /// Earliest next event time (keeps helper bursts ordered).
+    free: SimTime,
+}
+
 /// The generation engine for one run.
+///
+/// Everything that changes only per op execution — the site PC, the
+/// tag's fd, file id and cursor, the issuing process — is resolved
+/// before an op's repeat loop, so each I/O costs its RNG draws, the
+/// capture and the event push. PCs resolve through `sites` at first use
+/// in the run, in the order the run first reaches each site: the map's
+/// collision probing depends on that order.
 struct RunEngine<'a> {
     spec: &'a AppSpec,
     rng: StdRng,
     sites: SiteMap,
-    files: FileSpace,
+    files: FileSpace<'a>,
     builder: TraceRunBuilder,
-    /// Per-pid instrumented processes.
-    procs: HashMap<Pid, InstrumentedProcess>,
-    /// Per-pid earliest next event time (keeps helper bursts ordered).
-    next_free: HashMap<Pid, SimTime>,
+    /// Processes by pid: the root, then the helpers in fork order.
+    procs: Vec<Process>,
+    /// The (pid, activity) pairs run so far, each with the index in
+    /// `pcs` of its entry PC; the PC of its step `i` follows at
+    /// `index + 1 + i`. Activities are matched by identity in `spec`.
+    roles: Vec<(Pid, &'a Activity, usize)>,
+    /// Resolved PCs, `None` until first use.
+    pcs: Vec<Option<Pc>>,
 }
 
 /// Root process id.
 const ROOT: Pid = Pid(1);
+
+/// Index of `pid` in [`RunEngine::procs`].
+fn proc_index(pid: Pid) -> usize {
+    (pid.0 - ROOT.0) as usize
+}
 
 impl<'a> RunEngine<'a> {
     fn new(spec: &'a AppSpec, seed: u64, run: usize) -> RunEngine<'a> {
@@ -517,18 +568,20 @@ impl<'a> RunEngine<'a> {
             &seed.to_le_bytes(),
             &run.to_le_bytes(),
         ]));
-        let mut procs = HashMap::new();
-        let mut proc_root = InstrumentedProcess::new(ROOT, spec.capture);
-        proc_root.enter(SiteMap::new(&spec.name).pc("main"));
-        procs.insert(ROOT, proc_root);
+        let mut root = InstrumentedProcess::new(ROOT, spec.capture);
+        root.enter(SiteMap::new(&spec.name).pc("main"));
         RunEngine {
             spec,
             rng,
             sites: SiteMap::new(&spec.name),
             files: FileSpace::new(&spec.name, run),
             builder: TraceRunBuilder::new(ROOT),
-            procs,
-            next_free: HashMap::new(),
+            procs: vec![Process {
+                stack: root,
+                free: SimTime::ZERO,
+            }],
+            roles: Vec::new(),
+            pcs: Vec::new(),
         }
     }
 
@@ -545,28 +598,48 @@ impl<'a> RunEngine<'a> {
         options.last().expect("non-empty weights").0
     }
 
-    /// Executes `activity` on process `pid` starting no earlier than
-    /// `start`; returns the completion time.
-    fn run_activity(&mut self, pid: Pid, start: SimTime, activity: &Activity) -> SimTime {
-        let free = self.next_free.get(&pid).copied().unwrap_or(SimTime::ZERO);
-        let mut t = start.max(free);
-        if activity.fresh_files {
-            let tags: Vec<String> = activity
-                .steps
-                .iter()
-                .filter_map(|s| match s {
-                    ActivityStep::Io(op) => Some(op.file.clone()),
-                    ActivityStep::Pause(_) => None,
-                })
-                .collect();
-            for tag in tags {
-                self.files.refresh(&tag);
+    /// Index in `pcs` of the entry PC of `activity` run by `pid`.
+    fn role(&mut self, pid: Pid, activity: &'a Activity) -> usize {
+        let known = self
+            .roles
+            .iter()
+            .find(|&&(p, a, _)| p == pid && std::ptr::eq(a, activity));
+        if let Some(&(_, _, base)) = known {
+            return base;
+        }
+        let base = self.pcs.len();
+        self.pcs.resize(base + 1 + activity.steps.len(), None);
+        self.roles.push((pid, activity, base));
+        base
+    }
+
+    /// The PC at `pcs[index]`, resolving `site` on first use.
+    fn pc(&mut self, index: usize, site: impl FnOnce() -> String) -> Pc {
+        match self.pcs[index] {
+            Some(pc) => pc,
+            None => {
+                let pc = self.sites.pc(&site());
+                self.pcs[index] = Some(pc);
+                pc
             }
         }
-        let entry_pc = self.sites.pc(&format!("{}::{}", pid.0, activity.name));
-        let proc = self.procs.get_mut(&pid).expect("known pid");
-        proc.enter(entry_pc);
-        for step in &activity.steps {
+    }
+
+    /// Executes `activity` on process `pid` starting no earlier than
+    /// `start`; returns the completion time.
+    fn run_activity(&mut self, pid: Pid, start: SimTime, activity: &'a Activity) -> SimTime {
+        let mut t = start.max(self.procs[proc_index(pid)].free);
+        if activity.fresh_files {
+            for step in &activity.steps {
+                if let ActivityStep::Io(op) = step {
+                    self.files.refresh(&op.file);
+                }
+            }
+        }
+        let base = self.role(pid, activity);
+        let entry_pc = self.pc(base, || format!("{}::{}", pid.0, activity.name));
+        self.procs[proc_index(pid)].stack.enter(entry_pc);
+        for (i, step) in activity.steps.iter().enumerate() {
             match step {
                 ActivityStep::Pause(dist) => {
                     t += dist.sample(&mut self.rng);
@@ -576,14 +649,14 @@ impl<'a> RunEngine<'a> {
                         continue;
                     }
                     let repeats = op.repeat.sample(&mut self.rng);
-                    let site_pc = self
-                        .sites
-                        .pc(&format!("{}::{}::{}", pid.0, activity.name, op.site));
+                    let site_pc = self.pc(base + 1 + i, || {
+                        format!("{}::{}::{}", pid.0, activity.name, op.site)
+                    });
+                    let file = self.files.open(&op.file);
+                    let proc = &mut self.procs[proc_index(pid)].stack;
                     for _ in 0..repeats {
                         let pages = op.pages.sample(&mut self.rng);
-                        let len = u64::from(pages) * 4096;
-                        let offset = self.files.advance(&op.file, u64::from(pages));
-                        let proc = self.procs.get_mut(&pid).expect("known pid");
+                        let offset = file.advance(pages);
                         proc.enter(site_pc);
                         let captured = proc
                             .issue_io(self.spec.io_library_depth)
@@ -594,10 +667,10 @@ impl<'a> RunEngine<'a> {
                             pid,
                             captured.pc,
                             op.kind,
-                            self.files.fd(&op.file),
-                            self.files.file_id(&op.file),
+                            file.fd,
+                            file.file,
                             offset,
-                            len,
+                            u64::from(pages) * 4096,
                         );
                         // Issue cost: a few milliseconds per call.
                         t += SimDuration::from_micros(self.rng.gen_range(2_000..8_000));
@@ -605,9 +678,9 @@ impl<'a> RunEngine<'a> {
                 }
             }
         }
-        let proc = self.procs.get_mut(&pid).expect("known pid");
-        proc.leave();
-        self.next_free.insert(pid, t);
+        let proc = &mut self.procs[proc_index(pid)];
+        proc.stack.leave();
+        proc.free = t;
         t
     }
 
@@ -618,13 +691,13 @@ impl<'a> RunEngine<'a> {
         for (i, &pid) in helper_pids.iter().enumerate() {
             let t = SimTime::from_millis(10 * (i as u64 + 1));
             self.builder.fork(t, ROOT, pid);
-            let mut proc = InstrumentedProcess::new(pid, spec.capture);
-            proc.enter(
+            let mut stack = InstrumentedProcess::new(pid, spec.capture);
+            stack.enter(
                 self.sites
                     .pc(&format!("helper::{}::main", spec.helpers[i].name)),
             );
-            self.procs.insert(pid, proc);
-            self.next_free.insert(pid, t);
+            debug_assert_eq!(proc_index(pid), self.procs.len());
+            self.procs.push(Process { stack, free: t });
         }
 
         // Startup burst.
@@ -638,8 +711,7 @@ impl<'a> RunEngine<'a> {
             .startup
             .think
             .as_ref()
-            .unwrap_or(&spec.states[state_idx].think)
-            .clone();
+            .unwrap_or(&spec.states[state_idx].think);
         t += startup_think.sample(&mut self.rng);
 
         for _ in 0..n_activities {
@@ -673,11 +745,11 @@ impl<'a> RunEngine<'a> {
         }
         t += spec.final_pause.sample(&mut self.rng);
         for &pid in &helper_pids {
-            let free = self.next_free.get(&pid).copied().unwrap_or(SimTime::ZERO);
+            let free = self.procs[proc_index(pid)].free;
             self.builder
                 .exit(t.max(free) + SimDuration::from_millis(50), pid);
         }
-        let root_free = self.next_free.get(&ROOT).copied().unwrap_or(SimTime::ZERO);
+        let root_free = self.procs[proc_index(ROOT)].free;
         self.builder
             .exit(t.max(root_free) + SimDuration::from_millis(100), ROOT);
         self.builder.finish()
@@ -707,6 +779,91 @@ impl AppModel for AppSpec {
 mod tests {
     use super::*;
     use pcap_types::TraceEvent;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The reference model for [`FileSpace`]: the file state keyed by
+    /// owned tag strings that the engine kept before tags were interned
+    /// per run. Every I/O looked up the tag's instance and its
+    /// `(tag, instance)` cursor afresh.
+    struct StringKeyedFiles {
+        app: String,
+        run: usize,
+        /// tag → instance counter (bumped by fresh activities).
+        instances: HashMap<String, u64>,
+        /// (tag, instance) → sequential page cursor.
+        cursors: HashMap<(String, u64), u64>,
+    }
+
+    impl StringKeyedFiles {
+        fn new(app: &str, run: usize) -> StringKeyedFiles {
+            StringKeyedFiles {
+                app: app.to_owned(),
+                run,
+                instances: HashMap::new(),
+                cursors: HashMap::new(),
+            }
+        }
+
+        fn fd(&self, tag: &str) -> Fd {
+            Fd(3 + (fnv64(&[tag.as_bytes()]) % 13) as u32)
+        }
+
+        fn instance(&self, tag: &str) -> u64 {
+            self.instances.get(tag).copied().unwrap_or(0)
+        }
+
+        fn refresh(&mut self, tag: &str) {
+            *self.instances.entry(tag.to_owned()).or_insert(0) += 1;
+        }
+
+        fn file_id(&self, tag: &str) -> FileId {
+            FileId(fnv64(&[
+                self.app.as_bytes(),
+                tag.as_bytes(),
+                &self.run.to_le_bytes(),
+                &self.instance(tag).to_le_bytes(),
+            ]))
+        }
+
+        fn advance(&mut self, tag: &str, pages: u64) -> u64 {
+            let key = (tag.to_owned(), self.instance(tag));
+            let cursor = self.cursors.entry(key).or_insert(0);
+            let offset = *cursor * 4096;
+            *cursor += pages;
+            offset
+        }
+    }
+
+    proptest! {
+        /// The interned per-run file state agrees with the String-keyed
+        /// reference on every sequence of refreshes and opens over three
+        /// tags: the same fd, file id and byte offset at every open.
+        #[test]
+        fn file_space_matches_string_keyed_reference(
+            run in 0usize..4,
+            ops in prop::collection::vec((0u8..4, 0usize..3, 0u32..9), 1..200),
+        ) {
+            const TAGS: [&str; 3] = ["config", "doc", "logfile"];
+            let mut files = FileSpace::new("tiny", run);
+            let mut reference = StringKeyedFiles::new("tiny", run);
+            for (op, tag, pages) in ops {
+                let tag = TAGS[tag];
+                if op == 0 {
+                    files.refresh(tag);
+                    reference.refresh(tag);
+                } else {
+                    let file = files.open(tag);
+                    prop_assert_eq!(file.fd, reference.fd(tag));
+                    prop_assert_eq!(file.file, reference.file_id(tag));
+                    prop_assert_eq!(
+                        file.advance(pages),
+                        reference.advance(tag, u64::from(pages))
+                    );
+                }
+            }
+        }
+    }
 
     fn tiny_spec() -> AppSpec {
         AppSpec {

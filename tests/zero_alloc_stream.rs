@@ -5,10 +5,11 @@
 //! every buffer is cleared, never dropped, and every predictor box is
 //! recycled through the pool instead of reboxed.
 //!
-//! Trace *generation* is excluded by construction (strings, file
-//! spaces and event vectors are inherently allocating); the guard
-//! brackets exactly the stages the fleet sweep runs per device after
-//! its runs are generated.
+//! Trace *generation* stays outside the bracket: every generated run
+//! is a fresh event vector plus its per-run site map and file state, so
+//! it allocates per run (never per I/O — `tests/generation_alloc.rs`
+//! pins that budget). The guard brackets exactly the stages the fleet
+//! sweep runs per device after its runs are generated.
 
 use pcap_dpm::sim::{PowerManagerKind, SimConfig, StreamWorker};
 use pcap_dpm::workload::DevicePopulation;
