@@ -40,10 +40,12 @@
 
 mod pages;
 pub mod prefetch;
+#[cfg(test)]
+mod reference;
 
 pub use prefetch::{PcReadahead, ReadaheadConfig};
 
-use pages::{PageKey, PageTable};
+use pages::{Dirty, PageKey, PageState, Resident, RunTable};
 use pcap_types::{DiskAccess, Fd, IoEvent, IoKind, Pid, SimDuration, SimTime, TraceEvent};
 use serde::{Deserialize, Serialize};
 
@@ -125,17 +127,6 @@ impl CacheStats {
     }
 }
 
-/// Per-page cache state.
-#[derive(Debug, Clone, Copy)]
-struct PageState {
-    dirty: bool,
-    /// Process that dirtied the page (flush accesses are attributed to
-    /// the kernel PC but keep the pid for accounting).
-    dirtied_by: Pid,
-    /// When the page was dirtied (drives age-based write-back).
-    dirtied_at: SimTime,
-}
-
 /// The file cache simulator; see the [crate docs](crate) for an example.
 ///
 /// Events must be fed in non-decreasing time order (as produced by
@@ -143,7 +134,10 @@ struct PageState {
 #[derive(Debug, Clone)]
 pub struct FileCache {
     config: CacheConfig,
-    pages: PageTable<PageState>,
+    pages: RunTable,
+    /// The range walk's snapshot of resident runs, kept for its
+    /// capacity.
+    resident: Vec<Resident>,
     stats: CacheStats,
     readahead: Option<PcReadahead>,
     /// Flush ticks processed so far (tick k fires at k·interval).
@@ -156,14 +150,18 @@ impl FileCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration holds zero pages.
+    /// Panics if the configuration holds zero pages, or pages of one
+    /// byte: page numbers must stay below `u64::MAX`, so that a run of
+    /// pages always has an end.
     pub fn new(config: CacheConfig) -> FileCache {
         let capacity = config.capacity_pages() as usize;
         assert!(capacity > 0, "cache must hold at least one page");
+        assert!(config.page_size > 1, "cache pages must exceed one byte");
         let readahead = config.readahead.map(PcReadahead::new);
         FileCache {
             config,
-            pages: PageTable::new(capacity),
+            pages: RunTable::new(capacity),
+            resident: Vec::new(),
             stats: CacheStats::default(),
             readahead,
             ticks_done: 0,
@@ -177,8 +175,9 @@ impl FileCache {
     }
 
     /// Returns the cache to its cold state while keeping every allocated
-    /// capacity (page table, readahead tables), so one cache instance can
-    /// filter an unbounded stream of runs without per-run allocation.
+    /// capacity (page table, walk scratch, readahead tables), so one
+    /// cache instance can filter an unbounded stream of runs without
+    /// per-run allocation.
     ///
     /// A reset cache is behaviorally indistinguishable from
     /// [`FileCache::new`] with the same configuration.
@@ -204,7 +203,11 @@ impl FileCache {
 
     /// Number of dirty pages currently cached.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.iter().filter(|(_, s)| s.dirty).count()
+        self.pages
+            .runs()
+            .filter(|(_, _, state)| state.is_some())
+            .map(|(_, len, _)| len as usize)
+            .sum()
     }
 
     /// Runs pending flush-daemon wakeups up to (and including) `now`;
@@ -226,9 +229,9 @@ impl FileCache {
         while self.ticks_done < due {
             let oldest_dirty = self
                 .pages
-                .iter()
-                .filter(|(_, s)| s.dirty)
-                .map(|(_, s)| s.dirtied_at.as_micros())
+                .runs()
+                .filter_map(|(_, _, state)| state)
+                .map(|dirty| dirty.at.as_micros())
                 .min();
             let Some(dirtied_at) = oldest_dirty else {
                 self.ticks_done = due;
@@ -249,25 +252,29 @@ impl FileCache {
     ///
     /// The access is attributed to the process that dirtied the oldest
     /// expired page, oldest `(dirtied_at, key)` first — a choice that
-    /// does not depend on the page table's slot order. Two passes over the page table instead of a sorted
-    /// scratch vector keep this allocation-free on the streaming path.
+    /// does not depend on the page table's layout. Every page of a run
+    /// shares its state, so the run's first page is its smallest key
+    /// and one pass over the runs finds the same page that a pass over
+    /// the pages would. Two passes instead of a sorted scratch vector
+    /// keep this allocation-free on the streaming path.
     fn flush_expired(&mut self, time: SimTime) -> Option<DiskAccess> {
         let expire = self.config.flush_interval;
+        let expired = |state: PageState| state.filter(|d| time.saturating_since(d.at) >= expire);
         let mut oldest: Option<(SimTime, PageKey, Pid)> = None;
         let mut pages = 0u32;
-        for (key, state) in self.pages.iter() {
-            if state.dirty && time.saturating_since(state.dirtied_at) >= expire {
-                pages += 1;
-                let candidate = (state.dirtied_at, *key);
+        for (key, len, state) in self.pages.runs() {
+            if let Some(dirty) = expired(state) {
+                pages += len as u32;
+                let candidate = (dirty.at, key);
                 if oldest.is_none_or(|(at, k, _)| candidate < (at, k)) {
-                    oldest = Some((state.dirtied_at, *key, state.dirtied_by));
+                    oldest = Some((dirty.at, key, dirty.by));
                 }
             }
         }
         let (_, _, pid) = oldest?;
-        for (_, state) in self.pages.iter_mut() {
-            if state.dirty && time.saturating_since(state.dirtied_at) >= expire {
-                state.dirty = false;
+        for state in self.pages.states_mut() {
+            if expired(*state).is_some() {
+                *state = None;
             }
         }
         self.stats.flushed_pages += u64::from(pages);
@@ -281,36 +288,12 @@ impl FileCache {
         })
     }
 
-    /// Inserts `key`, evicting the LRU page if full; a dirty victim
-    /// produces a write-back access at `time`.
-    fn insert_page(
-        &mut self,
-        key: PageKey,
-        state: PageState,
-        time: SimTime,
-        out: &mut Vec<DiskAccess>,
-    ) {
-        if let Some((_, victim)) = self.pages.insert(key, state) {
-            self.stats.evictions += 1;
-            if victim.dirty {
-                self.stats.eviction_writebacks += 1;
-                out.push(DiskAccess {
-                    time,
-                    pid: victim.dirtied_by,
-                    pc: DiskAccess::KERNEL_PC,
-                    fd: Fd(0),
-                    kind: IoKind::Write,
-                    pages: 1,
-                });
-            }
-        }
-    }
-
     /// The page range `[first, last]` touched by an I/O event.
     ///
     /// Runs validated by `TraceRunBuilder::finish` keep `offset + len`
     /// within `u64` and `len` within `pcap_trace::MAX_RW_COUNT`, so the
-    /// sum cannot overflow and a range's page count fits a `u32`.
+    /// sum cannot overflow and a range's page count fits a `u32`. Pages
+    /// of at least two bytes keep `last + 1` within `u64`.
     fn page_range(&self, io: &IoEvent) -> (u64, u64) {
         let first = io.offset / self.config.page_size;
         let last = if io.len == 0 {
@@ -363,7 +346,7 @@ impl FileCache {
             IoKind::Close => {}
             IoKind::Open => {
                 // Metadata read: inode/dentry page of the file.
-                self.read_pages(io, 0, 0, out);
+                self.walk(io, Walk::Read, 0, 0, out);
             }
             IoKind::Read => {
                 let (first, last) = self.page_range(io);
@@ -375,112 +358,161 @@ impl FileCache {
                     self.stats.prefetched_pages += ahead;
                     effective_last = last + ahead;
                 }
-                self.read_pages(io, first, effective_last, out);
+                self.walk(io, Walk::Read, first, effective_last, out);
+            }
+            IoKind::Write if !self.config.write_through => {
+                let (first, last) = self.page_range(io);
+                self.walk(io, Walk::Write, first, last, out);
             }
             IoKind::Write | IoKind::SyncWrite => {
+                // The write reaches the disk now: write-through, or an
+                // fsync'd write that also caches its pages clean.
                 let (first, last) = self.page_range(io);
                 if io.kind == IoKind::SyncWrite {
-                    for page in first..=last {
-                        let key = (io.file, page);
-                        if self.pages.get_mut(&key).is_none() {
-                            self.insert_page(
-                                key,
-                                PageState {
-                                    dirty: false,
-                                    dirtied_by: io.pid,
-                                    dirtied_at: io.time,
-                                },
-                                io.time,
-                                out,
-                            );
-                        }
-                    }
-                    out.push(DiskAccess {
-                        time: io.time,
-                        pid: io.pid,
-                        pc: io.pc,
-                        fd: io.fd,
-                        kind: IoKind::Write,
-                        pages: (last - first + 1) as u32,
-                    });
-                } else if self.config.write_through {
-                    self.stats.page_misses += last - first + 1;
-                    out.push(DiskAccess {
-                        time: io.time,
-                        pid: io.pid,
-                        pc: io.pc,
-                        fd: io.fd,
-                        kind: IoKind::Write,
-                        pages: (last - first + 1) as u32,
-                    });
+                    self.walk(io, Walk::SyncWrite, first, last, out);
                 } else {
-                    for page in first..=last {
-                        let key = (io.file, page);
-                        if let Some(state) = self.pages.get_mut(&key) {
-                            if !state.dirty {
-                                state.dirtied_at = io.time;
-                            }
-                            state.dirty = true;
-                            state.dirtied_by = io.pid;
-                            self.stats.page_hits += 1;
-                        } else {
-                            self.stats.page_misses += 1;
-                            self.insert_page(
-                                key,
-                                PageState {
-                                    dirty: true,
-                                    dirtied_by: io.pid,
-                                    dirtied_at: io.time,
-                                },
-                                io.time,
-                                out,
-                            );
-                        }
-                    }
+                    self.stats.page_misses += last - first + 1;
                 }
+                out.push(DiskAccess {
+                    time: io.time,
+                    pid: io.pid,
+                    pc: io.pc,
+                    fd: io.fd,
+                    kind: IoKind::Write,
+                    pages: (last - first + 1) as u32,
+                });
             }
         }
     }
 
-    /// Reads pages `first..=last` of `io.file`, coalescing contiguous
-    /// misses into single accesses appended to `out`.
-    fn read_pages(&mut self, io: &IoEvent, first: u64, last: u64, out: &mut Vec<DiskAccess>) {
-        let mut run_len = 0u32;
-        for page in first..=last {
-            let key = (io.file, page);
-            if self.pages.get_mut(&key).is_some() {
-                self.stats.page_hits += 1;
-                Self::emit_read_run(io, &mut run_len, out);
-            } else {
-                self.stats.page_misses += 1;
-                self.insert_page(
-                    key,
-                    PageState {
-                        dirty: false,
-                        dirtied_by: io.pid,
-                        dirtied_at: io.time,
-                    },
-                    io.time,
-                    out,
-                );
-                run_len += 1;
+    /// Walks pages `first..=last` of `io.file` in order, as a page at a
+    /// time LRU cache would: a resident page is a hit and becomes most
+    /// recently used, and a missing page is inserted, evicting the least
+    /// recent page when the cache is full.
+    ///
+    /// The walk snapshots the file's resident runs in the range once.
+    /// Each gap between them is inserted as one run: its pages are not
+    /// resident and nothing inserts them before the walk reaches them,
+    /// so inserting them together evicts the same pages in the same
+    /// order as inserting them one by one. Each snapshot page is checked
+    /// again when the walk reaches it, because an earlier gap may have
+    /// evicted it; it is then a one-page miss.
+    ///
+    /// Per `walk` kind:
+    /// * [`Walk::Read`] counts hits and misses, and coalesces each run
+    ///   of misses into one read access; a hit ends the run.
+    /// * [`Walk::Write`] counts hits and misses, inserts dirty pages and
+    ///   dirties the pages it hits (a page keeps the time it was first
+    ///   dirtied).
+    /// * [`Walk::SyncWrite`] inserts clean pages and leaves hit pages as
+    ///   they were, counting neither.
+    fn walk(&mut self, io: &IoEvent, walk: Walk, first: u64, last: u64, out: &mut Vec<DiskAccess>) {
+        let mut resident = std::mem::take(&mut self.resident);
+        self.pages.resident(io.file, first, last, &mut resident);
+        let mut read_run = 0u32;
+        let mut next = first;
+        for &run in &resident {
+            if next < run.first {
+                self.miss(io, walk, next, run.first - next, &mut read_run, out);
             }
+            for page in run.first..run.end {
+                let Some(state) = self.pages.state(run, io.file, page) else {
+                    self.miss(io, walk, page, 1, &mut read_run, out);
+                    continue;
+                };
+                let state = match walk {
+                    Walk::Read => {
+                        self.stats.page_hits += 1;
+                        emit_read_run(io, &mut read_run, out);
+                        state
+                    }
+                    Walk::Write => {
+                        self.stats.page_hits += 1;
+                        Some(Dirty {
+                            by: io.pid,
+                            at: state.map_or(io.time, |dirty| dirty.at),
+                        })
+                    }
+                    Walk::SyncWrite => state,
+                };
+                self.pages.touch(run, page, state);
+            }
+            next = run.end;
         }
-        Self::emit_read_run(io, &mut run_len, out);
+        if next <= last {
+            self.miss(io, walk, next, last - next + 1, &mut read_run, out);
+        }
+        emit_read_run(io, &mut read_run, out);
+        self.resident = resident;
     }
 
-    fn emit_read_run(io: &IoEvent, run_len: &mut u32, out: &mut Vec<DiskAccess>) {
-        if *run_len > 0 {
-            out.push(DiskAccess {
-                time: io.time,
-                pid: io.pid,
-                pc: io.pc,
-                fd: io.fd,
-                kind: IoKind::Read,
-                pages: *run_len,
+    /// The `walk` action for `pages` missing pages from `start`: one
+    /// run inserted, its victims counted and dirty victims written
+    /// back one page per access.
+    fn miss(
+        &mut self,
+        io: &IoEvent,
+        walk: Walk,
+        start: u64,
+        pages: u64,
+        read_run: &mut u32,
+        out: &mut Vec<DiskAccess>,
+    ) {
+        let state = match walk {
+            Walk::Read => {
+                self.stats.page_misses += pages;
+                *read_run += pages as u32;
+                None
+            }
+            Walk::Write => {
+                self.stats.page_misses += pages;
+                Some(Dirty {
+                    by: io.pid,
+                    at: io.time,
+                })
+            }
+            Walk::SyncWrite => None,
+        };
+        let stats = &mut self.stats;
+        self.pages
+            .insert(io.file, start, pages, state, |victim, n| {
+                stats.evictions += n;
+                if let Some(dirty) = victim {
+                    stats.eviction_writebacks += n;
+                    let writeback = DiskAccess {
+                        time: io.time,
+                        pid: dirty.by,
+                        pc: DiskAccess::KERNEL_PC,
+                        fd: Fd(0),
+                        kind: IoKind::Write,
+                        pages: 1,
+                    };
+                    out.extend(std::iter::repeat_n(writeback, n as usize));
+                }
             });
-            *run_len = 0;
-        }
+    }
+}
+
+/// What a [`FileCache::walk`] does with the pages of its range.
+#[derive(Clone, Copy)]
+enum Walk {
+    Read,
+    Write,
+    SyncWrite,
+}
+
+/// Pushes the pending run of read misses, if any, as one access.
+fn emit_read_run(io: &IoEvent, run_len: &mut u32, out: &mut Vec<DiskAccess>) {
+    if *run_len > 0 {
+        out.push(DiskAccess {
+            time: io.time,
+            pid: io.pid,
+            pc: io.pc,
+            fd: io.fd,
+            kind: IoKind::Read,
+            pages: *run_len,
+        });
+        *run_len = 0;
     }
 }
 
@@ -699,6 +731,55 @@ mod tests {
         assert_eq!(out[0].time, SimTime::from_secs(35));
         assert_eq!((stats.flush_runs, stats.flushed_pages), (1, 1));
         assert_eq!(dirty, 0);
+    }
+
+    #[test]
+    fn sequential_reads_share_one_run() {
+        let mut c = FileCache::new(CacheConfig::paper());
+        for page in 0..64 {
+            c.access(&ev(page, IoKind::Read, 1, page * 4096, 4096));
+        }
+        assert_eq!((c.resident_pages(), c.pages.runs().count()), (64, 1));
+        // Re-reading in order touches each page into the new tail run.
+        assert!(c.access(&ev(100, IoKind::Read, 1, 0, 64 * 4096)).is_empty());
+        assert_eq!((c.resident_pages(), c.pages.runs().count()), (64, 1));
+        c.pages.check();
+    }
+
+    #[test]
+    fn a_hit_splits_its_run_in_recency_order() {
+        let mut c = FileCache::new(CacheConfig::paper());
+        c.access(&ev(0, IoKind::Read, 1, 0, 5 * 4096));
+        c.access(&ev(1, IoKind::Read, 1, 2 * 4096, 4096));
+        let order: Vec<u64> = c.pages.keys_by_recency().iter().map(|&(_, p)| p).collect();
+        assert_eq!(order, [0, 1, 3, 4, 2]);
+        assert_eq!(c.pages.runs().count(), 3);
+        c.pages.check();
+    }
+
+    #[test]
+    fn a_maximal_read_moves_at_most_the_capacity() {
+        let mut c = FileCache::new(CacheConfig::paper()); // 64 pages
+        c.access(&ev(0, IoKind::Write, 2, 0, 4096));
+        let pages = pcap_trace::MAX_RW_COUNT / 4096;
+        let a = c.access(&ev(1, IoKind::Read, 1, 0, pcap_trace::MAX_RW_COUNT));
+        // The dirty page's write-back, then one coalesced read.
+        assert_eq!(a.len(), 2);
+        assert!(a[0].is_kernel());
+        assert_eq!(u64::from(a[1].pages), pages);
+        assert_eq!(c.stats().evictions, 1 + pages - 64);
+        assert_eq!(c.resident_pages(), 64);
+        // The read's last 64 pages stayed resident.
+        let tail = c.access(&ev(2, IoKind::Read, 1, (pages - 64) * 4096, 64 * 4096));
+        assert!(tail.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed one byte")]
+    fn one_byte_pages_panic() {
+        let mut cfg = CacheConfig::paper();
+        cfg.page_size = 1;
+        let _ = FileCache::new(cfg);
     }
 
     #[test]

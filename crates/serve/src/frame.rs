@@ -129,34 +129,34 @@ pub enum ServerFrame {
     },
 }
 
-/// Encodes `frame` as one complete wire frame appended to `buf`.
+/// Encodes `frame` as one complete wire frame appended to `buf`,
+/// writing the payload in place.
 pub fn encode_client(frame: &ClientFrame, buf: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    match *frame {
+    wire::write_frame_with(buf, |payload| match *frame {
         ClientFrame::Hello { version } => {
-            put::u8(&mut payload, TAG_HELLO);
-            put::u32(&mut payload, version);
+            put::u8(payload, TAG_HELLO);
+            put::u32(payload, version);
         }
         ClientFrame::RunStart { device, root } => {
-            put::u8(&mut payload, TAG_RUN_START);
-            put::u64(&mut payload, device);
-            put::u32(&mut payload, root.0);
+            put::u8(payload, TAG_RUN_START);
+            put::u64(payload, device);
+            put::u32(payload, root.0);
         }
         ClientFrame::Event { device, ref event } => {
-            put::u8(&mut payload, TAG_EVENT);
-            put::u64(&mut payload, device);
-            wire::put_event(&mut payload, event);
+            put::u8(payload, TAG_EVENT);
+            put::u64(payload, device);
+            wire::put_event(payload, event);
         }
         ClientFrame::RunEnd { device } => {
-            put::u8(&mut payload, TAG_RUN_END);
-            put::u64(&mut payload, device);
+            put::u8(payload, TAG_RUN_END);
+            put::u64(payload, device);
         }
         ClientFrame::DeviceEnd { device } => {
-            put::u8(&mut payload, TAG_DEVICE_END);
-            put::u64(&mut payload, device);
+            put::u8(payload, TAG_DEVICE_END);
+            put::u64(payload, device);
         }
-    }
-    wire::write_frame(buf, &payload).expect("client frames are fixed-size, below MAX_FRAME_LEN");
+    })
+    .expect("client frames are fixed-size, below MAX_FRAME_LEN");
 }
 
 /// Decodes one de-framed client payload.
@@ -287,14 +287,14 @@ pub fn get_record(r: &mut WireReader<'_>) -> Result<DecisionRecord, WireError> {
     })
 }
 
-/// Encodes `frame` as one complete wire frame appended to `buf`.
+/// Encodes `frame` as one complete wire frame appended to `buf`,
+/// writing the payload in place.
 pub fn encode_server(frame: &ServerFrame, buf: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    match *frame {
+    wire::write_frame_with(buf, |payload| match *frame {
         ServerFrame::Decision { device, ref record } => {
-            put::u8(&mut payload, TAG_DECISION);
-            put::u64(&mut payload, device);
-            put_record(&mut payload, record);
+            put::u8(payload, TAG_DECISION);
+            put::u64(payload, device);
+            put_record(payload, record);
         }
         ServerFrame::RunSummary {
             device,
@@ -302,16 +302,16 @@ pub fn encode_server(frame: &ServerFrame, buf: &mut Vec<u8>) {
             decisions,
             accesses,
         } => {
-            put::u8(&mut payload, TAG_RUN_SUMMARY);
-            put::u64(&mut payload, device);
-            put::u32(&mut payload, run);
-            put::u32(&mut payload, decisions);
-            put::u32(&mut payload, accesses);
+            put::u8(payload, TAG_RUN_SUMMARY);
+            put::u64(payload, device);
+            put::u32(payload, run);
+            put::u32(payload, decisions);
+            put::u32(payload, accesses);
         }
         ServerFrame::RunRejected { device, run } => {
-            put::u8(&mut payload, TAG_RUN_REJECTED);
-            put::u64(&mut payload, device);
-            put::u32(&mut payload, run);
+            put::u8(payload, TAG_RUN_REJECTED);
+            put::u64(payload, device);
+            put::u32(payload, run);
         }
         ServerFrame::DeviceSummary {
             device,
@@ -319,14 +319,14 @@ pub fn encode_server(frame: &ServerFrame, buf: &mut Vec<u8>) {
             table_entries,
             table_aliases,
         } => {
-            put::u8(&mut payload, TAG_DEVICE_SUMMARY);
-            put::u64(&mut payload, device);
-            put::u32(&mut payload, runs);
-            put::option(&mut payload, table_entries, put::u64);
-            put::option(&mut payload, table_aliases, put::u64);
+            put::u8(payload, TAG_DEVICE_SUMMARY);
+            put::u64(payload, device);
+            put::u32(payload, runs);
+            put::option(payload, table_entries, put::u64);
+            put::option(payload, table_aliases, put::u64);
         }
-    }
-    wire::write_frame(buf, &payload).expect("server frames are fixed-size, below MAX_FRAME_LEN");
+    })
+    .expect("server frames are fixed-size, below MAX_FRAME_LEN");
 }
 
 /// Decodes one de-framed server payload.

@@ -110,9 +110,9 @@ pub struct RunOutcome {
     pub base_energy: EnergyBreakdown,
 }
 
-/// Reusable per-run engine state: dense per-process predictor and
-/// pending-idle tables keyed by the compact pid index of the current
-/// [`RunStreams`]. Reusing one scratch across the runs of a trace (and
+/// Reusable per-run engine state: dense per-process predictor,
+/// pending-idle and vote tables keyed by the compact pid index of the
+/// current [`RunStreams`]. Reusing one scratch across the runs of a trace (and
 /// across managers) keeps the per-access path free of hashing and the
 /// per-run path free of table reallocation.
 #[derive(Default)]
@@ -159,9 +159,10 @@ impl EngineScratch {
     }
 }
 
-/// Live per-run simulation state. Process-indexed tables are dense
-/// (compact pid index); the pid itself is only materialized at the
-/// `GlobalPredictor` boundary.
+/// Live per-run simulation state. Process-indexed tables, the
+/// `GlobalPredictor`'s votes included, are dense (compact pid index);
+/// the pid itself is only materialized when a process's predictor is
+/// created.
 struct RunState<'a> {
     manager: &'a mut Manager,
     oracle: bool,
@@ -177,16 +178,15 @@ struct RunState<'a> {
 
 impl RunState<'_> {
     fn start_process(&mut self, pidx: usize, at: SimTime) {
-        let pid = self.pids[pidx];
-        self.global.process_started(pid, at);
+        self.global.process_started(pidx, at);
         self.global
-            .record_vote(pid, at, self.manager.initial_vote());
+            .record_vote(pidx, at, self.manager.initial_vote());
         // A pooled box was fully reset by `on_run_end` at retirement, so
         // it is behaviorally a fresh `for_process` product (the pool is
         // only enabled for managers where that holds).
         self.preds[pidx] = match self.pool.pop() {
             Some(recycled) => Some(recycled),
-            None => Some(self.manager.for_process(pid)),
+            None => Some(self.manager.for_process(self.pids[pidx])),
         };
     }
 
@@ -200,7 +200,7 @@ impl RunState<'_> {
                 self.pool.push(pred);
             }
         }
-        self.global.process_exited(self.pids[pidx]);
+        self.global.process_exited(pidx);
     }
 
     fn apply(&mut self, event: LifecycleEvent) {
@@ -382,7 +382,7 @@ pub(crate) fn simulate_run_charged<C: GapCharge, O: DecisionObserver>(
         let local_verdict = classify(&mut out.local, local_gap, local_shutdown, be);
         if let Some(vote) = vote {
             if !state.oracle {
-                state.global.record_vote(state.pids[pidx], completion, vote);
+                state.global.record_vote(pidx, completion, vote);
             }
         }
 

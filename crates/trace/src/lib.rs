@@ -268,6 +268,11 @@ impl TraceRunBuilder {
 
         let mut live: HashSet<Pid> = HashSet::from([self.root]);
         let mut exited: HashSet<Pid> = HashSet::new();
+        // The last pid whose I/O passed the live check while it was
+        // live. Only an exit removes a pid from `live`, and an exit of
+        // this pid clears it, so an I/O by the same pid skips the
+        // lookup: it would succeed.
+        let mut last_io: Option<Pid> = None;
         let mut end = SimTime::ZERO;
         for (index, e) in self.events.iter().enumerate() {
             end = end.max(e.time());
@@ -286,6 +291,9 @@ impl TraceRunBuilder {
                     live.insert(child);
                 }
                 TraceEvent::Exit { pid, .. } => {
+                    if last_io == Some(pid) {
+                        last_io = None;
+                    }
                     if !live.remove(&pid) {
                         return Err(if exited.contains(&pid) {
                             TraceError::EventAfterExit(pid)
@@ -296,12 +304,15 @@ impl TraceRunBuilder {
                     exited.insert(pid);
                 }
                 TraceEvent::Io(ref io) => {
-                    if !live.contains(&io.pid) {
-                        return Err(if exited.contains(&io.pid) {
-                            TraceError::EventAfterExit(io.pid)
-                        } else {
-                            TraceError::UnknownPid(io.pid)
-                        });
+                    if last_io != Some(io.pid) {
+                        if !live.contains(&io.pid) {
+                            return Err(if exited.contains(&io.pid) {
+                                TraceError::EventAfterExit(io.pid)
+                            } else {
+                                TraceError::UnknownPid(io.pid)
+                            });
+                        }
+                        last_io = Some(io.pid);
                     }
                     if io.len > MAX_RW_COUNT || io.offset.checked_add(io.len).is_none() {
                         return Err(TraceError::IoRange {
@@ -394,6 +405,23 @@ mod tests {
                 Err(TraceError::EventAfterExit(Pid(1)))
             ));
         }
+    }
+
+    #[test]
+    fn io_after_exit_rejected_after_another_pids_io() {
+        // Pid 1 does I/O, pid 2 does I/O, pid 1 exits and does I/O
+        // again: the last I/O's pid is not the exited one.
+        let mut b = TraceRunBuilder::new(Pid(1));
+        b.fork(SimTime::from_millis(1), Pid(1), Pid(2));
+        b.event(io_at(5, Pid(1)));
+        b.event(io_at(6, Pid(2)));
+        b.exit(SimTime::from_millis(10), Pid(1));
+        b.event(io_at(20, Pid(1)));
+        b.exit(SimTime::from_millis(30), Pid(2));
+        assert!(matches!(
+            b.finish(),
+            Err(TraceError::EventAfterExit(Pid(1)))
+        ));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! The whole structure performs **zero heap allocations in steady
 //! state** once its table has grown: values live inline in the table,
 //! eviction reuses the table's storage, and `clear` keeps its capacity.
-//! (The file cache has its own page table with O(1) eviction.)
+//! (The file cache keeps its pages in runs, in a table of its own
+//! that evicts in O(1) per run; `LruMap` is the page-at-a-time
+//! reference its differential test compares against.)
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -221,6 +221,32 @@ pub fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Appends one frame whose payload `payload` writes in place: reserves
+/// the `u32` length prefix, lets `payload` append the payload bytes to
+/// `buf`, then back-patches the prefix. Encoders that build frames this
+/// way need no payload buffer of their own, so encoding into a warmed
+/// `buf` allocates nothing.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME_LEN`];
+/// `buf` is then truncated back to its length before the call.
+pub fn write_frame_with(
+    buf: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let at = buf.len();
+    put::u32(buf, 0);
+    payload(buf);
+    let len = buf.len() - at - LEN_PREFIX;
+    if len > MAX_FRAME_LEN {
+        buf.truncate(at);
+        return Err(WireError::Oversized { len });
+    }
+    buf[at..at + LEN_PREFIX].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
 /// Attempts to split one frame off the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete
@@ -466,6 +492,27 @@ mod tests {
             })
         );
         assert!(buf.is_empty(), "failed encode must not emit bytes");
+    }
+
+    #[test]
+    fn frames_written_in_place_match_copied_frames() {
+        let mut copied = vec![7u8];
+        write_frame(&mut copied, &[1, 2, 3]).unwrap();
+        let mut in_place = vec![7u8];
+        write_frame_with(&mut in_place, |b| b.extend_from_slice(&[1, 2, 3])).unwrap();
+        assert_eq!(in_place, copied);
+        // Exactly MAX_FRAME_LEN is legal; one byte more truncates the
+        // buffer back and reports the payload's length.
+        write_frame_with(&mut in_place, |b| b.resize(b.len() + MAX_FRAME_LEN, 0)).unwrap();
+        assert_eq!(in_place.len(), copied.len() + LEN_PREFIX + MAX_FRAME_LEN);
+        in_place.truncate(copied.len());
+        assert_eq!(
+            write_frame_with(&mut in_place, |b| b.resize(b.len() + MAX_FRAME_LEN + 1, 0)),
+            Err(WireError::Oversized {
+                len: MAX_FRAME_LEN + 1
+            })
+        );
+        assert_eq!(in_place, copied);
     }
 
     #[test]

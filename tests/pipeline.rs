@@ -77,8 +77,9 @@ fn cache_reduces_or_preserves_access_count() {
 /// Pins what the paper's 256 KB cache does on each full Table 1 trace
 /// at seed 42: I/O events in, disk accesses out, and the summed
 /// per-run `CacheStats`. These traces almost never re-touch a resident
-/// page, so they barely exercise recency order; the page table's
-/// proptest against `LruMap` in `pcap-cache` covers that.
+/// page, so they barely exercise recency order; the cache's
+/// differential proptest against a page-at-a-time `LruMap` reference in
+/// `pcap-cache` covers that.
 #[test]
 fn table1_cache_counters_are_pinned() {
     use pcap_dpm::cache::{filter_run, CacheStats};

@@ -214,22 +214,22 @@ proptest! {
     /// vote-ready times, or KeepSpinning if any process abstains.
     #[test]
     fn global_predictor_is_max_composition(
-        votes in prop::collection::vec((1u32..6, 0u64..100, prop::option::of(0u64..30), any::<bool>()), 1..30)
+        votes in prop::collection::vec((0usize..5, 0u64..100, prop::option::of(0u64..30), any::<bool>()), 1..30)
     ) {
         let mut global = GlobalPredictor::new();
-        let mut latest: std::collections::HashMap<u32, Option<(u64, bool)>> =
+        let mut latest: std::collections::HashMap<usize, Option<(u64, bool)>> =
             std::collections::HashMap::new();
-        for &(pid, at, delay, backup) in &votes {
-            if !latest.contains_key(&pid) {
-                global.process_started(Pid(pid), SimTime::from_secs(at));
+        for &(slot, at, delay, backup) in &votes {
+            if !latest.contains_key(&slot) {
+                global.process_started(slot, SimTime::from_secs(at));
             }
             let vote = match (delay, backup) {
                 (None, _) => ShutdownVote::never(),
                 (Some(d), false) => ShutdownVote::after(SimDuration::from_secs(d)),
                 (Some(d), true) => ShutdownVote::backup_after(SimDuration::from_secs(d)),
             };
-            global.record_vote(Pid(pid), SimTime::from_secs(at), vote);
-            latest.insert(pid, delay.map(|d| (at + d, backup)));
+            global.record_vote(slot, SimTime::from_secs(at), vote);
+            latest.insert(slot, delay.map(|d| (at + d, backup)));
         }
         let expected = if latest.values().any(Option::is_none) {
             None
