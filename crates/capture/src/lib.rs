@@ -11,9 +11,10 @@
 //! crate provides the closest synthetic equivalent: a [`CallStack`] of
 //! typed frames and [`CaptureStrategy`] implementations that walk it
 //! exactly the way the real hooks would, with per-capture
-//! [cost accounting](CaptureCost). The workload generator drives
-//! [`InstrumentedProcess`] values through application/library/kernel
-//! frames so every captured PC in a trace went through this machinery.
+//! [cost accounting](CaptureCost). The capture-overhead ablation prices
+//! the strategies on these stacks. Every strategy attributes an I/O to
+//! the same PC, so the workload generator gives each I/O its call
+//! site's PC from [`SiteMap`] directly.
 //!
 //! # Example
 //!
@@ -43,7 +44,7 @@ mod sites;
 mod stack;
 
 pub use sites::SiteMap;
-pub use stack::{CallStack, Frame, FrameKind, InstrumentedProcess};
+pub use stack::{CallStack, Frame, FrameKind};
 
 use pcap_types::Pc;
 use serde::{Deserialize, Serialize};
@@ -162,41 +163,6 @@ impl CaptureStrategy {
     }
 }
 
-/// Accumulates capture costs across a run, for the capture-overhead
-/// ablation experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct OverheadMeter {
-    /// Number of captures performed.
-    pub captures: u64,
-    /// Total memory accesses spent capturing.
-    pub memory_accesses: u64,
-    /// Total frames walked.
-    pub frames_walked: u64,
-}
-
-impl OverheadMeter {
-    /// Creates an empty meter.
-    pub fn new() -> OverheadMeter {
-        OverheadMeter::default()
-    }
-
-    /// Records one capture.
-    pub fn record(&mut self, cost: CaptureCost) {
-        self.captures += 1;
-        self.memory_accesses += u64::from(cost.memory_accesses);
-        self.frames_walked += u64::from(cost.frames_walked);
-    }
-
-    /// Mean memory accesses per capture (0.0 when empty).
-    pub fn mean_accesses(&self) -> f64 {
-        if self.captures == 0 {
-            0.0
-        } else {
-            self.memory_accesses as f64 / self.captures as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,25 +236,5 @@ mod tests {
             CaptureStrategy::LibraryHook.capture(&s),
             Err(NoApplicationFrame)
         );
-    }
-
-    #[test]
-    fn overhead_meter_averages() {
-        let mut m = OverheadMeter::new();
-        m.record(CaptureCost {
-            memory_accesses: 4,
-            frames_walked: 0,
-        });
-        m.record(CaptureCost {
-            memory_accesses: 8,
-            frames_walked: 2,
-        });
-        assert_eq!(m.captures, 2);
-        assert!((m.mean_accesses() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_meter_mean_is_zero() {
-        assert_eq!(OverheadMeter::new().mean_accesses(), 0.0);
     }
 }

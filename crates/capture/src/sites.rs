@@ -1,11 +1,15 @@
 //! Deterministic assignment of program counters to named code sites.
 //!
 //! PCAP's cross-execution table reuse (§4.2) rests on PCs being stable
-//! across executions of the same binary. [`SiteMap`] gives the workload
-//! generator that property: each named call site of an application maps
-//! to a fixed PC in a synthetic text segment, identically in every run,
-//! unless the application is deliberately "recompiled"
-//! ([`SiteMap::recompiled`]) to study retraining.
+//! across executions of the same binary. [`SiteMap`] places each named
+//! call site of an application at a PC in a synthetic text segment,
+//! hashed from the binary, its build and the site name. Two names can
+//! hash to one slot: the name assigned first keeps it, so a PC depends
+//! on the names assigned before it. The workload generator assigns
+//! every site of a spec in spec order when a run starts, which gives
+//! each site the same PC in every run, unless the application is
+//! deliberately "recompiled" ([`SiteMap::recompiled`]) to study
+//! retraining.
 
 use pcap_types::Pc;
 use serde::{Deserialize, Serialize};
@@ -24,13 +28,20 @@ const APP_TEXT_SIZE: u32 = 0x0080_0000;
 ///
 /// let mut a = SiteMap::new("mozilla");
 /// let mut b = SiteMap::new("mozilla");
-/// // Same binary ⇒ same PCs in any run, regardless of lookup order.
+/// // Same binary ⇒ same PCs. These two names hash to different slots,
+/// // so the order they are assigned in does not matter.
 /// let x = a.pc("load_page");
 /// let _ = b.pc("save_bookmarks");
 /// assert_eq!(x, b.pc("load_page"));
 /// // A recompiled binary lays code out differently.
 /// let mut c = SiteMap::new("mozilla").recompiled(1);
 /// assert_ne!(x, c.pc("load_page"));
+/// // These two names hash to one slot: the first assigned keeps it,
+/// // and the other takes the next instruction.
+/// let mut d = SiteMap::new("collide");
+/// let first = d.pc("1::a::s3903");
+/// assert_eq!(d.pc("1::b::t190").0, first.0 + 4);
+/// assert_eq!(SiteMap::new("collide").pc("1::b::t190"), first);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteMap {
@@ -69,12 +80,14 @@ impl SiteMap {
         &self.binary
     }
 
-    /// Returns the PC of the named call site, assigning one
-    /// deterministically on first use.
+    /// Returns the PC of the named call site, assigning one on first
+    /// use.
     ///
-    /// The address is a pure function of `(binary, build_id, site)`;
-    /// collisions between distinct sites are resolved by deterministic
-    /// linear probing, so distinct sites always get distinct PCs.
+    /// A new site's home slot is a hash of `(binary, build_id, site)`.
+    /// If a site assigned earlier holds that slot, the new one probes
+    /// forward one instruction at a time to the first free slot, so
+    /// distinct sites always get distinct PCs, and a site's PC depends
+    /// on the sites assigned before it.
     pub fn pc(&mut self, site: &str) -> Pc {
         if let Some(&pc) = self.assigned.get(site) {
             return pc;

@@ -1,7 +1,6 @@
-//! Simulated call stacks and instrumented processes.
+//! Simulated call stacks.
 
-use crate::{CaptureStrategy, Captured, NoApplicationFrame, OverheadMeter};
-use pcap_types::{Pc, Pid};
+use pcap_types::Pc;
 use serde::{Deserialize, Serialize};
 
 /// Which protection/linkage domain a stack frame belongs to.
@@ -42,198 +41,8 @@ impl CallStack {
         self.frames.push(Frame { pc, kind });
     }
 
-    /// Pops the innermost frame (a return). Returns it, or `None` if the
-    /// stack is empty.
-    pub fn pop(&mut self) -> Option<Frame> {
-        self.frames.pop()
-    }
-
     /// The frames, outermost first.
     pub fn frames(&self) -> &[Frame] {
         &self.frames
-    }
-
-    /// Current stack depth.
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// True if no frames are on the stack.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-}
-
-/// A process whose I/O calls flow through the simulated capture layer.
-///
-/// The workload generator pushes application frames as its activity
-/// model descends into functions, then calls
-/// [`issue_io`](InstrumentedProcess::issue_io), which wraps the call in
-/// the library frames a real `fread`/`fwrite` would add, captures the PC
-/// with the configured strategy, and accounts the overhead.
-///
-/// ```
-/// use pcap_capture::{CaptureStrategy, FrameKind, InstrumentedProcess};
-/// use pcap_types::{Pc, Pid};
-///
-/// let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::LibraryHook);
-/// p.enter(Pc(0x1000)); // main
-/// p.enter(Pc(0x1200)); // load_document
-/// let captured = p.issue_io(2).unwrap();
-/// assert_eq!(captured.pc, Pc(0x1200));
-/// p.leave();
-/// assert_eq!(p.stack().depth(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct InstrumentedProcess {
-    pid: Pid,
-    strategy: CaptureStrategy,
-    stack: CallStack,
-    meter: OverheadMeter,
-}
-
-/// Base address of the simulated shared-library text segment; library
-/// frames get synthetic PCs here so they can never collide with
-/// application PCs produced by [`crate::SiteMap`].
-const LIBRARY_TEXT_BASE: u32 = 0x7f00_0000;
-
-impl InstrumentedProcess {
-    /// Creates a process with an empty stack.
-    pub fn new(pid: Pid, strategy: CaptureStrategy) -> InstrumentedProcess {
-        InstrumentedProcess {
-            pid,
-            strategy,
-            stack: CallStack::new(),
-            meter: OverheadMeter::new(),
-        }
-    }
-
-    /// The process id.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// The capture strategy in use.
-    pub fn strategy(&self) -> CaptureStrategy {
-        self.strategy
-    }
-
-    /// The current stack.
-    pub fn stack(&self) -> &CallStack {
-        &self.stack
-    }
-
-    /// Accumulated capture overhead.
-    pub fn meter(&self) -> &OverheadMeter {
-        &self.meter
-    }
-
-    /// Enters an application function whose call site is `pc`.
-    pub fn enter(&mut self, pc: Pc) {
-        self.stack.push(pc, FrameKind::Application);
-    }
-
-    /// Returns from the innermost application function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the innermost frame is not an application frame (the
-    /// library frames of an I/O call are popped by
-    /// [`issue_io`](Self::issue_io) itself).
-    pub fn leave(&mut self) {
-        let f = self.stack.pop().expect("leave() on empty stack");
-        assert_eq!(
-            f.kind,
-            FrameKind::Application,
-            "leave() must pop an application frame"
-        );
-    }
-
-    /// Performs one I/O call: pushes `library_depth` library frames (the
-    /// stdio wrapper chain), captures the application PC with the
-    /// configured strategy, records the overhead, and unwinds the
-    /// library frames again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoApplicationFrame`] if no application frame is on the
-    /// stack.
-    pub fn issue_io(&mut self, library_depth: u32) -> Result<Captured, NoApplicationFrame> {
-        for i in 0..library_depth {
-            self.stack
-                .push(Pc(LIBRARY_TEXT_BASE + i), FrameKind::Library);
-        }
-        let result = self.strategy.capture(&self.stack);
-        for _ in 0..library_depth {
-            self.stack.pop();
-        }
-        let captured = result?;
-        self.meter.record(captured.cost);
-        Ok(captured)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stack_push_pop() {
-        let mut s = CallStack::new();
-        assert!(s.is_empty());
-        s.push(Pc(1), FrameKind::Application);
-        s.push(Pc(2), FrameKind::Library);
-        assert_eq!(s.depth(), 2);
-        assert_eq!(s.pop().unwrap().pc, Pc(2));
-        assert_eq!(s.depth(), 1);
-    }
-
-    #[test]
-    fn issue_io_restores_stack() {
-        let mut p = InstrumentedProcess::new(Pid(9), CaptureStrategy::SyscallInterception);
-        p.enter(Pc(0x10));
-        p.enter(Pc(0x20));
-        let before = p.stack().clone();
-        let c = p.issue_io(3).unwrap();
-        assert_eq!(c.pc, Pc(0x20));
-        assert_eq!(p.stack(), &before, "library frames must unwind");
-        assert_eq!(c.cost.frames_walked, 3);
-    }
-
-    #[test]
-    fn issue_io_records_overhead() {
-        let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::LibraryHook);
-        p.enter(Pc(0x10));
-        p.issue_io(2).unwrap();
-        p.issue_io(2).unwrap();
-        assert_eq!(p.meter().captures, 2);
-        assert_eq!(p.meter().memory_accesses, 8);
-    }
-
-    #[test]
-    fn issue_io_without_app_frame_errors_and_unwinds() {
-        let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::LibraryHook);
-        assert_eq!(p.issue_io(2), Err(NoApplicationFrame));
-        assert!(p.stack().is_empty());
-        assert_eq!(p.meter().captures, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "application frame")]
-    fn leave_refuses_library_frame() {
-        let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::LibraryHook);
-        p.stack.push(Pc(0x7f00_0000), FrameKind::Library);
-        p.leave();
-    }
-
-    #[test]
-    fn nested_io_attributes_to_innermost_app_frame() {
-        let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::KernelHook);
-        p.enter(Pc(0xa));
-        p.enter(Pc(0xb));
-        p.enter(Pc(0xc));
-        assert_eq!(p.issue_io(1).unwrap().pc, Pc(0xc));
-        p.leave();
-        assert_eq!(p.issue_io(1).unwrap().pc, Pc(0xb));
     }
 }

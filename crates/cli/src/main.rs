@@ -521,16 +521,13 @@ fn run() -> Result<(), String> {
                 "{}",
                 serde_json::to_string_pretty(&profile).map_err(|e| e.to_string())?
             );
-            // Gap-length histogram over the merged disk-access stream.
-            let mut all_gaps = Vec::new();
-            for streams in prepared.streams() {
-                all_gaps.extend(pcap_trace::idle::idle_gaps(
-                    &streams.completions,
-                    streams.run_end,
-                ));
-            }
+            // Gap-length histogram over the merged disk-access stream:
+            // the simulator's gaps, completion to next arrival.
             let histogram = pcap_trace::idle::GapHistogram::of(
-                &all_gaps,
+                prepared
+                    .streams()
+                    .iter()
+                    .flat_map(|streams| streams.global_gaps.iter().copied()),
                 pcap_trace::idle::GapHistogram::bounds_for_power_management(),
             );
             println!(

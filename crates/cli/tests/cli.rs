@@ -1033,3 +1033,22 @@ fn inspect_prints_the_gap_table_byte_for_byte() {
         assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
     }
 }
+
+#[test]
+fn profile_histogram_bins_the_simulators_gaps() {
+    // `pcap profile <app>` bins the gaps the simulator decides on,
+    // completion to next arrival (Figure 1), the gaps its
+    // `global_idle_periods` counts. Pinned rows of mplayer at seed 42.
+    let out = pcap(&["profile", "mplayer"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for row in [
+        "  21.72–43.44  s |                                        | 22",
+        "  43.44–86.88  s |                                        | 10",
+    ] {
+        assert!(
+            stdout.lines().any(|line| line == row),
+            "{row:?} in {stdout}"
+        );
+    }
+}

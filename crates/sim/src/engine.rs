@@ -35,7 +35,7 @@ use crate::SimConfig;
 use pcap_core::{GlobalDecision, GlobalPredictor, IdlePredictor, VoteSource};
 use pcap_disk::{DiskParams, GapBreakdown, LowPowerState};
 use pcap_trace::ApplicationTrace;
-use pcap_types::{Pid, SimDuration, SimTime};
+use pcap_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The simulator's verdict on one application × one power manager.
@@ -161,8 +161,7 @@ impl EngineScratch {
 
 /// Live per-run simulation state. Process-indexed tables, the
 /// `GlobalPredictor`'s votes included, are dense (compact pid index);
-/// the pid itself is only materialized when a process's predictor is
-/// created.
+/// the engine never needs the pid itself.
 struct RunState<'a> {
     manager: &'a mut Manager,
     oracle: bool,
@@ -173,7 +172,6 @@ struct RunState<'a> {
     pending_idle: &'a mut [Option<SimDuration>],
     pool: &'a mut Vec<Box<dyn IdlePredictor>>,
     pool_enabled: bool,
-    pids: &'a [Pid],
 }
 
 impl RunState<'_> {
@@ -186,7 +184,7 @@ impl RunState<'_> {
         // only enabled for managers where that holds).
         self.preds[pidx] = match self.pool.pop() {
             Some(recycled) => Some(recycled),
-            None => Some(self.manager.for_process(self.pids[pidx])),
+            None => Some(self.manager.for_process()),
         };
     }
 
@@ -325,7 +323,6 @@ pub(crate) fn simulate_run_charged<C: GapCharge, O: DecisionObserver>(
         pending_idle: &mut scratch.pending_idle,
         pool: &mut scratch.pool,
         pool_enabled: scratch.pool_enabled,
-        pids: streams.pids(),
     };
 
     // Pre-resolved start/exit events in time order (the root's start at
@@ -549,7 +546,7 @@ fn resolve_gap_voting(
 mod tests {
     use super::*;
     use pcap_trace::{TraceRun, TraceRunBuilder};
-    use pcap_types::{Fd, FileId, IoKind, Pc};
+    use pcap_types::{Fd, FileId, IoKind, Pc, Pid};
 
     /// One process, fresh 1-page reads at the given seconds, exit at
     /// `end`.

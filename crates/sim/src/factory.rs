@@ -9,7 +9,7 @@ use pcap_core::{
     IdlePredictor, Pcap, PcapConfig, PcapVariant, SharedTable, ShutdownVote, WithBackup,
 };
 use pcap_disk::{LowPowerState, MultiStateParams};
-use pcap_types::{Pid, SimDuration};
+use pcap_types::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -191,7 +191,7 @@ impl Manager {
     }
 
     /// Creates the predictor for one process of the current execution.
-    pub fn for_process(&mut self, _pid: Pid) -> Box<dyn IdlePredictor> {
+    pub fn for_process(&mut self) -> Box<dyn IdlePredictor> {
         let backup = self.config.backup_timeout;
         match (self.kind, &self.shared) {
             (PowerManagerKind::Timeout, _) => Box::new(TimeoutPredictor::new(self.config.timeout)),
@@ -320,6 +320,7 @@ impl Manager {
 mod tests {
     use super::*;
     use pcap_core::VoteSource;
+    use pcap_types::Pid;
 
     #[test]
     fn labels_match_paper() {
@@ -362,7 +363,7 @@ mod tests {
             PowerManagerKind::LastBusy,
         ] {
             let mut m = kind.manager(&config);
-            let p = m.for_process(Pid(1));
+            let p = m.for_process();
             assert!(!p.name().is_empty(), "{kind}");
         }
     }
@@ -392,7 +393,7 @@ mod tests {
         let exercise = |kind: PowerManagerKind| -> usize {
             let mut m = kind.manager(&config);
             {
-                let mut p = m.for_process(Pid(1));
+                let mut p = m.for_process();
                 let access = pcap_types::DiskAccess {
                     time: pcap_types::SimTime::ZERO,
                     pid: Pid(1),

@@ -1,75 +1,13 @@
-//! Idle-gap extraction utilities.
+//! Idle-gap classification and histograms.
 //!
 //! An **idle period** (Figure 1 of the paper) is the interval between
-//! the completion of one disk access and the arrival of the next. These
-//! helpers turn time-stamped access sequences into gap sequences and
-//! classify them against the breakeven time; the simulator, predictors
-//! and statistics all share them.
+//! the completion of one disk access and the arrival of the next. The
+//! simulator measures those gaps from its prepared streams
+//! (`RunStreams::global_gaps` in `pcap-sim`); this module classifies a
+//! gap against the wait-window and breakeven thresholds for the
+//! predictors, and buckets gap lengths for `pcap profile`.
 
-use pcap_types::{SimDuration, SimTime};
-
-/// One idle gap: when it started and how long it lasted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdleGap {
-    /// Instant the device became idle (previous access completed).
-    pub start: SimTime,
-    /// Gap length (to the next access, or to `end` for the final gap).
-    pub length: SimDuration,
-    /// True if this is the trailing gap ending at run end rather than at
-    /// another access.
-    pub terminal: bool,
-}
-
-/// Extracts the idle gaps from a sorted sequence of access *completion*
-/// times, with the run ending at `end`.
-///
-/// The gap after the last access (to `end`) is included and flagged
-/// [`terminal`](IdleGap::terminal); a trailing gap of zero length is
-/// omitted.
-///
-/// ```
-/// use pcap_trace::idle::idle_gaps;
-/// use pcap_types::{SimDuration, SimTime};
-///
-/// let completions = [1u64, 2, 10].map(SimTime::from_secs);
-/// let gaps = idle_gaps(&completions, SimTime::from_secs(30));
-/// assert_eq!(gaps.len(), 3);
-/// assert_eq!(gaps[1].length, SimDuration::from_secs(8));
-/// assert!(gaps[2].terminal);
-/// ```
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `times` is unsorted or extends past
-/// `end`.
-pub fn idle_gaps(times: &[SimTime], end: SimTime) -> Vec<IdleGap> {
-    let mut gaps = Vec::with_capacity(times.len());
-    for w in times.windows(2) {
-        gaps.push(IdleGap {
-            start: w[0],
-            length: w[1] - w[0],
-            terminal: false,
-        });
-    }
-    if let Some(&last) = times.last() {
-        debug_assert!(last <= end, "accesses extend past run end");
-        let tail = end.saturating_since(last);
-        if !tail.is_zero() {
-            gaps.push(IdleGap {
-                start: last,
-                length: tail,
-                terminal: true,
-            });
-        }
-    }
-    gaps
-}
-
-/// Counts the gaps longer than `breakeven` — the "idle periods long
-/// enough to save energy by performing a shutdown" of Table 1.
-pub fn count_opportunities(gaps: &[IdleGap], breakeven: SimDuration) -> usize {
-    gaps.iter().filter(|g| g.length > breakeven).count()
-}
+use pcap_types::SimDuration;
 
 /// Classification of a gap relative to the wait-window and breakeven
 /// thresholds — the discretization used by idle-period histories
@@ -127,11 +65,11 @@ impl GapHistogram {
         vec![1.0, 5.43, 10.86, 21.72, 43.44, 86.88, 173.76, 347.52]
     }
 
-    /// Builds a histogram of the given gaps.
-    pub fn of(gaps: &[IdleGap], bounds: Vec<f64>) -> GapHistogram {
+    /// Builds a histogram of the given gap lengths.
+    pub fn of(gaps: impl IntoIterator<Item = SimDuration>, bounds: Vec<f64>) -> GapHistogram {
         let mut counts = vec![0usize; bounds.len() + 1];
         for gap in gaps {
-            let secs = gap.length.as_secs_f64();
+            let secs = gap.as_secs_f64();
             let bucket = bounds
                 .iter()
                 .position(|&b| secs <= b)
@@ -175,38 +113,6 @@ impl GapHistogram {
 mod tests {
     use super::*;
 
-    fn secs(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn empty_times_no_gaps() {
-        assert!(idle_gaps(&[], secs(10)).is_empty());
-    }
-
-    #[test]
-    fn single_access_terminal_gap_only() {
-        let gaps = idle_gaps(&[secs(3)], secs(10));
-        assert_eq!(gaps.len(), 1);
-        assert!(gaps[0].terminal);
-        assert_eq!(gaps[0].length, SimDuration::from_secs(7));
-        assert_eq!(gaps[0].start, secs(3));
-    }
-
-    #[test]
-    fn zero_length_terminal_gap_omitted() {
-        let gaps = idle_gaps(&[secs(3)], secs(3));
-        assert!(gaps.is_empty());
-    }
-
-    #[test]
-    fn opportunities_use_strict_comparison() {
-        let be = SimDuration::from_secs_f64(5.43);
-        let gaps = idle_gaps(&[secs(0), secs(5), secs(12), secs(40)], secs(40));
-        // Gaps: 5 s (no), 7 s (yes), 28 s (yes).
-        assert_eq!(count_opportunities(&gaps, be), 2);
-    }
-
     #[test]
     fn gap_classification() {
         let ww = SimDuration::from_secs(1);
@@ -231,12 +137,8 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_renders() {
-        let gaps = idle_gaps(
-            &[0u64, 1, 3, 20, 120].map(SimTime::from_secs),
-            SimTime::from_secs(500),
-        );
-        // Gap lengths: 1, 2, 17, 100, 380 seconds.
-        let h = GapHistogram::of(&gaps, GapHistogram::bounds_for_power_management());
+        let gaps = [1u64, 2, 17, 100, 380].map(SimDuration::from_secs);
+        let h = GapHistogram::of(gaps, GapHistogram::bounds_for_power_management());
         assert_eq!(h.total(), gaps.len());
         assert_eq!(h.counts[0], 1, "1 s gap in the sub-window bucket");
         assert_eq!(h.counts[1], 1, "2 s gap below breakeven");

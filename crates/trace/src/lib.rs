@@ -11,8 +11,8 @@
 //! * [`ApplicationTrace`] — all executions of one application,
 //! * [`TraceRunBuilder`] — incremental, validity-enforcing construction,
 //! * [`stats`] — Table 1-style raw statistics,
-//! * [`idle`] — idle-gap extraction utilities shared by predictors and
-//!   the simulator,
+//! * [`idle`] — idle-gap classification for the predictors and the
+//!   gap-length histogram of `pcap profile`,
 //! * [`io`] — JSON-lines persistence.
 //!
 //! # Example

@@ -15,7 +15,6 @@
 
 use crate::dists::{CountDist, TimeDist};
 use crate::spec::{Activity, AppSpec, HelperSpec, IoOp, UserState};
-use pcap_capture::CaptureStrategy;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -179,7 +178,6 @@ fn mozilla() -> AppSpec {
         ],
         final_pause: TimeDist::Uniform(0.5, 1.5),
         io_library_depth: 3,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 
@@ -265,7 +263,6 @@ fn writer() -> AppSpec {
         ],
         final_pause: TimeDist::Uniform(0.5, 1.5),
         io_library_depth: 3,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 
@@ -344,7 +341,6 @@ fn impress() -> AppSpec {
         ],
         final_pause: TimeDist::Uniform(0.5, 1.5),
         io_library_depth: 3,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 
@@ -403,7 +399,6 @@ fn xemacs() -> AppSpec {
         }],
         final_pause: TimeDist::Uniform(0.4, 1.2),
         io_library_depth: 2,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 
@@ -437,7 +432,6 @@ fn nedit() -> AppSpec {
         helpers: vec![],
         final_pause: TimeDist::Uniform(0.3, 0.8),
         io_library_depth: 2,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 
@@ -490,7 +484,6 @@ fn mplayer() -> AppSpec {
         }],
         final_pause: TimeDist::LogUniform(16.0, 30.0),
         io_library_depth: 2,
-        capture: CaptureStrategy::LibraryHook,
     }
 }
 

@@ -18,13 +18,14 @@
 //!   bursts triggered by root activities, creating the multi-process
 //!   local/global structure of §5.
 //!
-//! Every I/O is issued through a simulated
-//! [`pcap_capture::InstrumentedProcess`] stack, so
-//! the captured PCs come from the same machinery the paper's modified
-//! I/O library would use.
+//! Every I/O carries the PC of its call site, read at the library
+//! boundary as the paper's modified I/O library does (§3.2.1). A site's
+//! PC comes from the spec alone: each run assigns every site of the
+//! spec through one [`SiteMap`] in spec order, so a site keeps its PC
+//! across executions (§4.2).
 
 use crate::dists::{CountDist, TimeDist};
-use pcap_capture::{CaptureStrategy, InstrumentedProcess, SiteMap};
+use pcap_capture::SiteMap;
 use pcap_trace::{TraceError, TraceRun, TraceRunBuilder};
 use pcap_types::{Fd, FileId, IoKind, Pc, Pid, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -230,13 +231,11 @@ pub struct AppSpec {
     /// Idle tail between the last activity (or shutdown burst) and
     /// process exit.
     pub final_pause: TimeDist,
-    /// Library frames each I/O call pushes (exercises the capture
-    /// strategies' costs).
+    /// Library frames between the application and the kernel on each
+    /// I/O call. Generation does not use it: the capture-overhead
+    /// ablation prices each capture strategy's stack walk at this
+    /// depth.
     pub io_library_depth: u32,
-    /// How the instrumented processes capture PCs (§3.2.1; the paper
-    /// prefers library hooks). All strategies attribute I/Os to the
-    /// same PC — only the accounted overhead differs.
-    pub capture: CaptureStrategy,
 }
 
 /// A structural defect in an [`AppSpec`], reported by
@@ -522,43 +521,71 @@ impl TagFile<'_> {
     }
 }
 
-/// One process of the run.
-struct Process {
-    stack: InstrumentedProcess,
-    /// Earliest next event time (keeps helper bursts ordered).
-    free: SimTime,
-}
-
 /// The generation engine for one run.
 ///
-/// Everything that changes only per op execution — the site PC, the
-/// tag's fd, file id and cursor, the issuing process — is resolved
-/// before an op's repeat loop, so each I/O costs its RNG draws, the
-/// capture and the event push. PCs resolve through `sites` at first use
-/// in the run, in the order the run first reaches each site: the map's
-/// collision probing depends on that order.
+/// Every site's PC is assigned when the run starts ([`site_pcs`]).
+/// What changes only per op execution — the tag's fd, file id and
+/// cursor, the issuing process — is resolved before an op's repeat
+/// loop, so each I/O costs its RNG draws and the event push.
 struct RunEngine<'a> {
     spec: &'a AppSpec,
     rng: StdRng,
-    sites: SiteMap,
     files: FileSpace<'a>,
     builder: TraceRunBuilder,
-    /// Processes by pid: the root, then the helpers in fork order.
-    procs: Vec<Process>,
-    /// The (pid, activity) pairs run so far, each with the index in
-    /// `pcs` of its entry PC; the PC of its step `i` follows at
-    /// `index + 1 + i`. Activities are matched by identity in `spec`.
-    roles: Vec<(Pid, &'a Activity, usize)>,
-    /// Resolved PCs, `None` until first use.
-    pcs: Vec<Option<Pc>>,
+    /// Earliest next event time of each process (keeps helper bursts
+    /// ordered), by pid: the root, then the helpers in fork order.
+    free: Vec<SimTime>,
+    /// The PC of every I/O step of every role, laid out by
+    /// [`site_pcs`].
+    pcs: Vec<Pc>,
+    /// Offset in `pcs` of each role's first I/O step, in the same
+    /// order.
+    bases: Vec<usize>,
 }
 
 /// Root process id.
 const ROOT: Pid = Pid(1);
 
-/// Index of `pid` in [`RunEngine::procs`].
+/// Index of `pid` in [`RunEngine::free`].
 fn proc_index(pid: Pid) -> usize {
     (pid.0 - ROOT.0) as usize
+}
+
+/// Pid of the spec's helper `h`: the helpers fork in spec order.
+fn helper_pid(h: usize) -> Pid {
+    Pid(ROOT.0 + 1 + h as u32)
+}
+
+/// The PC of every I/O step of every (process, activity) role of
+/// `spec`, with each role's offset into that table.
+///
+/// The roles come in spec order: the root's startup, its activities
+/// and its shutdown, then each helper's burst. Every site name resolves
+/// through one [`SiteMap`] in that order, so a site gets the same PC in
+/// every run even when two names contend for one slot (the map gives it
+/// to the name that asks first).
+fn site_pcs(spec: &AppSpec) -> (Vec<Pc>, Vec<usize>) {
+    let root = std::iter::once(&spec.startup)
+        .chain(&spec.activities)
+        .chain(&spec.shutdown)
+        .map(|activity| (ROOT, activity));
+    let helpers = spec
+        .helpers
+        .iter()
+        .enumerate()
+        .map(|(h, helper)| (helper_pid(h), &helper.activity));
+    let mut sites = SiteMap::new(&spec.name);
+    let mut pcs = Vec::new();
+    let mut bases = Vec::new();
+    for (pid, activity) in root.chain(helpers) {
+        bases.push(pcs.len());
+        for step in &activity.steps {
+            if let ActivityStep::Io(op) = step {
+                pcs.push(sites.pc(&format!("{}::{}::{}", pid.0, activity.name, op.site)));
+            }
+        }
+    }
+    (pcs, bases)
 }
 
 impl<'a> RunEngine<'a> {
@@ -568,20 +595,15 @@ impl<'a> RunEngine<'a> {
             &seed.to_le_bytes(),
             &run.to_le_bytes(),
         ]));
-        let mut root = InstrumentedProcess::new(ROOT, spec.capture);
-        root.enter(SiteMap::new(&spec.name).pc("main"));
+        let (pcs, bases) = site_pcs(spec);
         RunEngine {
             spec,
             rng,
-            sites: SiteMap::new(&spec.name),
             files: FileSpace::new(&spec.name, run),
             builder: TraceRunBuilder::new(ROOT),
-            procs: vec![Process {
-                stack: root,
-                free: SimTime::ZERO,
-            }],
-            roles: Vec::new(),
-            pcs: Vec::new(),
+            free: vec![SimTime::ZERO],
+            pcs,
+            bases,
         }
     }
 
@@ -598,37 +620,17 @@ impl<'a> RunEngine<'a> {
         options.last().expect("non-empty weights").0
     }
 
-    /// Index in `pcs` of the entry PC of `activity` run by `pid`.
-    fn role(&mut self, pid: Pid, activity: &'a Activity) -> usize {
-        let known = self
-            .roles
-            .iter()
-            .find(|&&(p, a, _)| p == pid && std::ptr::eq(a, activity));
-        if let Some(&(_, _, base)) = known {
-            return base;
-        }
-        let base = self.pcs.len();
-        self.pcs.resize(base + 1 + activity.steps.len(), None);
-        self.roles.push((pid, activity, base));
-        base
-    }
-
-    /// The PC at `pcs[index]`, resolving `site` on first use.
-    fn pc(&mut self, index: usize, site: impl FnOnce() -> String) -> Pc {
-        match self.pcs[index] {
-            Some(pc) => pc,
-            None => {
-                let pc = self.sites.pc(&site());
-                self.pcs[index] = Some(pc);
-                pc
-            }
-        }
-    }
-
-    /// Executes `activity` on process `pid` starting no earlier than
-    /// `start`; returns the completion time.
-    fn run_activity(&mut self, pid: Pid, start: SimTime, activity: &'a Activity) -> SimTime {
-        let mut t = start.max(self.procs[proc_index(pid)].free);
+    /// Executes `activity`, role `role` of [`site_pcs`], on process
+    /// `pid` starting no earlier than `start`; returns the completion
+    /// time.
+    fn run_activity(
+        &mut self,
+        pid: Pid,
+        start: SimTime,
+        activity: &'a Activity,
+        role: usize,
+    ) -> SimTime {
+        let mut t = start.max(self.free[proc_index(pid)]);
         if activity.fresh_files {
             for step in &activity.steps {
                 if let ActivityStep::Io(op) = step {
@@ -636,36 +638,26 @@ impl<'a> RunEngine<'a> {
                 }
             }
         }
-        let base = self.role(pid, activity);
-        let entry_pc = self.pc(base, || format!("{}::{}", pid.0, activity.name));
-        self.procs[proc_index(pid)].stack.enter(entry_pc);
-        for (i, step) in activity.steps.iter().enumerate() {
+        let mut pcs = self.pcs[self.bases[role]..].iter();
+        for step in &activity.steps {
             match step {
                 ActivityStep::Pause(dist) => {
                     t += dist.sample(&mut self.rng);
                 }
                 ActivityStep::Io(op) => {
+                    let pc = *pcs.next().expect("a PC per I/O step");
                     if op.prob < 1.0 && !self.rng.gen_bool(op.prob) {
                         continue;
                     }
                     let repeats = op.repeat.sample(&mut self.rng);
-                    let site_pc = self.pc(base + 1 + i, || {
-                        format!("{}::{}::{}", pid.0, activity.name, op.site)
-                    });
                     let file = self.files.open(&op.file);
-                    let proc = &mut self.procs[proc_index(pid)].stack;
                     for _ in 0..repeats {
                         let pages = op.pages.sample(&mut self.rng);
                         let offset = file.advance(pages);
-                        proc.enter(site_pc);
-                        let captured = proc
-                            .issue_io(self.spec.io_library_depth)
-                            .expect("app frame present");
-                        proc.leave();
                         self.builder.io(
                             t,
                             pid,
-                            captured.pc,
+                            pc,
                             op.kind,
                             file.fd,
                             file.file,
@@ -678,30 +670,26 @@ impl<'a> RunEngine<'a> {
                 }
             }
         }
-        let proc = &mut self.procs[proc_index(pid)];
-        proc.stack.leave();
-        proc.free = t;
+        self.free[proc_index(pid)] = t;
         t
     }
 
     fn generate(mut self) -> Result<TraceRun, TraceError> {
         let spec = self.spec;
+        // Roles in `site_pcs` order: startup 0, activity `i` at 1 + i,
+        // then the shutdown if any, then the helpers.
+        let shutdown_role = 1 + spec.activities.len();
+        let first_helper_role = self.bases.len() - spec.helpers.len();
         // Fork helpers shortly after start.
-        let helper_pids: Vec<Pid> = (0..spec.helpers.len()).map(|i| Pid(2 + i as u32)).collect();
-        for (i, &pid) in helper_pids.iter().enumerate() {
-            let t = SimTime::from_millis(10 * (i as u64 + 1));
-            self.builder.fork(t, ROOT, pid);
-            let mut stack = InstrumentedProcess::new(pid, spec.capture);
-            stack.enter(
-                self.sites
-                    .pc(&format!("helper::{}::main", spec.helpers[i].name)),
-            );
-            debug_assert_eq!(proc_index(pid), self.procs.len());
-            self.procs.push(Process { stack, free: t });
+        for h in 0..spec.helpers.len() {
+            let t = SimTime::from_millis(10 * (h as u64 + 1));
+            self.builder.fork(t, ROOT, helper_pid(h));
+            debug_assert_eq!(proc_index(helper_pid(h)), self.free.len());
+            self.free.push(t);
         }
 
         // Startup burst.
-        let mut t = self.run_activity(ROOT, SimTime::from_millis(200), &spec.startup);
+        let mut t = self.run_activity(ROOT, SimTime::from_millis(200), &spec.startup, 0);
 
         // User session.
         let mut state_idx = spec.initial_state;
@@ -718,11 +706,10 @@ impl<'a> RunEngine<'a> {
             let state = &spec.states[state_idx];
             let activity_idx = self.weighted(&state.activity_weights);
             let activity = &spec.activities[activity_idx];
-            let end = self.run_activity(ROOT, t, activity);
+            let end = self.run_activity(ROOT, t, activity, 1 + activity_idx);
 
             // Helper reactions.
-            for (h, &pid) in helper_pids.iter().enumerate() {
-                let helper = &spec.helpers[h];
+            for (h, helper) in spec.helpers.iter().enumerate() {
                 let prob = helper
                     .triggers
                     .iter()
@@ -730,7 +717,12 @@ impl<'a> RunEngine<'a> {
                     .map_or(0.0, |(_, p)| *p);
                 if prob > 0.0 && self.rng.gen_bool(prob.min(1.0)) {
                     let lag = helper.lag.sample(&mut self.rng);
-                    self.run_activity(pid, t + lag, &helper.activity);
+                    self.run_activity(
+                        helper_pid(h),
+                        t + lag,
+                        &helper.activity,
+                        first_helper_role + h,
+                    );
                 }
             }
 
@@ -741,15 +733,16 @@ impl<'a> RunEngine<'a> {
 
         // Shutdown burst and exits.
         if let Some(shutdown) = &spec.shutdown {
-            t = self.run_activity(ROOT, t, shutdown);
+            t = self.run_activity(ROOT, t, shutdown, shutdown_role);
         }
         t += spec.final_pause.sample(&mut self.rng);
-        for &pid in &helper_pids {
-            let free = self.procs[proc_index(pid)].free;
+        for h in 0..spec.helpers.len() {
+            let pid = helper_pid(h);
+            let free = self.free[proc_index(pid)];
             self.builder
                 .exit(t.max(free) + SimDuration::from_millis(50), pid);
         }
-        let root_free = self.procs[proc_index(ROOT)].free;
+        let root_free = self.free[proc_index(ROOT)];
         self.builder
             .exit(t.max(root_free) + SimDuration::from_millis(100), ROOT);
         self.builder.finish()
@@ -894,7 +887,6 @@ mod tests {
             }],
             final_pause: TimeDist::Fixed(0.5),
             io_library_depth: 2,
-            capture: CaptureStrategy::LibraryHook,
         }
     }
 
@@ -978,6 +970,63 @@ mod tests {
         let first_startup: Vec<_> = pcs_of(&trace.runs[0])[..2].to_vec();
         let second_startup: Vec<_> = pcs_of(&trace.runs[1])[..2].to_vec();
         assert_eq!(first_startup, second_startup);
+    }
+
+    /// A spec whose two site names, `1::a::s3903` and `1::b::t190`,
+    /// hash to one [`SiteMap`] slot. Each activity is one read of its
+    /// own file tag, so a site is told apart by its tag's fd.
+    fn colliding_spec() -> AppSpec {
+        AppSpec {
+            name: "collide".into(),
+            executions: 12,
+            startup: Activity::named("startup"),
+            shutdown: None,
+            activities: vec![
+                Activity::named("a").io(IoOp::read("s3903", "a_data", 1)),
+                Activity::named("b").io(IoOp::read("t190", "b_data", 1)),
+            ],
+            states: vec![UserState {
+                name: "either".into(),
+                activity_weights: vec![(0, 1.0), (1, 1.0)],
+                think: TimeDist::Fixed(2.0),
+                next: vec![(0, 1.0)],
+            }],
+            initial_state: 0,
+            activities_per_run: CountDist::exactly(2),
+            helpers: Vec::new(),
+            final_pause: TimeDist::Fixed(0.5),
+            io_library_depth: 2,
+        }
+    }
+
+    #[test]
+    fn a_site_keeps_one_pc_in_every_run_even_when_names_collide() {
+        // Whichever of the two names a fresh map sees first takes the
+        // same slot.
+        assert_eq!(
+            SiteMap::new("collide").pc("1::a::s3903"),
+            SiteMap::new("collide").pc("1::b::t190")
+        );
+        let mut files = FileSpace::new("collide", 0);
+        let fds = [files.open("a_data").fd, files.open("b_data").fd];
+        assert_ne!(fds[0], fds[1], "the sites must be told apart");
+
+        let trace = colliding_spec().generate_trace(42).unwrap();
+        let mut pcs_by_fd: HashMap<Fd, std::collections::BTreeSet<Pc>> = HashMap::new();
+        for run in &trace.runs {
+            for io in run.io_events() {
+                pcs_by_fd.entry(io.fd).or_default().insert(io.pc);
+            }
+        }
+        let pcs: Vec<_> = fds
+            .iter()
+            .map(|fd| {
+                let pcs = &pcs_by_fd[fd];
+                assert_eq!(pcs.len(), 1, "{fd:?} read PCs {pcs:x?}");
+                *pcs.first().unwrap()
+            })
+            .collect();
+        assert_ne!(pcs[0], pcs[1], "two sites share PC {:x?}", pcs[0]);
     }
 
     #[test]

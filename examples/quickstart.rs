@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pcap_capture::CaptureStrategy;
 use pcap_dpm::prelude::*;
 use pcap_workload::{Activity, AppSpec, CountDist, HelperSpec, IoOp, TimeDist, UserState};
 
@@ -55,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         helpers: Vec::<HelperSpec>::new(),
         final_pause: TimeDist::Uniform(0.5, 1.5),
         io_library_depth: 2,
-        capture: CaptureStrategy::LibraryHook,
     };
 
     // Generate the multi-execution trace (deterministic in the seed).

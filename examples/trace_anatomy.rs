@@ -1,5 +1,5 @@
 //! Anatomy of a prediction: follow one nedit execution through the
-//! whole pipeline — instrumented PC capture, the file cache, the path
+//! whole pipeline — each I/O's call-site PC, the file cache, the path
 //! signature, the prediction table — and watch PCAP learn and then
 //! predict, the way Figure 3 of the paper walks through it.
 //!

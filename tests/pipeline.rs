@@ -1,9 +1,9 @@
-//! End-to-end pipeline tests: workload generation → PC capture → file
-//! cache → power-management simulation, across crates.
+//! End-to-end pipeline tests: workload generation (each I/O carrying
+//! its call site's PC) → file cache → power-management simulation,
+//! across crates.
 
 use pcap_dpm::prelude::*;
 use pcap_sim::RunStreams;
-use pcap_trace::idle::idle_gaps;
 use pcap_types::TraceEvent;
 
 /// A truncated trace keeps integration tests quick while exercising
@@ -240,37 +240,4 @@ fn trace_roundtrips_through_jsonl() {
         evaluate_app(&trace, &config, PowerManagerKind::PCAP),
         evaluate_app(&back, &config, PowerManagerKind::PCAP),
     );
-}
-
-#[test]
-fn idle_gap_extraction_matches_streams() {
-    // The generic idle_gaps helper and the simulator's stream
-    // preprocessing must agree on merged gaps.
-    let config = SimConfig::paper();
-    let trace = truncated(PaperApp::Nedit, 1);
-    let run = &trace.runs[0];
-    let streams = RunStreams::build(run, &config);
-    let gaps = idle_gaps(&streams.completions, streams.run_end);
-    assert_eq!(gaps.len(), streams.accesses.len());
-    for (gap, expected) in gaps.iter().zip(&streams.global_gaps) {
-        // idle_gaps measures completion→next-arrival... completion; the
-        // stream version uses arrivals for the horizon, so allow the
-        // service-time difference.
-        let diff = (gap.length.as_secs_f64() - expected.as_secs_f64()).abs();
-        assert!(diff < 0.5, "{diff}");
-    }
-}
-
-#[test]
-fn capture_overhead_is_library_hook_cheap() {
-    // The traces were generated through the library-hook strategy: the
-    // paper's "about four memory accesses" per I/O.
-    use pcap_capture::{CaptureStrategy, InstrumentedProcess};
-    use pcap_types::{Pc, Pid};
-    let mut p = InstrumentedProcess::new(Pid(1), CaptureStrategy::LibraryHook);
-    p.enter(Pc(0x1000));
-    for _ in 0..100 {
-        p.issue_io(3).expect("app frame");
-    }
-    assert!((p.meter().mean_accesses() - 4.0).abs() < f64::EPSILON);
 }
