@@ -43,7 +43,10 @@ pub enum FlightKind {
     /// A malformed frame. `a` = 0 bad payload, 1 oversized prefix,
     /// 2 truncated at EOF.
     BadFrame,
-    /// A well-formed frame dropped in an invalid protocol state.
+    /// A well-formed frame dropped in an invalid protocol state. `a` =
+    /// 0 `RunStart` over an open run (which is discarded), 1 `Event`
+    /// with no open run, 2 `RunEnd` with no session, 3 `RunEnd` with no
+    /// open run, 4 `DeviceEnd` with no session.
     StrayFrame,
     /// A decision-bearing (`RunEnd`) message entered a shard queue.
     /// `a` = destination shard.

@@ -22,10 +22,12 @@ use std::time::Instant;
 /// queueing delay is distinguishable from compute in a scrape.
 #[derive(Debug, Default)]
 pub struct ShardStats {
-    /// Messages enqueued to the shard (incremented by readers before
-    /// the bounded send, so `enqueued - processed` ≥ live depth).
+    /// Frames enqueued to the shard (added by readers, by each batch's
+    /// frame count, before the bounded send, so `enqueued - processed`
+    /// ≥ live depth).
     pub enqueued: AtomicU64,
-    /// Messages the shard worker finished processing.
+    /// Frames the shard worker finished processing (added once per
+    /// batch, by its frame count).
     pub processed: AtomicU64,
     /// Runs the shard evaluated.
     pub runs: AtomicU64,
@@ -43,7 +45,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Messages currently queued or in flight for the shard.
+    /// Frames currently queued or in flight for the shard.
     pub fn depth(&self) -> u64 {
         self.enqueued
             .load(Ordering::Acquire)
@@ -268,13 +270,13 @@ impl ServeMetrics {
                 (
                     "pcap_serve_shard_depth",
                     MetricKind::Gauge,
-                    "Messages queued or in flight for the shard.",
+                    "Frames queued or in flight for the shard.",
                     ShardStats::depth,
                 ),
                 (
                     "pcap_serve_shard_processed_total",
                     MetricKind::Counter,
-                    "Messages the shard worker finished processing.",
+                    "Frames the shard worker finished processing.",
                     |s| s.processed.load(Ordering::Relaxed),
                 ),
                 (

@@ -5,9 +5,10 @@
 //!
 //! ```text
 //! acceptor (per endpoint) ──spawns──▶ reader (per connection)
-//!                                        │ decode, hash-route
+//!                                        │ decode, hash-route into one
+//!                                        │ open batch per shard
 //!                                        ▼
-//!                   bounded mpsc queue (per shard, blocking send)
+//!          bounded mpsc queue (per shard, batches of ≤ 64 frames, blocking send)
 //!                                        │
 //!                                        ▼
 //!                             shard worker (per shard)
@@ -20,11 +21,19 @@
 //! * **Routing**: shard = `splitmix64(device) % shards`. A device's
 //!   frames always land on one shard in arrival order, so per-device
 //!   state needs no locks and decisions stay ordered per device.
+//! * **Batching**: a reader appends the ops it decodes from one `read()`
+//!   to an inline batch per shard and sends a batch when it holds
+//!   `min(64, queue_depth)` frames and after each read's frames are
+//!   consumed. One queue message, shard wake-up, reply-handle clone and
+//!   counter update then serve a whole batch; every counter still counts
+//!   frames. Batches are FIFO per shard, so per-device order is the
+//!   arrival order.
 //! * **Backpressure**: each shard queue is a bounded
-//!   [`std::sync::mpsc::sync_channel`]; when a shard falls behind,
-//!   readers block in `send`, stop draining their sockets, and the
-//!   kernel's TCP/UDS flow control pushes back on clients. No frame is
-//!   ever dropped for load reasons.
+//!   [`std::sync::mpsc::sync_channel`] of `queue_depth / batch` batches,
+//!   so at most `queue_depth` frames wait in it; when a shard falls
+//!   behind, readers block in `send`, stop draining their sockets, and
+//!   the kernel's TCP/UDS flow control pushes back on clients. No frame
+//!   is ever dropped for load reasons.
 //! * **Decision granularity**: [`RunStreams`](pcap_sim::RunStreams)
 //!   derives every gap from the *next* access's timestamp, so a
 //!   decision for access `i` is computable only once its successor is
@@ -78,7 +87,7 @@ pub struct ServeConfig {
     pub kind: PowerManagerKind,
     /// Shard worker count (must be ≥ 1).
     pub shards: usize,
-    /// Bounded per-shard queue capacity, in messages.
+    /// Bounded per-shard queue capacity, in frames (DESIGN.md §13).
     pub queue_depth: usize,
     /// Keep one full audit record per this many decisions (0 = off).
     pub sample_every: u64,
@@ -137,30 +146,62 @@ impl Reply {
 }
 
 /// What a reader sends to a shard worker.
+// `Ops` carries its batch inline on purpose: boxing it would allocate
+// once per batch (`tests/zero_alloc_serve.rs`), and the small
+// `ConnClosed` goes once per connection and shard.
+#[allow(clippy::large_enum_variant)]
 enum ShardMsg {
-    Op {
+    /// A batch of one connection's frames for this shard.
+    Ops {
         conn: u64,
-        device: u64,
-        op: DeviceOp,
         reply: Arc<Reply>,
+        /// Stamped by the reader just before the blocking send, so the
+        /// shard can attribute a `RunEnd`'s queue wait separately from
+        /// its evaluation.
+        sent_at: Instant,
+        batch: Batch,
     },
     /// The connection closed; retire all its sessions on this shard.
     ConnClosed { conn: u64 },
 }
 
+#[derive(Clone, Copy)]
 enum DeviceOp {
-    RunStart {
-        root: Pid,
-    },
+    RunStart { root: Pid },
     Event(TraceEvent),
-    /// `enqueued_at` is stamped by the reader just before the blocking
-    /// send, so the shard can attribute queue-wait separately from
-    /// evaluation. Only run-completing messages carry a stamp — they
-    /// are the ones whose end-to-end latency the client observes.
-    RunEnd {
-        enqueued_at: Instant,
-    },
+    RunEnd,
     DeviceEnd,
+}
+
+/// Most frames one queue message carries; a smaller `queue_depth`
+/// caps it at `queue_depth`.
+const MAX_BATCH: usize = 64;
+
+/// Up to [`MAX_BATCH`] `(device, op)` pairs in arrival order, stored
+/// inline so that handing a batch to a shard allocates nothing.
+#[derive(Clone, Copy)]
+struct Batch {
+    len: usize,
+    ops: [(u64, DeviceOp); MAX_BATCH],
+}
+
+impl Batch {
+    const EMPTY: Batch = Batch {
+        len: 0,
+        ops: [(0, DeviceOp::DeviceEnd); MAX_BATCH],
+    };
+
+    fn ops(&self) -> &[(u64, DeviceOp)] {
+        &self.ops[..self.len]
+    }
+}
+
+/// Frames per batch and batches per shard queue for `queue_depth`: the
+/// queue holds at most `queue_depth` frames (DESIGN.md §13).
+fn batch_layout(queue_depth: usize) -> (usize, usize) {
+    let queue_depth = queue_depth.max(1);
+    let batch = MAX_BATCH.min(queue_depth);
+    (batch, queue_depth / batch)
 }
 
 /// Per-(connection, device) server state.
@@ -289,10 +330,11 @@ pub fn start(
     let conn_ids = Arc::new(AtomicU64::new(0));
 
     // Shard workers.
+    let (batch, queued_batches) = batch_layout(config.queue_depth);
     let mut shard_txs = Vec::with_capacity(config.shards);
     let mut shard_joins = Vec::with_capacity(config.shards);
     for shard in 0..config.shards {
-        let (tx, rx) = sync_channel::<ShardMsg>(config.queue_depth.max(1));
+        let (tx, rx) = sync_channel::<ShardMsg>(queued_batches);
         shard_txs.push(tx);
         let metrics = Arc::clone(&metrics);
         let flight = Arc::clone(&flight);
@@ -309,6 +351,7 @@ pub fn start(
         metrics: Arc::clone(&metrics),
         flight: Arc::clone(&flight),
         shard_txs: shard_txs.clone(),
+        batch,
         stage_metrics: config.stage_metrics,
     });
 
@@ -428,6 +471,8 @@ struct ReaderShared {
     metrics: Arc<ServeMetrics>,
     flight: Arc<FlightRecorder>,
     shard_txs: Vec<SyncSender<ShardMsg>>,
+    /// Frames per batch: `min(MAX_BATCH, queue_depth)`.
+    batch: usize,
     stage_metrics: bool,
 }
 
@@ -505,8 +550,11 @@ fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
     }
 }
 
-/// Reads frames off one connection, decodes, and hash-routes to the
-/// shard queues. Malformed-frame policy:
+/// Reads frames off one connection, decodes them, and hash-routes them
+/// into one open [`Batch`] per shard; a batch goes to its shard's queue
+/// when full and after each read's frames are consumed, so every frame
+/// is queued before the reader reads again or closes. Malformed-frame
+/// policy:
 ///
 /// * unknown tag / truncated payload (length known) → count
 ///   `bad_frames`, skip the frame, keep reading — device state is
@@ -536,6 +584,7 @@ fn connection_reader(
     let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     let mut chunk = [0u8; 64 * 1024];
     let mut frames_seen: u64 = 0;
+    let mut open = vec![Batch::EMPTY; shared.shard_txs.len()];
     'conn: loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
@@ -567,8 +616,21 @@ fn connection_reader(
                     match frame::decode_client(payload) {
                         Ok(frame) => {
                             let decode_ns = decode_start.map(|t| t.elapsed().as_nanos() as u64);
-                            metrics.frames.fetch_add(1, Ordering::Relaxed);
-                            route(conn, frame, decode_ns, &reply, shared);
+                            match route(frame, decode_ns, shared) {
+                                Some((shard, device, op)) => {
+                                    let batch = &mut open[shard];
+                                    batch.ops[batch.len] = (device, op);
+                                    batch.len += 1;
+                                    if batch.len == shared.batch {
+                                        send_batch(conn, shard, batch, &reply, shared);
+                                    }
+                                }
+                                // The connection-scoped `Hello`; routed
+                                // frames are counted per batch.
+                                None => {
+                                    metrics.frames.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
                         }
                         Err(_) => {
                             // The frame boundary is known: drop just
@@ -599,7 +661,10 @@ fn connection_reader(
             }
         }
         buf.drain(..consumed);
+        send_open(conn, &mut open, &reply, shared);
     }
+    // The frames decoded before an oversized prefix.
+    send_open(conn, &mut open, &reply, shared);
     if !buf.is_empty() {
         // Truncated header or mid-frame EOF.
         metrics.bad_frames.fetch_add(1, Ordering::Relaxed);
@@ -622,38 +687,32 @@ fn connection_reader(
     }
 }
 
+/// The shard, device and op of a decoded frame (`None` for the
+/// connection-scoped `Hello`), recording its sampled decode latency.
 fn route(
-    conn: u64,
     frame: ClientFrame,
     decode_ns: Option<u64>,
-    reply: &Arc<Reply>,
     shared: &ReaderShared,
-) {
-    let metrics = &*shared.metrics;
+) -> Option<(usize, u64, DeviceOp)> {
     let (device, op) = match frame {
-        // The hello is connection-scoped; nothing to route. Version
-        // mismatches are tolerated within v1 (there is only v1).
-        ClientFrame::Hello { .. } => return,
+        // Nothing to route. Version mismatches are tolerated within v1
+        // (there is only v1).
+        ClientFrame::Hello { .. } => return None,
         ClientFrame::RunStart { device, root } => (device, DeviceOp::RunStart { root }),
         ClientFrame::Event { device, event } => (device, DeviceOp::Event(event)),
-        ClientFrame::RunEnd { device } => (
-            device,
-            DeviceOp::RunEnd {
-                enqueued_at: Instant::now(),
-            },
-        ),
+        ClientFrame::RunEnd { device } => (device, DeviceOp::RunEnd),
         ClientFrame::DeviceEnd { device } => (device, DeviceOp::DeviceEnd),
     };
     let shard = shard_of(device, shared.shard_txs.len());
     if let Some(ns) = decode_ns {
         if shared.stage_metrics {
-            metrics.shards[shard].decode_ns.record(ns);
+            shared.metrics.shards[shard].decode_ns.record(ns);
         }
         shared
             .flight
             .record(shared.io_ring(), FlightKind::FrameDecode, device, ns, 0);
     }
-    if matches!(op, DeviceOp::RunEnd { .. }) {
+    if matches!(op, DeviceOp::RunEnd) {
         shared.flight.record(
             shared.io_ring(),
             FlightKind::Enqueue,
@@ -662,24 +721,45 @@ fn route(
             0,
         );
     }
-    metrics.shards[shard]
-        .enqueued
-        .fetch_add(1, Ordering::Release);
+    Some((shard, device, op))
+}
+
+/// Sends every non-empty open batch to its shard.
+fn send_open(conn: u64, open: &mut [Batch], reply: &Arc<Reply>, shared: &ReaderShared) {
+    for (shard, batch) in open.iter_mut().enumerate() {
+        if batch.len > 0 {
+            send_batch(conn, shard, batch, reply, shared);
+        }
+    }
+}
+
+/// Hands `batch` to `shard` as one queue message and empties it. The
+/// `frames` and `enqueued` counters move by the batch's frame count
+/// before the send, so a batch blocked in `send` already counts toward
+/// the shard's depth.
+fn send_batch(
+    conn: u64,
+    shard: usize,
+    batch: &mut Batch,
+    reply: &Arc<Reply>,
+    shared: &ReaderShared,
+) {
+    let frames = batch.len as u64;
+    let stats = &shared.metrics.shards[shard];
+    shared.metrics.frames.fetch_add(frames, Ordering::Relaxed);
+    stats.enqueued.fetch_add(frames, Ordering::Release);
+    let msg = ShardMsg::Ops {
+        conn,
+        reply: Arc::clone(reply),
+        sent_at: Instant::now(),
+        batch: *batch,
+    };
+    batch.len = 0;
     // A full queue blocks here — that is the backpressure contract.
-    if shared.shard_txs[shard]
-        .send(ShardMsg::Op {
-            conn,
-            device,
-            op,
-            reply: Arc::clone(reply),
-        })
-        .is_err()
-    {
-        // Shard is gone (shutdown); account the message as processed
-        // so depth drains to zero.
-        metrics.shards[shard]
-            .processed
-            .fetch_add(1, Ordering::Release);
+    if shared.shard_txs[shard].send(msg).is_err() {
+        // Shard is gone (shutdown); account the frames as processed so
+        // depth drains to zero.
+        stats.processed.fetch_add(frames, Ordering::Release);
     }
 }
 
@@ -703,37 +783,48 @@ fn shard_worker(
                 let removed = (before - sessions.len()) as u64;
                 metrics.devices_active.fetch_sub(removed, Ordering::Relaxed);
             }
-            ShardMsg::Op {
+            ShardMsg::Ops {
                 conn,
-                device,
-                op,
                 reply,
+                sent_at,
+                batch,
             } => {
-                handle_op(
-                    conn,
-                    device,
-                    op,
-                    &reply,
-                    config,
-                    metrics,
-                    flight,
-                    shard,
-                    &mut evaluator,
-                    &mut sessions,
-                    &mut out,
-                    &mut records,
-                );
-                stats.processed.fetch_add(1, Ordering::Release);
+                let mut events = 0;
+                for &(device, op) in batch.ops() {
+                    let accepted = handle_op(
+                        conn,
+                        device,
+                        op,
+                        sent_at,
+                        &reply,
+                        config,
+                        metrics,
+                        flight,
+                        shard,
+                        &mut evaluator,
+                        &mut sessions,
+                        &mut out,
+                        &mut records,
+                    );
+                    events += u64::from(accepted);
+                }
+                metrics.events.fetch_add(events, Ordering::Relaxed);
+                stats
+                    .processed
+                    .fetch_add(batch.len as u64, Ordering::Release);
             }
         }
     }
 }
 
+/// Applies one op to its session. Returns whether it was an `Event`
+/// accepted into an open run; the caller counts those per batch.
 #[allow(clippy::too_many_arguments)]
 fn handle_op(
     conn: u64,
     device: u64,
     op: DeviceOp,
+    sent_at: Instant,
     reply: &Arc<Reply>,
     config: &ServeConfig,
     metrics: &ServeMetrics,
@@ -743,8 +834,12 @@ fn handle_op(
     sessions: &mut HashMap<(u64, u64), Session>,
     out: &mut Vec<u8>,
     records: &mut Vec<DecisionRecord>,
-) {
+) -> bool {
     let key = (conn, device);
+    let stray = |code: u64| {
+        metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
+        flight.record(shard, FlightKind::StrayFrame, device, code, 0);
+    };
     match op {
         DeviceOp::RunStart { root } => {
             let session = sessions.entry(key).or_insert_with(|| {
@@ -758,34 +853,30 @@ fn handle_op(
             if session.builder.is_some() {
                 // RunStart with a run already open: the open run can
                 // never be completed coherently; discard it.
-                metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-                flight.record(shard, FlightKind::StrayFrame, device, 0, 0);
+                stray(0);
             }
             session.builder = Some(TraceRunBuilder::new(root));
         }
         DeviceOp::Event(event) => match sessions.get_mut(&key).and_then(|s| s.builder.as_mut()) {
             Some(builder) => {
                 builder.event(event);
-                metrics.events.fetch_add(1, Ordering::Relaxed);
+                return true;
             }
-            None => {
-                metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-                flight.record(shard, FlightKind::StrayFrame, device, 1, 0);
-            }
+            None => stray(1),
         },
-        DeviceOp::RunEnd { enqueued_at } => {
+        DeviceOp::RunEnd => {
             let Some(session) = sessions.get_mut(&key) else {
-                metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-                return;
+                stray(2);
+                return false;
             };
             let Some(builder) = session.builder.take() else {
-                metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-                return;
+                stray(3);
+                return false;
             };
             out.clear();
             let stats = &metrics.shards[shard];
             let started = Instant::now();
-            let queue_wait_us = started.duration_since(enqueued_at).as_micros() as u64;
+            let queue_wait_us = started.duration_since(sent_at).as_micros() as u64;
             if config.stage_metrics {
                 stats.queue_wait_us.record(queue_wait_us);
             }
@@ -876,8 +967,8 @@ fn handle_op(
         }
         DeviceOp::DeviceEnd => {
             let Some(session) = sessions.remove(&key) else {
-                metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-                return;
+                stray(4);
+                return false;
             };
             metrics.devices_active.fetch_sub(1, Ordering::Relaxed);
             out.clear();
@@ -893,6 +984,7 @@ fn handle_op(
             reply.send(out);
         }
     }
+    false
 }
 
 /// Longest request head the metrics endpoint accepts; anything larger
@@ -1055,5 +1147,65 @@ mod tests {
             kept <= 4,
             "{kept} reader handles kept after 64 closed connections"
         );
+    }
+
+    #[test]
+    fn every_stray_frame_is_counted_and_recorded_with_its_code() {
+        let sock =
+            std::env::temp_dir().join(format!("pcap-serve-stray-{}.sock", std::process::id()));
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let handle = start(config, &[Endpoint::Uds(sock.clone())], None).expect("start");
+        let root = Pid(1);
+        let event = TraceEvent::Exit {
+            time: pcap_types::SimTime::from_secs(1),
+            pid: root,
+        };
+        let script = [
+            ClientFrame::RunStart { device: 1, root },
+            // 0: a RunStart over an open run.
+            ClientFrame::RunStart { device: 1, root },
+            // 1: an Event with no open run.
+            ClientFrame::Event { device: 2, event },
+            // 2: a RunEnd with no session.
+            ClientFrame::RunEnd { device: 3 },
+            // Closes device 1's run (rejected: it has no exit).
+            ClientFrame::RunEnd { device: 1 },
+            // 3: a RunEnd with no open run.
+            ClientFrame::RunEnd { device: 1 },
+            ClientFrame::DeviceEnd { device: 1 },
+            // 4: a DeviceEnd with no session.
+            ClientFrame::DeviceEnd { device: 1 },
+        ];
+        let mut bytes = Vec::new();
+        for frame in &script {
+            frame::encode_client(frame, &mut bytes);
+        }
+        let mut client = UnixStream::connect(&sock).expect("connect");
+        client.write_all(&bytes).expect("write script");
+        let metrics = Arc::clone(handle.metrics());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.shards[0].processed.load(Ordering::Acquire) < script.len() as u64 {
+            assert!(Instant::now() < deadline, "the shard never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dump = handle.flight().dump_jsonl();
+        drop(client);
+        handle.shutdown();
+        assert_eq!(metrics.stray_frames.load(Ordering::Relaxed), 5);
+        let mut codes: Vec<u64> = dump
+            .lines()
+            .filter(|line| line.contains("\"kind\":\"stray_frame\""))
+            .map(|line| {
+                let a = &line[line.find("\"a\":").expect("a field") + 4..];
+                a[..a.find(',').expect("b follows a")]
+                    .parse()
+                    .expect("numeric a")
+            })
+            .collect();
+        codes.sort_unstable();
+        assert_eq!(codes, [0, 1, 2, 3, 4], "stray_frame codes in {dump}");
     }
 }

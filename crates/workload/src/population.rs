@@ -13,7 +13,7 @@
 //! mapping is a breaking change to every recorded fleet number.
 
 use crate::apps::PaperApp;
-use crate::spec::{AppModel, AppSpec};
+use crate::spec::{AppModel, AppSpec, SitePcs};
 use pcap_trace::{TraceError, TraceRun};
 
 /// The finalizing mixer of Vigna's SplitMix64 generator, applied to
@@ -66,23 +66,26 @@ pub struct Device {
 /// A deterministic fleet of devices cycling through the six paper apps.
 ///
 /// The population itself is tiny — it holds the six calibrated specs
-/// once and maps indices on demand, so a million-device fleet costs the
-/// same memory as a six-device one.
+/// and their site-PC tables once and maps indices on demand, so a
+/// million-device fleet costs the same memory as a six-device one.
 #[derive(Debug, Clone)]
 pub struct DevicePopulation {
     devices: u64,
     base_seed: u64,
     specs: [AppSpec; 6],
+    sites: [SitePcs; 6],
 }
 
 impl DevicePopulation {
     /// Creates a population of `devices` devices under `base_seed`.
     pub fn new(devices: u64, base_seed: u64) -> DevicePopulation {
         let specs = PaperApp::ALL.map(PaperApp::spec);
+        let sites = std::array::from_fn(|app| SitePcs::of(&specs[app]));
         DevicePopulation {
             devices,
             base_seed,
             specs,
+            sites,
         }
     }
 
@@ -129,8 +132,8 @@ impl DevicePopulation {
     ///
     /// Propagates [`TraceError`] from the underlying app model.
     pub fn generate_run(&self, index: u64, run: usize) -> Result<TraceRun, TraceError> {
-        self.spec(index)
-            .generate_run(device_seed(self.base_seed, index), run)
+        let app = (index % APPS_PER_COHORT) as usize;
+        self.specs[app].generate_run_with(&self.sites[app], device_seed(self.base_seed, index), run)
     }
 }
 

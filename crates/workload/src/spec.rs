@@ -523,24 +523,19 @@ impl TagFile<'_> {
 
 /// The generation engine for one run.
 ///
-/// Every site's PC is assigned when the run starts ([`site_pcs`]).
-/// What changes only per op execution — the tag's fd, file id and
-/// cursor, the issuing process — is resolved before an op's repeat
+/// Every site's PC comes from the spec's [`SitePcs`], built once per
+/// spec. What changes only per op execution — the tag's fd, file id
+/// and cursor, the issuing process — is resolved before an op's repeat
 /// loop, so each I/O costs its RNG draws and the event push.
 struct RunEngine<'a> {
     spec: &'a AppSpec,
+    sites: &'a SitePcs,
     rng: StdRng,
     files: FileSpace<'a>,
     builder: TraceRunBuilder,
     /// Earliest next event time of each process (keeps helper bursts
     /// ordered), by pid: the root, then the helpers in fork order.
     free: Vec<SimTime>,
-    /// The PC of every I/O step of every role, laid out by
-    /// [`site_pcs`].
-    pcs: Vec<Pc>,
-    /// Offset in `pcs` of each role's first I/O step, in the same
-    /// order.
-    bases: Vec<usize>,
 }
 
 /// Root process id.
@@ -556,54 +551,62 @@ fn helper_pid(h: usize) -> Pid {
     Pid(ROOT.0 + 1 + h as u32)
 }
 
-/// The PC of every I/O step of every (process, activity) role of
-/// `spec`, with each role's offset into that table.
+/// The PC of every I/O step of every (process, activity) role of one
+/// spec, with each role's offset into that table. It depends only on
+/// the spec, so it is built once per spec, not per run.
 ///
 /// The roles come in spec order: the root's startup, its activities
 /// and its shutdown, then each helper's burst. Every site name resolves
 /// through one [`SiteMap`] in that order, so a site gets the same PC in
 /// every run even when two names contend for one slot (the map gives it
 /// to the name that asks first).
-fn site_pcs(spec: &AppSpec) -> (Vec<Pc>, Vec<usize>) {
-    let root = std::iter::once(&spec.startup)
-        .chain(&spec.activities)
-        .chain(&spec.shutdown)
-        .map(|activity| (ROOT, activity));
-    let helpers = spec
-        .helpers
-        .iter()
-        .enumerate()
-        .map(|(h, helper)| (helper_pid(h), &helper.activity));
-    let mut sites = SiteMap::new(&spec.name);
-    let mut pcs = Vec::new();
-    let mut bases = Vec::new();
-    for (pid, activity) in root.chain(helpers) {
-        bases.push(pcs.len());
-        for step in &activity.steps {
-            if let ActivityStep::Io(op) = step {
-                pcs.push(sites.pc(&format!("{}::{}::{}", pid.0, activity.name, op.site)));
+#[derive(Debug, Clone)]
+pub(crate) struct SitePcs {
+    pcs: Vec<Pc>,
+    /// Offset in `pcs` of each role's first I/O step, in role order.
+    bases: Vec<usize>,
+}
+
+impl SitePcs {
+    pub(crate) fn of(spec: &AppSpec) -> SitePcs {
+        let root = std::iter::once(&spec.startup)
+            .chain(&spec.activities)
+            .chain(&spec.shutdown)
+            .map(|activity| (ROOT, activity));
+        let helpers = spec
+            .helpers
+            .iter()
+            .enumerate()
+            .map(|(h, helper)| (helper_pid(h), &helper.activity));
+        let mut sites = SiteMap::new(&spec.name);
+        let mut pcs = Vec::new();
+        let mut bases = Vec::new();
+        for (pid, activity) in root.chain(helpers) {
+            bases.push(pcs.len());
+            for step in &activity.steps {
+                if let ActivityStep::Io(op) = step {
+                    pcs.push(sites.pc(&format!("{}::{}::{}", pid.0, activity.name, op.site)));
+                }
             }
         }
+        SitePcs { pcs, bases }
     }
-    (pcs, bases)
 }
 
 impl<'a> RunEngine<'a> {
-    fn new(spec: &'a AppSpec, seed: u64, run: usize) -> RunEngine<'a> {
+    fn new(spec: &'a AppSpec, sites: &'a SitePcs, seed: u64, run: usize) -> RunEngine<'a> {
         let rng = StdRng::seed_from_u64(fnv64(&[
             spec.name.as_bytes(),
             &seed.to_le_bytes(),
             &run.to_le_bytes(),
         ]));
-        let (pcs, bases) = site_pcs(spec);
         RunEngine {
             spec,
+            sites,
             rng,
             files: FileSpace::new(&spec.name, run),
             builder: TraceRunBuilder::new(ROOT),
             free: vec![SimTime::ZERO],
-            pcs,
-            bases,
         }
     }
 
@@ -620,7 +623,7 @@ impl<'a> RunEngine<'a> {
         options.last().expect("non-empty weights").0
     }
 
-    /// Executes `activity`, role `role` of [`site_pcs`], on process
+    /// Executes `activity`, role `role` of [`SitePcs`], on process
     /// `pid` starting no earlier than `start`; returns the completion
     /// time.
     fn run_activity(
@@ -638,7 +641,7 @@ impl<'a> RunEngine<'a> {
                 }
             }
         }
-        let mut pcs = self.pcs[self.bases[role]..].iter();
+        let mut pcs = self.sites.pcs[self.sites.bases[role]..].iter();
         for step in &activity.steps {
             match step {
                 ActivityStep::Pause(dist) => {
@@ -676,10 +679,10 @@ impl<'a> RunEngine<'a> {
 
     fn generate(mut self) -> Result<TraceRun, TraceError> {
         let spec = self.spec;
-        // Roles in `site_pcs` order: startup 0, activity `i` at 1 + i,
+        // Roles in `SitePcs` order: startup 0, activity `i` at 1 + i,
         // then the shutdown if any, then the helpers.
         let shutdown_role = 1 + spec.activities.len();
-        let first_helper_role = self.bases.len() - spec.helpers.len();
+        let first_helper_role = self.sites.bases.len() - spec.helpers.len();
         // Fork helpers shortly after start.
         for h in 0..spec.helpers.len() {
             let t = SimTime::from_millis(10 * (h as u64 + 1));
@@ -759,12 +762,36 @@ impl AppModel for AppSpec {
     }
 
     fn generate_run(&self, seed: u64, run: usize) -> Result<TraceRun, TraceError> {
+        self.generate_run_with(&SitePcs::of(self), seed, run)
+    }
+
+    /// Generates every run from one table of the spec's site PCs,
+    /// built once for all of them.
+    fn generate_trace(&self, seed: u64) -> Result<pcap_trace::ApplicationTrace, TraceError> {
+        let sites = SitePcs::of(self);
+        let mut trace = pcap_trace::ApplicationTrace::new(self.name());
+        for run in 0..self.executions() {
+            trace.runs.push(self.generate_run_with(&sites, seed, run)?);
+        }
+        Ok(trace)
+    }
+}
+
+impl AppSpec {
+    /// [`AppModel::generate_run`] with the spec's site PCs built by the
+    /// caller (`sites` must be `SitePcs::of(self)`).
+    pub(crate) fn generate_run_with(
+        &self,
+        sites: &SitePcs,
+        seed: u64,
+        run: usize,
+    ) -> Result<TraceRun, TraceError> {
         debug_assert!(
             self.validate().is_ok(),
             "invalid spec: {:?}",
             self.validate()
         );
-        RunEngine::new(self, seed, run).generate()
+        RunEngine::new(self, sites, seed, run).generate()
     }
 }
 
