@@ -5,13 +5,18 @@ use crate::history::HistoryBits;
 use pcap_types::{Fd, LruMap, Signature};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 /// A prediction-table key: the signature plus whatever extra context the
 /// active [`PcapVariant`](crate::PcapVariant) folds in — the idle-period
 /// history bit-vector (PCAPh) and/or the file descriptor of the last
 /// I/O (PCAPf).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// It hashes as one `u128` that packs every field injectively, so a
+/// table probe costs its hasher a single integer write (see
+/// [`LruMap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableKey {
     /// The encoded PC path.
     pub signature: Signature,
@@ -29,6 +34,24 @@ impl TableKey {
             history: None,
             fd: None,
         }
+    }
+
+    /// Every field in 106 bits: the signature in bits 0–31, the fd in
+    /// 32–63 with its presence bit at 64, and from bit 65 the history's
+    /// `bits`, `len` and presence bit. A field that is `None` packs as
+    /// zeros, its presence bit included.
+    fn packed(&self) -> u128 {
+        let fd = self.fd.map_or(0, |fd| u128::from(fd.0) | 1 << 32);
+        let history = self.history.map_or(0, |h| {
+            u128::from(h.bits) | u128::from(h.len) << 32 | 1 << 40
+        });
+        u128::from(self.signature.0) | fd << 32 | history << 65
+    }
+}
+
+impl Hash for TableKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.packed());
     }
 }
 
@@ -387,6 +410,46 @@ mod tests {
         t.learn(with_h);
         t.learn(with_fd);
         assert_eq!(t.len(), 3);
+
+        // The packing's edge cases: a zero field against an absent one,
+        // and equal history bits of different lengths.
+        let empty_history = HistoryBits { bits: 0, len: 0 };
+        let pairs = [
+            (
+                TableKey {
+                    fd: Some(Fd(0)),
+                    ..base
+                },
+                base,
+            ),
+            (
+                TableKey {
+                    history: Some(empty_history),
+                    ..base
+                },
+                base,
+            ),
+            (
+                TableKey {
+                    history: Some(HistoryBits {
+                        bits: 0b101,
+                        len: 4,
+                    }),
+                    ..base
+                },
+                with_h,
+            ),
+        ];
+        for (a, b) in pairs {
+            for (learned, other) in [(a, b), (b, a)] {
+                let mut t = PredictionTable::unbounded();
+                t.learn(learned);
+                assert!(t.lookup(learned), "{learned:?}");
+                assert!(!t.lookup(other), "{other:?} must miss after {learned:?}");
+                t.learn(other);
+                assert_eq!(t.len(), 2, "{learned:?} and {other:?}");
+            }
+        }
     }
 
     #[test]

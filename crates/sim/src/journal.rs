@@ -53,13 +53,16 @@ use pcap_disk::Joules;
 use pcap_obs::JournalProgress;
 use pcap_types::wire::{put, WireError, WireReader};
 use pcap_workload::{fleet_cell_key, DevicePopulation};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// File magic: the first eight bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"PCAPJRNL";
@@ -530,19 +533,36 @@ pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> io::Result<()> {
 }
 
 /// Runs a cell grid to completion against `journal`: already-committed
-/// cells are skipped, pending ones are claimed and computed in
-/// parallel on `runner`, and cells claimed by a cooperating process
-/// are waited out rather than recomputed. Returns every cell's result
-/// bytes in the order of `cells` — always decoded from the journal, so
-/// the readout does not depend on which process computed what.
+/// cells are skipped, pending ones are claimed and computed on
+/// `runner.jobs()` scoped worker threads, and cells claimed by a
+/// cooperating process are waited out rather than recomputed. Returns
+/// every cell's result bytes in the order of `cells` — always decoded
+/// from the journal, so the readout does not depend on which process
+/// computed what.
+///
+/// The calling thread alone claims and commits; the workers only
+/// evaluate. When a result arrives, the caller first claims the next
+/// cell for the freed worker and then appends the result, so each
+/// append's `sync_data` overlaps the evaluation of the cells in flight.
+/// At most `jobs + 1` cells are ever claimed and not yet committed (one
+/// per worker plus the one being appended): that is what a crash can
+/// lose, and every other pending cell stays free for a cooperating
+/// process to claim.
 ///
 /// `worker` maps a task to its serialized result; it must be a pure
 /// function of the task (the journal's determinism contract).
 ///
 /// # Errors
 ///
-/// [`JournalError::Task`] wraps the first worker failure; the other
-/// variants surface journal I/O and integrity problems.
+/// [`JournalError::Task`] wraps the first worker failure to arrive; the
+/// other variants surface journal I/O and integrity problems. Either
+/// way nothing more is claimed, the workers finish the cells they hold,
+/// and every cell committed before the failure stays committed.
+///
+/// # Panics
+///
+/// A panic in `worker` resumes on the calling thread after every worker
+/// has stopped.
 pub fn run_journaled<T, F>(
     journal: &mut Journal,
     runner: &SweepRunner,
@@ -556,57 +576,40 @@ where
     let resumed = cells
         .iter()
         .filter(|(key, _)| journal.is_done(*key))
-        .count() as u64;
-    journal.progress.resumed += resumed;
-    let mut computed = 0u64;
-    loop {
-        let pending: Vec<&(u64, T)> = cells
-            .iter()
-            .filter(|(key, _)| !journal.is_done(*key))
-            .collect();
-        if pending.is_empty() {
-            break;
+        .count();
+    journal.progress.resumed += resumed as u64;
+    let workers = runner.jobs().min(cells.len() - resumed);
+    let (task_tx, task_rx) = mpsc::channel::<usize>();
+    let task_rx = Mutex::new(task_rx);
+    let (result_tx, result_rx) = mpsc::channel();
+    let committed = std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (task_rx, result_tx, worker) = (&task_rx, result_tx.clone(), &worker);
+            scope.spawn(move || loop {
+                let next = task_rx
+                    .lock()
+                    .expect("no worker panics holding the queue")
+                    .recv();
+                // The caller hangs up once the grid is done or failed.
+                let Ok(index) = next else { break };
+                let outcome = catch_unwind(AssertUnwindSafe(|| worker(&cells[index].1)));
+                let panicked = outcome.is_err();
+                if result_tx.send((index, outcome)).is_err() || panicked {
+                    break;
+                }
+            });
         }
-        // Claim at most one round of work (`jobs` cells) so each round
-        // commits before the next is claimed: a crash loses at most one
-        // round of computation, and cooperating processes can claim the
-        // cells this one leaves unclaimed.
-        let round = runner.jobs().max(1);
-        let mut claimed: Vec<&(u64, T)> = Vec::new();
-        for cell in pending {
-            if claimed.len() == round {
-                break;
-            }
-            if journal.try_claim(cell.0)? {
-                claimed.push(cell);
-            }
-        }
-        if claimed.is_empty() {
-            // Every pending cell is claimed by a cooperating process;
-            // wait for its appends to land and rescan.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            journal.refresh()?;
-            continue;
-        }
-        // A peer may have committed a cell between our scan and claim.
-        journal.refresh()?;
-        let mut work: Vec<&(u64, T)> = Vec::new();
-        for cell in claimed {
-            if journal.is_done(cell.0) {
-                journal.release(cell.0);
-            } else {
-                work.push(cell);
-            }
-        }
-        let results = runner.run(&work, |_, cell| worker(&cell.1));
-        for (cell, result) in work.iter().zip(results) {
-            let bytes = result.map_err(JournalError::Task)?;
-            journal.append(cell.0, &bytes)?;
-            computed += 1;
-        }
-        journal.refresh()?;
-    }
-    let ceded = (cells.len() as u64).saturating_sub(resumed + computed);
+        drop(result_tx);
+        let committed = claim_and_commit(journal, cells, workers, &task_tx, &result_rx);
+        drop(task_tx);
+        committed
+    });
+    let computed = match committed {
+        Ok(computed) => computed,
+        Err(Halt::Failed(error)) => return Err(error),
+        Err(Halt::Panicked(payload)) => resume_unwind(payload),
+    };
+    let ceded = (cells.len() as u64).saturating_sub(resumed as u64 + computed);
     journal.progress.ceded += ceded;
     cells
         .iter()
@@ -620,6 +623,98 @@ where
                 })
         })
         .collect()
+}
+
+/// A worker's result for the cell at an index: its bytes, its failure,
+/// or the payload of its panic.
+type CellOutcome = std::thread::Result<Result<Vec<u8>, String>>;
+
+/// Why [`claim_and_commit`] stopped before the grid was done.
+enum Halt {
+    Failed(JournalError),
+    Panicked(Box<dyn Any + Send>),
+}
+
+impl From<JournalError> for Halt {
+    fn from(error: JournalError) -> Halt {
+        Halt::Failed(error)
+    }
+}
+
+/// The calling thread's half of [`run_journaled`]: keeps `workers`
+/// cells in flight on `tasks` and commits each result from `results`
+/// after handing out the next cell. Returns how many cells it
+/// committed once every cell is done.
+fn claim_and_commit<T>(
+    journal: &mut Journal,
+    cells: &[(u64, T)],
+    workers: usize,
+    tasks: &mpsc::Sender<usize>,
+    results: &mpsc::Receiver<(usize, CellOutcome)>,
+) -> Result<u64, Halt> {
+    let mut computed = 0u64;
+    // This pass's next cell to try; cells a peer holds wait a pass.
+    let mut cursor = 0;
+    let mut in_flight = 0;
+    // A result whose worker was freed and whose append is next.
+    let mut ready: Option<(u64, Vec<u8>)> = None;
+    loop {
+        while in_flight < workers {
+            let Some(index) = claim_next(journal, cells, &mut cursor)? else {
+                break;
+            };
+            tasks.send(index).expect("the workers hold the task queue");
+            in_flight += 1;
+        }
+        if let Some((key, bytes)) = ready.take() {
+            journal.append(key, &bytes)?;
+            computed += 1;
+        }
+        if in_flight == 0 {
+            if cells.iter().all(|(key, _)| journal.is_done(*key)) {
+                return Ok(computed);
+            }
+            // Every pending cell is claimed by a cooperating process;
+            // wait for its appends to land and rescan.
+            std::thread::sleep(Duration::from_millis(20));
+            journal.refresh()?;
+            cursor = 0;
+            continue;
+        }
+        let (index, outcome) = results
+            .recv()
+            .expect("a live worker holds every cell in flight");
+        in_flight -= 1;
+        match outcome {
+            Ok(Ok(bytes)) => ready = Some((cells[index].0, bytes)),
+            Ok(Err(message)) => return Err(Halt::Failed(JournalError::Task(message))),
+            Err(payload) => return Err(Halt::Panicked(payload)),
+        }
+    }
+}
+
+/// Claims the first pending cell at or after `cursor`, moving `cursor`
+/// past it. Cells that are committed or that a peer holds are skipped.
+fn claim_next<T>(
+    journal: &mut Journal,
+    cells: &[(u64, T)],
+    cursor: &mut usize,
+) -> Result<Option<usize>, JournalError> {
+    while let Some((key, _)) = cells.get(*cursor) {
+        let index = *cursor;
+        *cursor += 1;
+        if journal.is_done(*key) || !journal.try_claim(*key)? {
+            continue;
+        }
+        // A peer may have committed the cell between our scan and claim.
+        journal.refresh()?;
+        if journal.is_done(*key) {
+            journal.release(*key);
+            continue;
+        }
+        return Ok(Some(index));
+    }
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------
@@ -841,6 +936,9 @@ pub fn sweep_fleet_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     fn temp_journal(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pcap-journal-{tag}-{}.jnl", std::process::id()))
@@ -1005,6 +1103,182 @@ mod tests {
         assert_eq!(recomputed.load(Ordering::Relaxed), 0);
         assert_eq!(results2, results);
         cleanup(&path);
+    }
+
+    /// Runs `f` on a thread of its own and waits at most a minute for
+    /// it, so a `run_journaled` that deadlocks fails the test instead of
+    /// hanging.
+    fn bounded<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(result) => {
+                thread.join().expect("the thread sent its result");
+                result
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(thread.join().expect_err("only a panic hangs up"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("run_journaled must return, not deadlock"),
+        }
+    }
+
+    /// The keys of `cells` that `watcher` reads as committed on disk.
+    fn committed_keys(watcher: &Mutex<Journal>, cells: &[(u64, u64)]) -> Vec<u64> {
+        let mut watcher = watcher.lock().unwrap();
+        watcher.refresh().unwrap();
+        cells
+            .iter()
+            .map(|&(key, _)| key)
+            .filter(|&key| watcher.is_done(key))
+            .collect()
+    }
+
+    /// Reopens a failed run's journal: every cell committed before the
+    /// failure is still there, and a resume computes only the rest.
+    fn resume_computes_only_the_rest(
+        path: &Path,
+        config: u64,
+        cells: &[(u64, u64)],
+        before: &[u64],
+    ) {
+        let (owned, cells, before) = (path.to_path_buf(), cells.to_vec(), before.to_vec());
+        bounded(move || {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let mut journal = Journal::open(&owned, config).unwrap();
+            for key in &before {
+                assert!(
+                    journal.is_done(*key),
+                    "cell {key} was committed before the failure"
+                );
+            }
+            let kept = journal.completed_cells();
+            let computed = AtomicUsize::new(0);
+            let results = run_journaled(&mut journal, &SweepRunner::new(2), &cells, |task| {
+                computed.fetch_add(1, Ordering::Relaxed);
+                Ok(task.to_le_bytes().to_vec())
+            })
+            .unwrap();
+            assert_eq!(computed.load(Ordering::Relaxed), cells.len() - kept);
+            let expected: Vec<Vec<u8>> = cells.iter().map(|c| c.1.to_le_bytes().to_vec()).collect();
+            assert_eq!(results, expected);
+        });
+        cleanup(path);
+    }
+
+    #[test]
+    fn run_journaled_task_error_ends_the_run_and_resumes() {
+        let path = temp_journal("task-error");
+        cleanup(&path);
+        let cells: Vec<(u64, u64)> = (0..16u64).map(|i| (i + 300, i)).collect();
+        let (error, before) = bounded({
+            let (path, cells) = (path.clone(), cells.clone());
+            move || {
+                let mut journal = Journal::open(&path, 56).unwrap();
+                let watcher = Mutex::new(Journal::open(&path, 56).unwrap());
+                let before = Mutex::new(Vec::new());
+                let error = run_journaled(&mut journal, &SweepRunner::new(2), &cells, |&task| {
+                    if task == 9 {
+                        *before.lock().unwrap() = committed_keys(&watcher, &cells);
+                        return Err("cell 9 failed".to_owned());
+                    }
+                    Ok(task.to_le_bytes().to_vec())
+                })
+                .unwrap_err();
+                (error, before.into_inner().unwrap())
+            }
+        });
+        assert!(
+            matches!(&error, JournalError::Task(message) if message == "cell 9 failed"),
+            "{error}"
+        );
+        resume_computes_only_the_rest(&path, 56, &cells, &before);
+    }
+
+    #[test]
+    fn run_journaled_worker_panic_resumes_on_the_caller_after_workers_stop() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts a worker out of `active`, also when its task unwinds.
+        struct Leave<'a>(&'a AtomicUsize);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let path = temp_journal("panic");
+        cleanup(&path);
+        let cells: Vec<(u64, u64)> = (0..16u64).map(|i| (i + 400, i)).collect();
+        let (message, active_after, before) = bounded({
+            let (path, cells) = (path.clone(), cells.clone());
+            move || {
+                let mut journal = Journal::open(&path, 57).unwrap();
+                let watcher = Mutex::new(Journal::open(&path, 57).unwrap());
+                let before = Mutex::new(Vec::new());
+                let active = AtomicUsize::new(0);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    run_journaled(&mut journal, &SweepRunner::new(2), &cells, |&task| {
+                        active.fetch_add(1, Ordering::SeqCst);
+                        let _leave = Leave(&active);
+                        if task == 9 {
+                            *before.lock().unwrap() = committed_keys(&watcher, &cells);
+                            panic!("cell 9 exploded");
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                        Ok(task.to_le_bytes().to_vec())
+                    })
+                }));
+                let payload = caught.expect_err("the worker's panic must reach the caller");
+                let message = payload.downcast_ref::<&str>().copied().map(str::to_owned);
+                (
+                    message,
+                    active.load(Ordering::SeqCst),
+                    before.into_inner().unwrap(),
+                )
+            }
+        });
+        assert_eq!(message.as_deref(), Some("cell 9 exploded"));
+        assert_eq!(
+            active_after, 0,
+            "the panic resumed while a worker still ran"
+        );
+        resume_computes_only_the_rest(&path, 57, &cells, &before);
+    }
+
+    /// A crash loses at most `jobs + 1` cells: whenever a worker enters
+    /// a cell, at most that many entered cells are missing from the
+    /// file, as a second handle reads it.
+    #[test]
+    fn run_journaled_holds_at_most_jobs_plus_one_uncommitted_cells() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cells: Vec<(u64, u64)> = (0..24u64).map(|i| (i + 500, i)).collect();
+        for jobs in [1, 2, 4] {
+            let path = temp_journal(&format!("bound-{jobs}"));
+            cleanup(&path);
+            let mut journal = Journal::open(&path, 58).unwrap();
+            let watcher = Mutex::new(Journal::open(&path, 58).unwrap());
+            let entered = AtomicUsize::new(0);
+            let results = run_journaled(&mut journal, &SweepRunner::new(jobs), &cells, |&task| {
+                let entered = entered.fetch_add(1, Ordering::SeqCst) + 1;
+                let committed = {
+                    let mut watcher = watcher.lock().unwrap();
+                    watcher.refresh().unwrap();
+                    watcher.completed_cells()
+                };
+                assert!(
+                    entered - committed <= jobs + 1,
+                    "jobs {jobs}: {entered} cells entered but only {committed} committed"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+                Ok(task.to_le_bytes().to_vec())
+            })
+            .unwrap();
+            assert_eq!(entered.load(Ordering::SeqCst), cells.len());
+            assert_eq!(results.len(), cells.len());
+            cleanup(&path);
+        }
     }
 
     #[test]

@@ -6,18 +6,33 @@
 //! monotone per-entry sequence number: touching an entry is a single
 //! in-place store on the hash-table hot path, and eviction scans for
 //! the minimum sequence — `O(capacity)` but only on inserts into a full
-//! map, which the unbounded tables never hit. The tables grow with the
-//! PCs a client sends, so the map keeps std's keyed `RandomState` hash.
-//! The whole structure performs **zero heap allocations in steady
-//! state** once its table has grown: values live inline in the table,
-//! eviction reuses the table's storage, and `clear` keeps its capacity.
-//! (The file cache keeps its pages in runs, in a table of its own
-//! that evicts in O(1) per run; `LruMap` is the page-at-a-time
-//! reference its differential test compares against.)
+//! map, which the unbounded tables never hit. The whole structure
+//! performs **zero heap allocations in steady state** once its table
+//! has grown: values live inline in the table, eviction reuses the
+//! table's storage, and `clear` keeps its capacity. (The file cache
+//! keeps its pages in runs, in a table of its own that evicts in O(1)
+//! per run; `LruMap` is the page-at-a-time reference its differential
+//! test compares against.)
+//!
+//! The prediction tables grow with the PCs a client sends, so the hash
+//! is keyed: with a fixed hash function a client could pick PCs whose
+//! keys collide and make every lookup walk one long probe sequence. The
+//! key is not std's SipHash-1-3 (`RandomState`) either, whose rounds
+//! over each field write cost a third to a half of a PCAP decision.
+//! Each map draws two key words from a fresh `RandomState` and hashes
+//! with a folded multiply, the construction of foldhash (hashbrown's
+//! default hasher): every integer write is one 64×64→128-bit multiply
+//! of the input xored with the key words, with the product's two halves
+//! xored together, and `finish` mixes once more. `pcap-core`'s
+//! `TableKey` packs into one `u128`, so a table probe hashes with two
+//! multiplies. Lookups, evictions and every ordered view are the same
+//! under any hash: eviction takes the minimum sequence number, and
+//! [`LruMap::keys_by_recency`] sorts.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A hash map bounded to `capacity` entries with least-recently-used
 /// eviction.
@@ -38,7 +53,91 @@ use std::hash::Hash;
 pub struct LruMap<K, V> {
     capacity: usize,
     next_seq: u64,
-    entries: HashMap<K, (u64, V)>,
+    entries: HashMap<K, (u64, V), FoldKeys>,
+}
+
+/// The two key words of one map's [`FoldHasher`]s.
+#[derive(Clone)]
+struct FoldKeys([u64; 2]);
+
+impl FoldKeys {
+    /// Fresh key words: each `RandomState` is keyed anew, so no two maps
+    /// share a hash function.
+    fn new() -> FoldKeys {
+        let random = RandomState::new();
+        FoldKeys([random.hash_one(0u8), random.hash_one(1u8)])
+    }
+}
+
+impl BuildHasher for FoldKeys {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            state: 0,
+            keys: self.0,
+        }
+    }
+}
+
+/// The product of `a` and `b`, its high half folded onto its low half.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// A keyed folded-multiply hasher: one multiply per integer written.
+struct FoldHasher {
+    state: u64,
+    keys: [u64; 2],
+}
+
+impl Hasher for FoldHasher {
+    /// Byte strings (`str` keys) go through as their length, then one
+    /// little-endian word per eight bytes, the last one zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write_u64(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(i.into());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write_u128(i.into());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        let [k0, k1] = self.keys;
+        self.state = folded_multiply(i as u64 ^ self.state ^ k0, (i >> 64) as u64 ^ k1);
+    }
+
+    fn finish(&self) -> u64 {
+        let [k0, k1] = self.keys;
+        folded_multiply(self.state ^ k1, k0)
+    }
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
@@ -52,7 +151,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         LruMap {
             capacity,
             next_seq: 0,
-            entries: HashMap::with_capacity(capacity.min(1024)),
+            entries: HashMap::with_capacity_and_hasher(capacity.min(1024), FoldKeys::new()),
         }
     }
 
@@ -245,6 +344,81 @@ mod tests {
         // peek and keys_by_recency themselves must not touch.
         m.peek(&3);
         assert_eq!(m.keys_by_recency().next(), Some(&3));
+    }
+
+    /// `key`'s hash under `map`'s keys.
+    fn hash_of<K: Eq + Hash + Clone, V>(map: &LruMap<K, V>, key: &K) -> u64 {
+        map.entries.hasher().hash_one(key)
+    }
+
+    #[test]
+    fn each_map_keys_its_own_hash() {
+        let a = LruMap::<u64, ()>::new(4);
+        let b = LruMap::<u64, ()>::new(4);
+        assert_ne!(
+            hash_of(&a, &42),
+            hash_of(&b, &42),
+            "two maps must not share a hash function"
+        );
+        assert_eq!(
+            hash_of(&a, &42),
+            hash_of(&a.clone(), &42),
+            "a clone keeps its table's keys"
+        );
+    }
+
+    #[test]
+    fn every_integer_width_is_one_folded_multiply() {
+        let keys = FoldKeys::new();
+        let [k0, k1] = keys.0;
+        let hash = |write: &dyn Fn(&mut FoldHasher)| {
+            let mut hasher = keys.build_hasher();
+            write(&mut hasher);
+            hasher.finish()
+        };
+        let finish = |state: u64| folded_multiply(state ^ k1, k0);
+        let v = 0xa5u8;
+        let word = hash(&|h| h.write_u64(v.into()));
+        assert_eq!(word, finish(folded_multiply(u64::from(v) ^ k0, k1)));
+        // Each width zero-extends into the same single fold; a width
+        // left to the per-byte default would fold its length first.
+        assert_eq!(hash(&|h| h.write_u8(v)), word);
+        assert_eq!(hash(&|h| h.write_u16(v.into())), word);
+        assert_eq!(hash(&|h| h.write_u32(v.into())), word);
+        assert_eq!(hash(&|h| h.write_usize(v.into())), word);
+        assert_eq!(hash(&|h| h.write_u128(v.into())), word);
+        assert_eq!(hash(&|h| h.write_i64(v.into())), word);
+        assert_ne!(hash(&|h| h.write(&u32::from(v).to_ne_bytes())), word);
+        // A `u128` folds its high half into the multiplier.
+        let wide = (7u128 << 64) | u128::from(v);
+        assert_eq!(
+            hash(&|h| h.write_u128(wide)),
+            finish(folded_multiply(u64::from(v) ^ k0, 7 ^ k1))
+        );
+        // Successive writes chain through the state.
+        assert_ne!(
+            hash(&|h| {
+                h.write_u32(1);
+                h.write_u32(2);
+            }),
+            hash(&|h| {
+                h.write_u32(2);
+                h.write_u32(1);
+            })
+        );
+    }
+
+    #[test]
+    fn byte_string_keys_cross_word_boundaries() {
+        let mut m = LruMap::new(16);
+        let names = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh\0"];
+        for (i, name) in names.iter().enumerate() {
+            m.insert(name.to_string(), i);
+        }
+        assert_eq!(m.len(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(m.peek(*name), Some(&i), "{name:?}");
+        }
     }
 
     #[test]
