@@ -549,33 +549,27 @@ idle-gap distribution (all executions):"
             let app = find_app(name)?;
             let spec = app.spec();
             let config = SimConfig::paper();
-            let mut manager = pcap_sim::PowerManagerKind::PCAP.manager(&config);
-            // Replay earlier executions so the prediction table carries
-            // its cross-execution training (§4.2) into the inspected run.
-            for j in 0..run_idx {
+            // Audit the earlier executions too, so the prediction table
+            // carries its cross-execution training (§4.2) into the
+            // inspected run.
+            let mut trace = pcap_trace::ApplicationTrace::new(name.as_str());
+            for j in 0..=run_idx {
                 let run = spec
                     .generate_run(options.seed, j)
                     .map_err(|e| e.to_string())?;
-                let streams = pcap_sim::RunStreams::build(&run, &config);
-                pcap_sim::simulate_run(&streams, &config, &mut manager);
-                manager.on_run_end();
+                trace.runs.push(run);
             }
-            let run = spec
-                .generate_run(options.seed, run_idx)
-                .map_err(|e| e.to_string())?;
-            let streams = pcap_sim::RunStreams::build(&run, &config);
-            let mut collector = pcap_sim::AuditCollector::new();
-            pcap_sim::simulate_run_observed(
-                &streams,
-                &config,
-                &mut manager,
-                &mut pcap_sim::EngineScratch::new(),
-                &mut collector,
-            );
-            let (log, ..) = collector.finish();
+            let prepared = pcap_sim::PreparedTrace::build(&trace, &config);
+            let outcome =
+                pcap_sim::audit_prepared(&prepared, &config, pcap_sim::PowerManagerKind::PCAP);
+            let log: Vec<_> = outcome
+                .records
+                .iter()
+                .filter(|g| g.run as usize == run_idx)
+                .collect();
             println!(
                 "{name} execution {run_idx}: {} disk accesses, {} idle gaps (PCAP manager)\n",
-                streams.accesses.len(),
+                prepared.streams()[run_idx].accesses.len(),
                 log.len()
             );
             println!(
@@ -1280,10 +1274,7 @@ fn run_bench(options: &Options) -> Result<(), String> {
                 config.shards = options.jobs;
             }
             config.sample_every = 0; // measure the hot path, not the sampler
-            if arm == 1 {
-                config.flight_capacity = 0;
-                config.stage_metrics = false;
-            }
+            config.instrumented = arm == 0;
             let handle =
                 pcap_serve::start(config, &[pcap_serve::Endpoint::Uds(sock.clone())], None)
                     .map_err(|e| e.to_string())?;

@@ -11,14 +11,13 @@
 //! response timeout passes).
 
 use crate::frame::{self, ClientFrame, ServerFrame, PROTOCOL_VERSION};
+use crate::net::Stream;
 use crate::server::Endpoint;
 use pcap_obs::{AtomicHistogram, LogHistogram};
 use pcap_types::wire;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -80,46 +79,6 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// A bidirectional stream to the daemon.
-enum Conn {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl Conn {
-    fn connect(endpoint: &Endpoint) -> std::io::Result<Conn> {
-        Ok(match endpoint {
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true).ok();
-                Conn::Tcp(s)
-            }
-            Endpoint::Uds(path) => Conn::Uds(UnixStream::connect(path)?),
-        })
-    }
-
-    fn reader(&self) -> std::io::Result<Box<dyn Read + Send>> {
-        Ok(match self {
-            Conn::Tcp(s) => Box::new(s.try_clone()?),
-            Conn::Uds(s) => Box::new(s.try_clone()?),
-        })
-    }
-
-    fn writer(&mut self) -> &mut dyn Write {
-        match self {
-            Conn::Tcp(s) => s,
-            Conn::Uds(s) => s,
-        }
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            Conn::Uds(s) => s.set_read_timeout(t),
-        }
-    }
-}
-
 /// Shared state between the writer and the response-reader thread.
 #[derive(Default)]
 struct Shared {
@@ -132,7 +91,7 @@ struct Shared {
     latency: AtomicHistogram,
 }
 
-fn reader_loop(mut read: Box<dyn Read + Send>, shared: &Shared) {
+fn reader_loop(mut read: Stream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     let mut chunk = [0u8; 64 * 1024];
     loop {
@@ -200,11 +159,11 @@ pub fn run_load(
     plan: &pcap_workload::ReplayPlan,
     options: &LoadOptions,
 ) -> Result<LoadReport, LoadError> {
-    let mut conn = Conn::connect(endpoint).map_err(LoadError::Connect)?;
+    let mut conn = Stream::connect(endpoint).map_err(LoadError::Connect)?;
     conn.set_read_timeout(Some(Duration::from_millis(50)))
         .map_err(LoadError::Connect)?;
     let shared = Arc::new(Shared::default());
-    let read = conn.reader().map_err(LoadError::Connect)?;
+    let read = conn.try_clone().map_err(LoadError::Connect)?;
     let reader = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -259,7 +218,7 @@ pub fn run_load(
             .expect("in-flight map poisoned")
             .insert((item.device, *run_index), Instant::now());
         *run_index += 1;
-        conn.writer().write_all(&buf).map_err(LoadError::Send)?;
+        conn.write_all(&buf).map_err(LoadError::Send)?;
         buf.clear();
         if let Some(rate) = options.events_per_sec {
             // Pace by cumulative budget: sleep until `events` would
@@ -275,8 +234,8 @@ pub fn run_load(
     for device in 0..devices {
         frame::encode_client(&ClientFrame::DeviceEnd { device }, &mut buf);
     }
-    conn.writer().write_all(&buf).map_err(LoadError::Send)?;
-    conn.writer().flush().map_err(LoadError::Send)?;
+    conn.write_all(&buf).map_err(LoadError::Send)?;
+    conn.flush().map_err(LoadError::Send)?;
     buf.clear();
 
     // Wait for every device to be positively retired.
@@ -292,14 +251,7 @@ pub fn run_load(
     let elapsed = started.elapsed();
     // Close the write half so the server sees EOF and the reader
     // thread drains to EOF of the response stream.
-    match &conn {
-        Conn::Tcp(s) => {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        Conn::Uds(s) => {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-    }
+    let _ = conn.shutdown();
     let _ = reader.join();
 
     let decisions = shared.decisions.load(Ordering::Relaxed);

@@ -15,13 +15,14 @@
 //! Prometheus text over HTTP (`/metrics`) with sampled decision-audit
 //! records at `/audit`.
 //!
-//! Production observability (DESIGN.md §15): an always-on lock-free
+//! Production observability (DESIGN.md §15): a lock-free
 //! [`pcap_obs::FlightRecorder`] keeps the last few thousand structured
 //! events per shard (dumpable via `/debug/flight`, `SIGUSR1`, or on
 //! panic — see `pcap serve`), per-shard stage-latency histograms
 //! decompose decision latency into decode → queue-wait → evaluate →
-//! encode on `/metrics`, and bad-frame storms surface as rate-limited
-//! `pcap_obs::log` warnings.
+//! encode on `/metrics` (both on by default, switched together by
+//! [`ServeConfig::instrumented`]), and bad-frame storms surface as
+//! rate-limited `pcap_obs::log` warnings.
 //!
 //! # Example
 //!
@@ -55,6 +56,7 @@
 pub mod client;
 pub mod frame;
 pub mod metrics;
+mod net;
 pub mod server;
 
 pub use client::{run_load, LoadError, LoadOptions, LoadReport};

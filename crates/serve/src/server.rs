@@ -15,19 +15,19 @@
 //!                    sessions: (conn, device) → Manager + builder
 //!                                        │ evaluate at RunEnd
 //!                                        ▼
-//!                          connection writer (mutexed half)
+//!                          connection writer (mutexed stream)
 //! ```
 //!
 //! * **Routing**: shard = `splitmix64(device) % shards`. A device's
 //!   frames always land on one shard in arrival order, so per-device
 //!   state needs no locks and decisions stay ordered per device.
-//! * **Batching**: a reader appends the ops it decodes from one `read()`
-//!   to an inline batch per shard and sends a batch when it holds
-//!   `min(64, queue_depth)` frames and after each read's frames are
-//!   consumed. One queue message, shard wake-up, reply-handle clone and
-//!   counter update then serve a whole batch; every counter still counts
-//!   frames. Batches are FIFO per shard, so per-device order is the
-//!   arrival order.
+//! * **Batching**: a reader appends the frames it decodes from one
+//!   `read()` to an inline batch per shard and sends a batch when it
+//!   holds `min(64, queue_depth)` frames and after each read's frames
+//!   are consumed. One queue message, shard wake-up, reply-handle clone
+//!   and counter update then serve a whole batch; every counter still
+//!   counts frames. Batches are FIFO per shard, so per-device order is
+//!   the arrival order.
 //! * **Backpressure**: each shard queue is a bounded
 //!   [`std::sync::mpsc::sync_channel`] of `queue_depth / batch` batches,
 //!   so at most `queue_depth` frames wait in it; when a shard falls
@@ -48,6 +48,7 @@
 
 use crate::frame::{self, ClientFrame, ServerFrame};
 use crate::metrics::ServeMetrics;
+use crate::net::{Listener, Stream};
 use pcap_obs::log::{self, RateGate};
 use pcap_obs::{FlightKind, FlightRecorder};
 use pcap_sim::{
@@ -61,7 +62,6 @@ use pcap_workload::splitmix64;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -91,13 +91,15 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Keep one full audit record per this many decisions (0 = off).
     pub sample_every: u64,
-    /// Flight-recorder slots per ring (one ring per shard plus one for
-    /// the reader threads; 0 disables recording entirely).
-    pub flight_capacity: usize,
-    /// Record per-shard stage-latency histograms
-    /// (decode / queue-wait / evaluate / encode).
-    pub stage_metrics: bool,
+    /// Run the flight recorder (4,096 slots per ring, one ring per
+    /// shard plus one for the reader threads) and the per-shard
+    /// stage-latency histograms (decode / queue-wait / evaluate /
+    /// encode). Off, neither records anything.
+    pub instrumented: bool,
 }
+
+/// Flight-recorder slots per ring when [`ServeConfig::instrumented`].
+const FLIGHT_SLOTS: usize = 4096;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -107,8 +109,7 @@ impl Default for ServeConfig {
             shards: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_depth: 1024,
             sample_every: 64,
-            flight_capacity: 4096,
-            stage_metrics: true,
+            instrumented: true,
         }
     }
 }
@@ -119,11 +120,11 @@ pub fn shard_of(device: u64, shards: usize) -> usize {
     (splitmix64(device) % shards as u64) as usize
 }
 
-/// One connection's reply channel: the socket's write half behind a
-/// mutex. Shards on different threads may interleave *frames* of
+/// One connection's reply channel: a second handle on its socket behind
+/// a mutex. Shards on different threads may interleave *frames* of
 /// different devices, never bytes within a frame.
 struct Reply {
-    stream: Mutex<Box<dyn Write + Send>>,
+    stream: Mutex<Stream>,
     dead: AtomicBool,
 }
 
@@ -132,7 +133,7 @@ impl Reply {
         if bytes.is_empty() || self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let mut stream = self.stream.lock().expect("reply half poisoned");
+        let mut stream = self.stream.lock().expect("reply stream poisoned");
         if stream
             .write_all(bytes)
             .and_then(|()| stream.flush())
@@ -165,34 +166,26 @@ enum ShardMsg {
     ConnClosed { conn: u64 },
 }
 
-#[derive(Clone, Copy)]
-enum DeviceOp {
-    RunStart { root: Pid },
-    Event(TraceEvent),
-    RunEnd,
-    DeviceEnd,
-}
-
 /// Most frames one queue message carries; a smaller `queue_depth`
 /// caps it at `queue_depth`.
 const MAX_BATCH: usize = 64;
 
-/// Up to [`MAX_BATCH`] `(device, op)` pairs in arrival order, stored
-/// inline so that handing a batch to a shard allocates nothing.
+/// Up to [`MAX_BATCH`] decoded frames in arrival order, stored inline
+/// so that handing a batch to a shard allocates nothing.
 #[derive(Clone, Copy)]
 struct Batch {
     len: usize,
-    ops: [(u64, DeviceOp); MAX_BATCH],
+    frames: [ClientFrame; MAX_BATCH],
 }
 
 impl Batch {
     const EMPTY: Batch = Batch {
         len: 0,
-        ops: [(0, DeviceOp::DeviceEnd); MAX_BATCH],
+        frames: [ClientFrame::Hello { version: 0 }; MAX_BATCH],
     };
 
-    fn ops(&self) -> &[(u64, DeviceOp)] {
-        &self.ops[..self.len]
+    fn frames(&self) -> &[ClientFrame] {
+        &self.frames[..self.len]
     }
 }
 
@@ -211,12 +204,12 @@ struct Session {
     run: u32,
 }
 
-/// Collects one record per engine decision into a per-shard scratch
+/// Collects one record per engine decision into the shard's scratch
 /// buffer, stamping the device's run index exactly as the offline
 /// `AuditCollector` does. Encoding happens afterwards in a separately
-/// timed pass ([`handle_op`]), so evaluate and encode are attributable
-/// stages — the emitted byte stream is unchanged because records are
-/// encoded in decision order before the run summary.
+/// timed pass ([`Shard::run_end`]), so evaluate and encode are
+/// attributable stages — the emitted byte stream is unchanged because
+/// records are encoded in decision order before the run summary.
 struct EmitObserver<'a> {
     run: u32,
     records: &'a mut Vec<DecisionRecord>,
@@ -234,29 +227,25 @@ impl DecisionObserver for EmitObserver<'_> {
 /// A handle to a running server: join/stop control plus the shared
 /// metrics and the resolved listen addresses.
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
-    metrics: Arc<ServeMetrics>,
-    flight: Arc<FlightRecorder>,
+    shared: Arc<ReaderShared>,
     tcp_addr: Option<SocketAddr>,
     metrics_addr: Option<SocketAddr>,
-    uds_paths: Vec<PathBuf>,
+    /// Acceptors and the metrics listener.
     threads: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
     shard_joins: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The shared metrics registry.
     pub fn metrics(&self) -> &Arc<ServeMetrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The shared flight recorder (ring `shards` is the reader-thread
     /// ring; rings `0..shards` belong to the shard workers). Clone the
     /// `Arc` to dump from signal or panic handlers.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
+        &self.shared.flight
     }
 
     /// The bound TCP address, if a TCP endpoint was requested (useful
@@ -272,26 +261,22 @@ impl ServerHandle {
 
     /// Stops every thread, drains the shard queues, joins everything,
     /// and removes Unix socket files.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for handle in self.threads.drain(..) {
+    pub fn shutdown(self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Each acceptor drops its listener (and socket file) on exit.
+        for handle in self.threads {
             let _ = handle.join();
         }
-        let readers: Vec<_> = {
-            let mut guard = self.readers.lock().expect("reader registry poisoned");
-            guard.drain(..).collect()
-        };
+        let readers = std::mem::take(&mut *self.shared.readers.lock().expect("reader registry"));
         for handle in readers {
             let _ = handle.join();
         }
-        // All reader-held senders are gone; dropping ours ends the
-        // shard workers' recv loops after the queues drain.
-        drop(std::mem::take(&mut self.shard_txs));
-        for handle in std::mem::take(&mut self.shard_joins) {
+        // No acceptor or reader is left, so this drops the last shard
+        // senders: the shard workers' recv loops end once the queues
+        // drain.
+        drop(self.shared);
+        for handle in self.shard_joins {
             let _ = handle.join();
-        }
-        for path in &self.uds_paths {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -318,162 +303,97 @@ pub fn start(
     if endpoints.is_empty() {
         return Err(Error::new(ErrorKind::InvalidInput, "no listen endpoints"));
     }
+    // Bind everything before any thread starts, so a failed bind
+    // leaves nothing running and no socket file behind.
+    let listeners = endpoints
+        .iter()
+        .map(Listener::bind)
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let tcp_addr = listeners
+        .iter()
+        .rev()
+        .find_map(Listener::tcp_addr)
+        .transpose()?;
+    let metrics_listener = metrics_http.map(TcpListener::bind).transpose()?;
+    let metrics_addr = match &metrics_listener {
+        Some(listener) => {
+            listener.set_nonblocking(true)?;
+            Some(listener.local_addr()?)
+        }
+        None => None,
+    };
+
     let metrics = Arc::new(ServeMetrics::new(config.shards, config.sample_every));
     // One flight ring per shard (single-writer) plus one shared ring
     // for all reader threads.
-    let flight = Arc::new(FlightRecorder::new(
-        config.shards + 1,
-        config.flight_capacity,
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let conn_ids = Arc::new(AtomicU64::new(0));
-
-    // Shard workers.
+    let flight_slots = if config.instrumented { FLIGHT_SLOTS } else { 0 };
+    let flight = Arc::new(FlightRecorder::new(config.shards + 1, flight_slots));
     let (batch, queued_batches) = batch_layout(config.queue_depth);
     let mut shard_txs = Vec::with_capacity(config.shards);
     let mut shard_joins = Vec::with_capacity(config.shards);
-    for shard in 0..config.shards {
+    for index in 0..config.shards {
         let (tx, rx) = sync_channel::<ShardMsg>(queued_batches);
         shard_txs.push(tx);
-        let metrics = Arc::clone(&metrics);
-        let flight = Arc::clone(&flight);
-        let config = config.clone();
-        shard_joins.push(
-            std::thread::Builder::new()
-                .name(format!("pcap-shard-{shard}"))
-                .spawn(move || shard_worker(shard, rx, &config, &metrics, &flight))
-                .expect("spawn shard worker"),
-        );
+        // Managers are not `Send`: each shard is built on its thread.
+        let (config, metrics, flight) = (config.clone(), Arc::clone(&metrics), Arc::clone(&flight));
+        shard_joins.push(spawn(format!("pcap-shard-{index}"), move || {
+            Shard::new(index, config, metrics, flight).run(&rx);
+        }));
     }
     let shared = Arc::new(ReaderShared {
-        stop: Arc::clone(&stop),
-        metrics: Arc::clone(&metrics),
-        flight: Arc::clone(&flight),
-        shard_txs: shard_txs.clone(),
-        batch,
-        stage_metrics: config.stage_metrics,
-    });
-
-    let mut threads = Vec::new();
-    let mut tcp_addr = None;
-    let mut uds_paths = Vec::new();
-    for endpoint in endpoints {
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                tcp_addr = Some(listener.local_addr()?);
-                threads.push(spawn_acceptor(
-                    listener,
-                    Arc::clone(&shared),
-                    Arc::clone(&readers),
-                    Arc::clone(&conn_ids),
-                    |stream| {
-                        stream.set_nodelay(true).ok();
-                        let write: Box<dyn Write + Send> = Box::new(stream.try_clone()?);
-                        Ok((Box::new(stream) as Box<dyn ReadHalf>, write))
-                    },
-                ));
-            }
-            Endpoint::Uds(path) => {
-                // A stale socket file from a dead process blocks bind;
-                // taking it over is standard daemon behavior.
-                let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                uds_paths.push(path.clone());
-                threads.push(spawn_acceptor(
-                    listener,
-                    Arc::clone(&shared),
-                    Arc::clone(&readers),
-                    Arc::clone(&conn_ids),
-                    |stream| {
-                        let write: Box<dyn Write + Send> = Box::new(stream.try_clone()?);
-                        Ok((Box::new(stream) as Box<dyn ReadHalf>, write))
-                    },
-                ));
-            }
-        }
-    }
-
-    let mut metrics_addr = None;
-    if let Some(addr) = metrics_http {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        metrics_addr = Some(listener.local_addr()?);
-        let stop = Arc::clone(&stop);
-        let metrics = Arc::clone(&metrics);
-        let flight = Arc::clone(&flight);
-        threads.push(
-            std::thread::Builder::new()
-                .name("pcap-metrics-http".to_owned())
-                .spawn(move || metrics_http_loop(listener, &stop, &metrics, &flight))
-                .expect("spawn metrics http"),
-        );
-    }
-
-    Ok(ServerHandle {
-        stop,
+        stop: AtomicBool::new(false),
         metrics,
         flight,
+        shard_txs,
+        batch,
+        instrumented: config.instrumented,
+        readers: Mutex::new(Vec::new()),
+        conn_ids: AtomicU64::new(0),
+    });
+    let mut threads: Vec<JoinHandle<()>> = listeners
+        .into_iter()
+        .map(|listener| {
+            let shared = Arc::clone(&shared);
+            spawn("pcap-acceptor".to_owned(), move || {
+                accept_loop(&listener, &shared);
+            })
+        })
+        .collect();
+    if let Some(listener) = metrics_listener {
+        let shared = Arc::clone(&shared);
+        threads.push(spawn("pcap-metrics-http".to_owned(), move || {
+            metrics_http_loop(&listener, &shared);
+        }));
+    }
+    Ok(ServerHandle {
+        shared,
         tcp_addr,
         metrics_addr,
-        uds_paths,
         threads,
-        readers,
-        shard_txs,
         shard_joins,
     })
 }
 
-/// Abstracts TCP and Unix streams for the reader loop.
-trait ReadHalf: Read + Send {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn a daemon thread")
 }
 
-impl ReadHalf for TcpStream {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
-impl ReadHalf for UnixStream {
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
-trait Acceptable: Send + 'static {
-    type Stream: Send + 'static;
-    fn try_accept(&self) -> std::io::Result<Self::Stream>;
-}
-
-impl Acceptable for TcpListener {
-    type Stream = TcpStream;
-    fn try_accept(&self) -> std::io::Result<TcpStream> {
-        self.accept().map(|(s, _)| s)
-    }
-}
-
-impl Acceptable for UnixListener {
-    type Stream = UnixStream;
-    fn try_accept(&self) -> std::io::Result<UnixStream> {
-        self.accept().map(|(s, _)| s)
-    }
-}
-
-type SplitFn<S> = fn(S) -> std::io::Result<(Box<dyn ReadHalf>, Box<dyn Write + Send>)>;
-
-/// Immutable state shared by every acceptor and reader thread.
+/// State shared by the acceptor, reader and metrics-listener threads.
 struct ReaderShared {
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
     metrics: Arc<ServeMetrics>,
     flight: Arc<FlightRecorder>,
     shard_txs: Vec<SyncSender<ShardMsg>>,
     /// Frames per batch: `min(MAX_BATCH, queue_depth)`.
     batch: usize,
-    stage_metrics: bool,
+    instrumented: bool,
+    /// Live reader threads, joined at shutdown.
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    /// The next connection id.
+    conn_ids: AtomicU64,
 }
 
 impl ReaderShared {
@@ -484,47 +404,31 @@ impl ReaderShared {
     }
 }
 
-fn spawn_acceptor<L: Acceptable>(
-    listener: L,
-    shared: Arc<ReaderShared>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    conn_ids: Arc<AtomicU64>,
-    split: SplitFn<L::Stream>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("pcap-acceptor".to_owned())
-        .spawn(move || loop {
-            if shared.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.try_accept() {
-                Ok(stream) => {
-                    let Ok((read, write)) = split(stream) else {
-                        continue;
-                    };
-                    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    let conn = conn_ids.fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&shared);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("pcap-conn-{conn}"))
-                        .spawn(move || {
-                            connection_reader(conn, read, write, &shared);
-                        })
-                        .expect("spawn connection reader");
-                    let mut readers = readers.lock().expect("reader registry poisoned");
-                    // Drop the handles of exited readers: an exited
-                    // thread keeps its stack mapped until it is joined
-                    // or detached, and dropping its handle detaches it.
-                    readers.retain(|h| !h.is_finished());
-                    readers.push(handle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        })
-        .expect("spawn acceptor")
+/// Accepts connections until shutdown, one reader thread each.
+fn accept_loop(listener: &Listener, shared: &Arc<ReaderShared>) {
+    while !shared.stop.load(Ordering::Relaxed) {
+        let Ok(stream) = listener.accept() else {
+            // Nothing pending (the listener never blocks) or a failed
+            // accept.
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
+        };
+        let Ok(reply) = stream.try_clone() else {
+            continue;
+        };
+        shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+        let conn = shared.conn_ids.fetch_add(1, Ordering::Relaxed);
+        let reader_shared = Arc::clone(shared);
+        let handle = spawn(format!("pcap-conn-{conn}"), move || {
+            connection_reader(conn, stream, reply, &reader_shared);
+        });
+        let mut readers = shared.readers.lock().expect("reader registry poisoned");
+        // Drop the handles of exited readers: an exited thread keeps
+        // its stack mapped until it is joined or detached, and dropping
+        // its handle detaches it.
+        readers.retain(|h| !h.is_finished());
+        readers.push(handle);
+    }
 }
 
 /// Sample one frame decode per this many frames per connection: dense
@@ -553,7 +457,8 @@ fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
 /// Reads frames off one connection, decodes them, and hash-routes them
 /// into one open [`Batch`] per shard; a batch goes to its shard's queue
 /// when full and after each read's frames are consumed, so every frame
-/// is queued before the reader reads again or closes. Malformed-frame
+/// is queued before the reader reads again or closes. Replies go out
+/// through `reply`, a second handle on the same socket. Malformed-frame
 /// policy:
 ///
 /// * unknown tag / truncated payload (length known) → count
@@ -566,18 +471,13 @@ fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
 ///
 /// Every malformed frame also lands a `bad_frame` flight event and a
 /// rate-limited structured warn line.
-fn connection_reader(
-    conn: u64,
-    mut read: Box<dyn ReadHalf>,
-    write: Box<dyn Write + Send>,
-    shared: &ReaderShared,
-) {
+fn connection_reader(conn: u64, mut stream: Stream, reply: Stream, shared: &ReaderShared) {
     let metrics = &*shared.metrics;
     let reply = Arc::new(Reply {
-        stream: Mutex::new(write),
+        stream: Mutex::new(reply),
         dead: AtomicBool::new(false),
     });
-    let _ = read.set_timeout(Some(Duration::from_millis(50)));
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     shared
         .flight
         .record(shared.io_ring(), FlightKind::ConnOpen, conn, 0, 0);
@@ -589,16 +489,16 @@ fn connection_reader(
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        let n = match read.read(&mut chunk) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => break, // EOF
             Ok(n) => n,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
+                    || e.kind() == std::io::ErrorKind::TimedOut
+                    || e.kind() == std::io::ErrorKind::Interrupted =>
             {
                 continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
         buf.extend_from_slice(&chunk[..n]);
@@ -610,16 +510,16 @@ fn connection_reader(
                     frames_seen += 1;
                     // Sampled decode timing: two clock reads every
                     // 64th frame keeps the hot path flat.
-                    let timed = (shared.stage_metrics || shared.flight.enabled())
-                        && frames_seen.is_multiple_of(DECODE_SAMPLE_EVERY);
+                    let timed =
+                        shared.instrumented && frames_seen.is_multiple_of(DECODE_SAMPLE_EVERY);
                     let decode_start = timed.then(Instant::now);
                     match frame::decode_client(payload) {
                         Ok(frame) => {
                             let decode_ns = decode_start.map(|t| t.elapsed().as_nanos() as u64);
-                            match route(frame, decode_ns, shared) {
-                                Some((shard, device, op)) => {
+                            match route(&frame, decode_ns, shared) {
+                                Some(shard) => {
                                     let batch = &mut open[shard];
-                                    batch.ops[batch.len] = (device, op);
+                                    batch.frames[batch.len] = frame;
                                     batch.len += 1;
                                     if batch.len == shared.batch {
                                         send_batch(conn, shard, batch, &reply, shared);
@@ -687,32 +587,20 @@ fn connection_reader(
     }
 }
 
-/// The shard, device and op of a decoded frame (`None` for the
-/// connection-scoped `Hello`), recording its sampled decode latency.
-fn route(
-    frame: ClientFrame,
-    decode_ns: Option<u64>,
-    shared: &ReaderShared,
-) -> Option<(usize, u64, DeviceOp)> {
-    let (device, op) = match frame {
-        // Nothing to route. Version mismatches are tolerated within v1
-        // (there is only v1).
-        ClientFrame::Hello { .. } => return None,
-        ClientFrame::RunStart { device, root } => (device, DeviceOp::RunStart { root }),
-        ClientFrame::Event { device, event } => (device, DeviceOp::Event(event)),
-        ClientFrame::RunEnd { device } => (device, DeviceOp::RunEnd),
-        ClientFrame::DeviceEnd { device } => (device, DeviceOp::DeviceEnd),
-    };
+/// The shard of a decoded frame (`None` for the connection-scoped
+/// `Hello`), recording its sampled decode latency.
+fn route(frame: &ClientFrame, decode_ns: Option<u64>, shared: &ReaderShared) -> Option<usize> {
+    // `Hello` names no device and leaves nothing to route. Version
+    // mismatches are tolerated within v1 (there is only v1).
+    let device = frame.device()?;
     let shard = shard_of(device, shared.shard_txs.len());
     if let Some(ns) = decode_ns {
-        if shared.stage_metrics {
-            shared.metrics.shards[shard].decode_ns.record(ns);
-        }
+        shared.metrics.shards[shard].decode_ns.record(ns);
         shared
             .flight
             .record(shared.io_ring(), FlightKind::FrameDecode, device, ns, 0);
     }
-    if matches!(op, DeviceOp::RunEnd) {
+    if matches!(frame, ClientFrame::RunEnd { .. }) {
         shared.flight.record(
             shared.io_ring(),
             FlightKind::Enqueue,
@@ -721,7 +609,7 @@ fn route(
             0,
         );
     }
-    Some((shard, device, op))
+    Some(shard)
 }
 
 /// Sends every non-empty open batch to its shard.
@@ -763,228 +651,255 @@ fn send_batch(
     }
 }
 
-fn shard_worker(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    config: &ServeConfig,
-    metrics: &ServeMetrics,
-    flight: &FlightRecorder,
-) {
-    let mut evaluator = ShardEvaluator::new(&config.sim);
-    let mut sessions: HashMap<(u64, u64), Session> = HashMap::new();
-    let mut out = Vec::with_capacity(64 * 1024);
-    let mut records: Vec<DecisionRecord> = Vec::with_capacity(1024);
-    let stats = &metrics.shards[shard];
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::ConnClosed { conn } => {
-                let before = sessions.len();
-                sessions.retain(|&(c, _), _| c != conn);
-                let removed = (before - sessions.len()) as u64;
-                metrics.devices_active.fetch_sub(removed, Ordering::Relaxed);
-            }
-            ShardMsg::Ops {
-                conn,
-                reply,
-                sent_at,
-                batch,
-            } => {
-                let mut events = 0;
-                for &(device, op) in batch.ops() {
-                    let accepted = handle_op(
-                        conn,
-                        device,
-                        op,
-                        sent_at,
-                        &reply,
-                        config,
-                        metrics,
-                        flight,
-                        shard,
-                        &mut evaluator,
-                        &mut sessions,
-                        &mut out,
-                        &mut records,
-                    );
-                    events += u64::from(accepted);
-                }
-                metrics.events.fetch_add(events, Ordering::Relaxed);
-                stats
-                    .processed
-                    .fetch_add(batch.len as u64, Ordering::Release);
-            }
-        }
-    }
+/// One shard worker's state: its evaluator, the sessions of the devices
+/// routed to it and its encode scratch. Its thread alone touches it.
+struct Shard {
+    index: usize,
+    config: ServeConfig,
+    metrics: Arc<ServeMetrics>,
+    flight: Arc<FlightRecorder>,
+    evaluator: ShardEvaluator,
+    sessions: HashMap<(u64, u64), Session>,
+    out: Vec<u8>,
+    records: Vec<DecisionRecord>,
 }
 
-/// Applies one op to its session. Returns whether it was an `Event`
-/// accepted into an open run; the caller counts those per batch.
-#[allow(clippy::too_many_arguments)]
-fn handle_op(
-    conn: u64,
-    device: u64,
-    op: DeviceOp,
-    sent_at: Instant,
-    reply: &Arc<Reply>,
-    config: &ServeConfig,
-    metrics: &ServeMetrics,
-    flight: &FlightRecorder,
-    shard: usize,
-    evaluator: &mut ShardEvaluator,
-    sessions: &mut HashMap<(u64, u64), Session>,
-    out: &mut Vec<u8>,
-    records: &mut Vec<DecisionRecord>,
-) -> bool {
-    let key = (conn, device);
-    let stray = |code: u64| {
-        metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
-        flight.record(shard, FlightKind::StrayFrame, device, code, 0);
-    };
-    match op {
-        DeviceOp::RunStart { root } => {
-            let session = sessions.entry(key).or_insert_with(|| {
-                metrics.devices_active.fetch_add(1, Ordering::Relaxed);
-                Session {
-                    manager: config.kind.manager(&config.sim),
-                    builder: None,
-                    run: 0,
-                }
-            });
-            if session.builder.is_some() {
-                // RunStart with a run already open: the open run can
-                // never be completed coherently; discard it.
-                stray(0);
-            }
-            session.builder = Some(TraceRunBuilder::new(root));
-        }
-        DeviceOp::Event(event) => match sessions.get_mut(&key).and_then(|s| s.builder.as_mut()) {
-            Some(builder) => {
-                builder.event(event);
-                return true;
-            }
-            None => stray(1),
-        },
-        DeviceOp::RunEnd => {
-            let Some(session) = sessions.get_mut(&key) else {
-                stray(2);
-                return false;
-            };
-            let Some(builder) = session.builder.take() else {
-                stray(3);
-                return false;
-            };
-            out.clear();
-            let stats = &metrics.shards[shard];
-            let started = Instant::now();
-            let queue_wait_us = started.duration_since(sent_at).as_micros() as u64;
-            if config.stage_metrics {
-                stats.queue_wait_us.record(queue_wait_us);
-            }
-            flight.record(shard, FlightKind::Dequeue, device, queue_wait_us, 0);
-            match builder.finish() {
-                Ok(trace_run) => {
-                    let mut observer = EmitObserver {
-                        run: session.run,
-                        records,
-                        metrics,
-                    };
-                    observer.on_run_start(session.run);
-                    evaluator.evaluate_run_observed(
-                        &trace_run,
-                        &mut session.manager,
-                        &mut observer,
-                    );
-                    let evaluated = Instant::now();
-                    // Encode as a separately-timed stage: decision
-                    // frames in decision order, then the run summary —
-                    // byte-identical to the former inline encoding.
-                    let decisions = records.len() as u32;
-                    for record in records.iter() {
-                        frame::encode_server(
-                            &ServerFrame::Decision {
-                                device,
-                                record: *record,
-                            },
-                            out,
-                        );
-                    }
-                    frame::encode_server(
-                        &ServerFrame::RunSummary {
-                            device,
-                            run: session.run,
-                            decisions,
-                            accesses: evaluator.last_run_accesses() as u32,
-                        },
-                        out,
-                    );
-                    let done = Instant::now();
-                    let eval_us = evaluated.duration_since(started).as_micros() as u64;
-                    let encode_us = done.duration_since(evaluated).as_micros() as u64;
-                    let elapsed = done.duration_since(started).as_micros() as u64;
-                    if config.stage_metrics {
-                        stats.eval_us.record(eval_us);
-                        stats.encode_us.record(encode_us);
-                    }
-                    metrics.run_eval_us.record(elapsed);
-                    metrics.runs.fetch_add(1, Ordering::Relaxed);
-                    stats.runs.fetch_add(1, Ordering::Relaxed);
-                    stats.busy_us.fetch_add(elapsed, Ordering::Relaxed);
-                    let ts = flight.now_ns();
-                    flight.record_at(
-                        shard,
-                        ts,
-                        FlightKind::RunEval,
-                        device,
-                        eval_us,
-                        decisions as u64,
-                    );
-                    flight.record_at(
-                        shard,
-                        ts,
-                        FlightKind::Emit,
-                        device,
-                        out.len() as u64,
-                        encode_us,
-                    );
-                    records.clear();
-                    session.run += 1;
-                }
-                Err(_) => {
-                    // Invalid run: device state is as if the run never
-                    // happened (the manager was never touched).
-                    metrics.run_rejects.fetch_add(1, Ordering::Relaxed);
-                    flight.record(shard, FlightKind::RunReject, device, 0, 0);
-                    frame::encode_server(
-                        &ServerFrame::RunRejected {
-                            device,
-                            run: session.run,
-                        },
-                        out,
-                    );
-                }
-            }
-            reply.send(out);
-        }
-        DeviceOp::DeviceEnd => {
-            let Some(session) = sessions.remove(&key) else {
-                stray(4);
-                return false;
-            };
-            metrics.devices_active.fetch_sub(1, Ordering::Relaxed);
-            out.clear();
-            frame::encode_server(
-                &ServerFrame::DeviceSummary {
-                    device,
-                    runs: session.run,
-                    table_entries: session.manager.table_entries().map(|n| n as u64),
-                    table_aliases: session.manager.table_aliases(),
-                },
-                out,
-            );
-            reply.send(out);
+impl Shard {
+    fn new(
+        index: usize,
+        config: ServeConfig,
+        metrics: Arc<ServeMetrics>,
+        flight: Arc<FlightRecorder>,
+    ) -> Shard {
+        Shard {
+            index,
+            evaluator: ShardEvaluator::new(&config.sim),
+            config,
+            metrics,
+            flight,
+            sessions: HashMap::new(),
+            out: Vec::with_capacity(64 * 1024),
+            records: Vec::with_capacity(1024),
         }
     }
-    false
+
+    /// Serves the shard's queue until every sender is gone.
+    fn run(mut self, rx: &Receiver<ShardMsg>) {
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                ShardMsg::ConnClosed { conn } => {
+                    let before = self.sessions.len();
+                    self.sessions.retain(|&(c, _), _| c != conn);
+                    let removed = (before - self.sessions.len()) as u64;
+                    self.metrics
+                        .devices_active
+                        .fetch_sub(removed, Ordering::Relaxed);
+                }
+                ShardMsg::Ops {
+                    conn,
+                    reply,
+                    sent_at,
+                    batch,
+                } => {
+                    let mut events = 0;
+                    for &frame in batch.frames() {
+                        match frame {
+                            ClientFrame::RunStart { device, root } => {
+                                self.run_start((conn, device), root);
+                            }
+                            ClientFrame::Event { device, event } => {
+                                events += u64::from(self.event((conn, device), event));
+                            }
+                            ClientFrame::RunEnd { device } => {
+                                self.run_end((conn, device), sent_at, &reply);
+                            }
+                            ClientFrame::DeviceEnd { device } => {
+                                self.device_end((conn, device), &reply);
+                            }
+                            // Readers never route the connection-scoped
+                            // `Hello`.
+                            ClientFrame::Hello { .. } => {}
+                        }
+                    }
+                    self.metrics.events.fetch_add(events, Ordering::Relaxed);
+                    self.metrics.shards[self.index]
+                        .processed
+                        .fetch_add(batch.len as u64, Ordering::Release);
+                }
+            }
+        }
+    }
+
+    /// Counts and records a frame that does not fit its device's
+    /// session state. `code` names the check that failed: 0 a
+    /// `RunStart` over an open run, 1 an `Event` with no open run, 2 a
+    /// `RunEnd` with no session, 3 a `RunEnd` with no open run, 4 a
+    /// `DeviceEnd` with no session.
+    fn stray(&self, device: u64, code: u64) {
+        self.metrics.stray_frames.fetch_add(1, Ordering::Relaxed);
+        self.flight
+            .record(self.index, FlightKind::StrayFrame, device, code, 0);
+    }
+
+    /// Opens a run, creating the device's session on first sight.
+    fn run_start(&mut self, key: (u64, u64), root: Pid) {
+        let session = self.sessions.entry(key).or_insert_with(|| {
+            self.metrics.devices_active.fetch_add(1, Ordering::Relaxed);
+            Session {
+                manager: self.config.kind.manager(&self.config.sim),
+                builder: None,
+                run: 0,
+            }
+        });
+        // A RunStart with a run already open: the open run can never
+        // be completed coherently; discard it.
+        if session
+            .builder
+            .replace(TraceRunBuilder::new(root))
+            .is_some()
+        {
+            self.stray(key.1, 0);
+        }
+    }
+
+    /// Appends an event to the device's open run. Returns whether there
+    /// was one; the caller counts accepted events per batch.
+    fn event(&mut self, key: (u64, u64), event: TraceEvent) -> bool {
+        match self.sessions.get_mut(&key).and_then(|s| s.builder.as_mut()) {
+            Some(builder) => {
+                builder.event(event);
+                true
+            }
+            None => {
+                self.stray(key.1, 1);
+                false
+            }
+        }
+    }
+
+    /// Closes the device's open run: evaluates it, then encodes its
+    /// decisions and summary (or its rejection) and replies.
+    fn run_end(&mut self, key: (u64, u64), sent_at: Instant, reply: &Reply) {
+        let device = key.1;
+        let Some(session) = self.sessions.get_mut(&key) else {
+            return self.stray(device, 2);
+        };
+        let Some(builder) = session.builder.take() else {
+            return self.stray(device, 3);
+        };
+        let (shard, metrics, flight, out) =
+            (self.index, &*self.metrics, &*self.flight, &mut self.out);
+        out.clear();
+        let stats = &metrics.shards[shard];
+        let started = Instant::now();
+        let queue_wait_us = started.duration_since(sent_at).as_micros() as u64;
+        if self.config.instrumented {
+            stats.queue_wait_us.record(queue_wait_us);
+        }
+        flight.record(shard, FlightKind::Dequeue, device, queue_wait_us, 0);
+        match builder.finish() {
+            Ok(trace_run) => {
+                let mut observer = EmitObserver {
+                    run: session.run,
+                    records: &mut self.records,
+                    metrics,
+                };
+                observer.on_run_start(session.run);
+                self.evaluator.evaluate_run_observed(
+                    &trace_run,
+                    &mut session.manager,
+                    &mut observer,
+                );
+                let evaluated = Instant::now();
+                // Encode as a separately-timed stage: decision frames
+                // in decision order, then the run summary.
+                let decisions = self.records.len() as u32;
+                for record in &self.records {
+                    frame::encode_server(
+                        &ServerFrame::Decision {
+                            device,
+                            record: *record,
+                        },
+                        out,
+                    );
+                }
+                frame::encode_server(
+                    &ServerFrame::RunSummary {
+                        device,
+                        run: session.run,
+                        decisions,
+                        accesses: self.evaluator.last_run_accesses() as u32,
+                    },
+                    out,
+                );
+                let done = Instant::now();
+                let eval_us = evaluated.duration_since(started).as_micros() as u64;
+                let encode_us = done.duration_since(evaluated).as_micros() as u64;
+                let elapsed = done.duration_since(started).as_micros() as u64;
+                if self.config.instrumented {
+                    stats.eval_us.record(eval_us);
+                    stats.encode_us.record(encode_us);
+                }
+                metrics.run_eval_us.record(elapsed);
+                metrics.runs.fetch_add(1, Ordering::Relaxed);
+                stats.runs.fetch_add(1, Ordering::Relaxed);
+                stats.busy_us.fetch_add(elapsed, Ordering::Relaxed);
+                let ts = flight.now_ns();
+                flight.record_at(
+                    shard,
+                    ts,
+                    FlightKind::RunEval,
+                    device,
+                    eval_us,
+                    decisions as u64,
+                );
+                flight.record_at(
+                    shard,
+                    ts,
+                    FlightKind::Emit,
+                    device,
+                    out.len() as u64,
+                    encode_us,
+                );
+                self.records.clear();
+                session.run += 1;
+            }
+            Err(_) => {
+                // Invalid run: device state is as if the run never
+                // happened (the manager was never touched).
+                metrics.run_rejects.fetch_add(1, Ordering::Relaxed);
+                flight.record(shard, FlightKind::RunReject, device, 0, 0);
+                frame::encode_server(
+                    &ServerFrame::RunRejected {
+                        device,
+                        run: session.run,
+                    },
+                    out,
+                );
+            }
+        }
+        reply.send(out);
+    }
+
+    /// Retires the device's session and answers with its table
+    /// statistics.
+    fn device_end(&mut self, key: (u64, u64), reply: &Reply) {
+        let Some(session) = self.sessions.remove(&key) else {
+            return self.stray(key.1, 4);
+        };
+        self.metrics.devices_active.fetch_sub(1, Ordering::Relaxed);
+        self.out.clear();
+        frame::encode_server(
+            &ServerFrame::DeviceSummary {
+                device: key.1,
+                runs: session.run,
+                table_entries: session.manager.table_entries().map(|n| n as u64),
+                table_aliases: session.manager.table_aliases(),
+            },
+            &mut self.out,
+        );
+        reply.send(&self.out);
+    }
 }
 
 /// Longest request head the metrics endpoint accepts; anything larger
@@ -1051,15 +966,10 @@ fn answer(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) 
 /// (the flight-recorder dump as JSONL). Each accepted connection is
 /// handled on a short-lived thread with read/write deadlines, so one
 /// stalled or malicious client cannot wedge the scrape path.
-fn metrics_http_loop(
-    listener: TcpListener,
-    stop: &AtomicBool,
-    metrics: &Arc<ServeMetrics>,
-    flight: &Arc<FlightRecorder>,
-) {
+fn metrics_http_loop(listener: &TcpListener, shared: &ReaderShared) {
     let inflight = Arc::new(AtomicU64::new(0));
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if shared.stop.load(Ordering::Relaxed) {
             return;
         }
         match listener.accept() {
@@ -1075,8 +985,8 @@ fn metrics_http_loop(
                 }
                 inflight.fetch_add(1, Ordering::Relaxed);
                 let handler_inflight = Arc::clone(&inflight);
-                let metrics = Arc::clone(metrics);
-                let flight = Arc::clone(flight);
+                let metrics = Arc::clone(&shared.metrics);
+                let flight = Arc::clone(&shared.flight);
                 let spawned = std::thread::Builder::new()
                     .name("pcap-metrics-req".to_owned())
                     .spawn(move || {
@@ -1110,9 +1020,8 @@ fn metrics_http_loop(
                     inflight.fetch_sub(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing pending (the listener never blocks) or a failed
+            // accept.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -1121,6 +1030,7 @@ fn metrics_http_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn finished_readers_leave_the_registry() {
@@ -1136,12 +1046,12 @@ mod tests {
             // The reader has seen EOF before the next connection is
             // accepted, so every earlier reader has exited by then.
             let deadline = Instant::now() + Duration::from_secs(10);
-            while handle.metrics.disconnects.load(Ordering::Relaxed) < cycle {
+            while handle.metrics().disconnects.load(Ordering::Relaxed) < cycle {
                 assert!(Instant::now() < deadline, "reader {cycle} never saw EOF");
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let kept = handle.readers.lock().expect("reader registry").len();
+        let kept = handle.shared.readers.lock().expect("reader registry").len();
         handle.shutdown();
         assert!(
             kept <= 4,

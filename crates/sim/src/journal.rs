@@ -190,6 +190,9 @@ pub struct Journal {
     file: File,
     claims_dir: PathBuf,
     config_hash: u64,
+    /// Where the last whole record parsed so far ends (0 until the
+    /// header is validated); a refresh reads only the bytes after it.
+    parsed: u64,
     completed: HashMap<u64, Vec<u8>>,
     claims: HashMap<u64, File>,
     progress: JournalProgress,
@@ -222,6 +225,7 @@ impl Journal {
             file,
             claims_dir,
             config_hash,
+            parsed: 0,
             completed: HashMap::new(),
             claims: HashMap::new(),
             progress: JournalProgress::default(),
@@ -269,14 +273,17 @@ impl Journal {
         header
     }
 
-    /// Re-scans the journal under its exclusive lock: loads records
-    /// appended by cooperating processes, repairs a torn tail by
-    /// truncating to the last whole record, and (re)writes the header
-    /// when the file is empty or holds only a torn header.
+    /// Scans what was appended since the last scan, under the journal's
+    /// exclusive lock: loads records appended by cooperating processes
+    /// (and re-reads this handle's own appends, so a duplicate record
+    /// still gets its byte check), repairs a torn tail by truncating to
+    /// the last whole record, and (re)writes the header when the file
+    /// is empty or holds only a torn header.
     ///
     /// # Errors
     ///
-    /// Same named errors as [`Journal::open`].
+    /// Same named errors as [`Journal::open`]; a file now shorter than
+    /// what this handle already parsed is [`JournalError::Corrupt`].
     pub fn refresh(&mut self) -> Result<(), JournalError> {
         self.file.lock().map_err(|e| io_err(&self.path, e))?;
         let result = self.refresh_locked();
@@ -286,61 +293,81 @@ impl Journal {
 
     fn refresh_locked(&mut self) -> Result<(), JournalError> {
         self.progress.refreshes += 1;
+        let len = self
+            .file
+            .metadata()
+            .map_err(|e| io_err(&self.path, e))?
+            .len();
+        if len < self.parsed {
+            // Cells this handle holds as done are gone from the file.
+            return Err(JournalError::Corrupt {
+                offset: len,
+                reason: format!(
+                    "file shrank to {len} bytes, below the {} already read",
+                    self.parsed
+                ),
+            });
+        }
         self.file
-            .seek(SeekFrom::Start(0))
+            .seek(SeekFrom::Start(self.parsed))
             .map_err(|e| io_err(&self.path, e))?;
         let mut bytes = Vec::new();
         self.file
             .read_to_end(&mut bytes)
             .map_err(|e| io_err(&self.path, e))?;
-        let header = self.header_bytes();
-        if bytes.len() < JOURNAL_HEADER_LEN {
-            // Empty file, or a crash mid-header-write. A partial header
-            // must be a prefix of the one we would write; anything else
-            // is some other file.
-            if !header.starts_with(&bytes) {
+        let mut pos = 0;
+        if self.parsed == 0 {
+            let header = self.header_bytes();
+            if bytes.len() < JOURNAL_HEADER_LEN {
+                // Empty file, or a crash mid-header-write. A partial
+                // header must be a prefix of the one we would write;
+                // anything else is some other file.
+                if !header.starts_with(&bytes) {
+                    return Err(JournalError::BadMagic {
+                        path: self.path.display().to_string(),
+                    });
+                }
+                if !bytes.is_empty() {
+                    self.progress.torn_bytes += bytes.len() as u64;
+                }
+                self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
+                self.file
+                    .write_all(&header)
+                    .map_err(|e| io_err(&self.path, e))?;
+                self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
+                self.parsed = JOURNAL_HEADER_LEN as u64;
+                return Ok(());
+            }
+            if bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
                 return Err(JournalError::BadMagic {
                     path: self.path.display().to_string(),
                 });
             }
-            if !bytes.is_empty() {
-                self.progress.torn_bytes += bytes.len() as u64;
+            let mut r = WireReader::new(&bytes[JOURNAL_MAGIC.len()..JOURNAL_HEADER_LEN]);
+            let schema = r.u32().expect("header length checked");
+            let found_config = r.u64().expect("header length checked");
+            if schema != JOURNAL_SCHEMA {
+                return Err(JournalError::SchemaMismatch {
+                    found: schema,
+                    expected: JOURNAL_SCHEMA,
+                });
             }
-            self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
-            self.file
-                .write_all(&header)
-                .map_err(|e| io_err(&self.path, e))?;
-            self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
-            return Ok(());
+            if found_config != self.config_hash {
+                return Err(JournalError::ConfigMismatch {
+                    found: found_config,
+                    expected: self.config_hash,
+                });
+            }
+            pos = JOURNAL_HEADER_LEN;
+            self.parsed = pos as u64;
         }
-        if bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(JournalError::BadMagic {
-                path: self.path.display().to_string(),
-            });
-        }
-        let mut r = WireReader::new(&bytes[JOURNAL_MAGIC.len()..JOURNAL_HEADER_LEN]);
-        let schema = r.u32().expect("header length checked");
-        let found_config = r.u64().expect("header length checked");
-        if schema != JOURNAL_SCHEMA {
-            return Err(JournalError::SchemaMismatch {
-                found: schema,
-                expected: JOURNAL_SCHEMA,
-            });
-        }
-        if found_config != self.config_hash {
-            return Err(JournalError::ConfigMismatch {
-                found: found_config,
-                expected: self.config_hash,
-            });
-        }
-
-        let mut pos = JOURNAL_HEADER_LEN;
         while pos < bytes.len() {
+            let offset = self.parsed;
             let remaining = bytes.len() - pos;
             if remaining < 4 {
                 // Torn length prefix: the crash hit inside the first
                 // four bytes of an append. Truncate to the record start.
-                return self.truncate_tail(pos, remaining);
+                return self.truncate_tail(remaining);
             }
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             if !(RECORD_OVERHEAD..=MAX_RECORD_LEN).contains(&len) {
@@ -348,7 +375,7 @@ impl Journal {
                 // so a present-but-impossible length is corruption,
                 // not a torn write.
                 return Err(JournalError::Corrupt {
-                    offset: pos as u64,
+                    offset,
                     reason: format!(
                         "record length {len} outside [{RECORD_OVERHEAD}, {MAX_RECORD_LEN}]"
                     ),
@@ -356,7 +383,7 @@ impl Journal {
             }
             if remaining - 4 < len {
                 // Torn payload: record runs past EOF.
-                return self.truncate_tail(pos, remaining);
+                return self.truncate_tail(remaining);
             }
             let payload = &bytes[pos + 4..pos + 4 + len];
             let mut r = WireReader::new(payload);
@@ -365,7 +392,7 @@ impl Journal {
             let result = r.bytes(len - RECORD_OVERHEAD).expect("length checked");
             if fnv1a64(result) != content_hash {
                 return Err(JournalError::Corrupt {
-                    offset: pos as u64,
+                    offset,
                     reason: format!("content hash mismatch for cell {cell_key:#018x}"),
                 });
             }
@@ -375,7 +402,7 @@ impl Journal {
                 Some(existing) if existing.as_slice() == result => {}
                 Some(_) => {
                     return Err(JournalError::Corrupt {
-                        offset: pos as u64,
+                        offset,
                         reason: format!(
                             "cell {cell_key:#018x} recorded twice with different contents"
                         ),
@@ -386,16 +413,17 @@ impl Journal {
                 }
             }
             pos += 4 + len;
+            self.parsed += (4 + len) as u64;
         }
         Ok(())
     }
 
-    /// Truncates a torn tail: drops `torn` bytes so the file ends at
-    /// `valid_end`, the start of the half-written record.
-    fn truncate_tail(&mut self, valid_end: usize, torn: usize) -> Result<(), JournalError> {
+    /// Truncates a torn tail: drops the `torn` bytes after the last
+    /// whole record, so the file ends where the half-written one began.
+    fn truncate_tail(&mut self, torn: usize) -> Result<(), JournalError> {
         self.progress.torn_bytes += torn as u64;
         self.file
-            .set_len(valid_end as u64)
+            .set_len(self.parsed)
             .map_err(|e| io_err(&self.path, e))?;
         self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
         Ok(())

@@ -1,4 +1,4 @@
-//! Application trace containers, serialization and statistics.
+//! Application trace containers and serialization.
 //!
 //! The paper's evaluation (§6) drives a trace simulator with
 //! strace-derived traces: one trace per application, covering many
@@ -10,7 +10,6 @@
 //!   root process and run end time,
 //! * [`ApplicationTrace`] — all executions of one application,
 //! * [`TraceRunBuilder`] — incremental, validity-enforcing construction,
-//! * [`stats`] — Table 1-style raw statistics,
 //! * [`idle`] — idle-gap classification for the predictors and the
 //!   gap-length histogram of `pcap profile`,
 //! * [`io`] — JSON-lines persistence.
@@ -35,9 +34,6 @@
 pub mod idle;
 pub mod io;
 pub mod merge;
-pub mod stats;
-
-pub use stats::TraceStats;
 
 use pcap_types::{Fd, FileId, IoKind, Pc, Pid, SimTime, TraceEvent};
 use serde::{Deserialize, Serialize};

@@ -141,7 +141,8 @@ impl Hasher for FoldHasher {
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
-    /// Creates a map bounded to `capacity` entries.
+    /// Creates a map bounded to `capacity` entries. It reserves nothing
+    /// up front and grows with what it holds.
     ///
     /// # Panics
     ///
@@ -151,7 +152,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         LruMap {
             capacity,
             next_seq: 0,
-            entries: HashMap::with_capacity_and_hasher(capacity.min(1024), FoldKeys::new()),
+            entries: HashMap::with_hasher(FoldKeys::new()),
         }
     }
 

@@ -29,7 +29,7 @@ pub mod prelude {
     pub use pcap_disk::{DiskParams, DiskSim};
     pub use pcap_report::{Experiment, Workbench};
     pub use pcap_sim::{evaluate_app, AppReport, PowerManagerKind, SimConfig, WorkloadProfile};
-    pub use pcap_trace::{ApplicationTrace, TraceStats};
+    pub use pcap_trace::ApplicationTrace;
     pub use pcap_types::{Fd, FileId, IoKind, Pc, Pid, Signature, SimDuration, SimTime};
     pub use pcap_workload::{paper_suite, AppModel, PaperApp};
 }

@@ -1,5 +1,6 @@
 //! Crash-safety and resume-parity properties of the sweep journal
 //! (`pcap_sim::journal`): record round trips through the wire codec,
+//! incremental refreshes between a second handle's appends,
 //! torn-tail recovery at *every* byte offset of the final record,
 //! journal-resumed fleet sweeps byte-identical to uninterrupted runs,
 //! named rejection of mismatched or corrupted journals, and
@@ -13,6 +14,7 @@ use pcap_dpm::sim::{
 use pcap_dpm::workload::DevicePopulation;
 use proptest::prelude::*;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -29,13 +31,20 @@ fn cleanup(path: &Path) {
 // ------------------------------------------------- codec round trips
 
 proptest! {
-    /// Arbitrary (key, result) records survive append → reopen: the
-    /// length-prefixed wire framing plus content hash is lossless for
-    /// any payload bytes, including empty results.
+    /// Arbitrary (key, result) records survive append → refresh and
+    /// append → reopen: the length-prefixed wire framing plus content
+    /// hash is lossless for any payload bytes, including empty results.
+    /// A second handle's appends interleave with the first handle's
+    /// refreshes, which read only what was appended since the last one.
     #[test]
     fn journal_records_round_trip(
         records in prop::collection::vec(
-            (any::<u64>(), prop::collection::vec(any::<u8>(), 0..200)),
+            (
+                any::<u64>(),
+                prop::collection::vec(any::<u8>(), 0..200),
+                any::<bool>(),
+                any::<bool>(),
+            ),
             1..20,
         ),
         config_hash in any::<u64>(),
@@ -43,23 +52,79 @@ proptest! {
         let path = temp_journal("prop-roundtrip");
         cleanup(&path);
         let mut journal = Journal::open(&path, config_hash).unwrap();
+        let mut peer = Journal::open(&path, config_hash).unwrap();
         // Duplicate keys would be a caller bug; dedup keeping first.
         let mut seen = std::collections::HashSet::new();
         let records: Vec<_> = records
             .into_iter()
-            .filter(|(key, _)| seen.insert(*key))
+            .filter(|(key, ..)| seen.insert(*key))
             .collect();
-        for (key, bytes) in &records {
-            journal.append(*key, bytes).unwrap();
+        for (key, bytes, by_peer, refresh) in &records {
+            let writer = if *by_peer { &mut peer } else { &mut journal };
+            writer.append(*key, bytes).unwrap();
+            if *refresh {
+                journal.refresh().unwrap();
+            }
         }
-        drop(journal);
+        journal.refresh().unwrap();
+        drop(peer);
         let reopened = Journal::open(&path, config_hash).unwrap();
-        prop_assert_eq!(reopened.completed_cells(), records.len());
-        for (key, bytes) in &records {
-            prop_assert_eq!(reopened.result(*key), Some(bytes.as_slice()));
+        for view in [&journal, &reopened] {
+            prop_assert_eq!(view.completed_cells(), records.len());
+            for (key, bytes, ..) in &records {
+                prop_assert_eq!(view.result(*key), Some(bytes.as_slice()));
+            }
         }
         cleanup(&path);
     }
+}
+
+/// A refresh reads what was appended since the last one: records a
+/// second handle appends between two refreshes of the first, and a torn
+/// tail after them, are loaded and repaired. A file cut below what a
+/// handle already read is corruption, not a torn tail: the cells that
+/// handle holds as done are gone from disk.
+#[test]
+fn refresh_reads_appends_since_the_last_and_rejects_a_shrunk_file() {
+    let path = temp_journal("incremental");
+    cleanup(&path);
+    let mut first = Journal::open(&path, 5).unwrap();
+    first.append(1, b"one").unwrap();
+    let mut second = Journal::open(&path, 5).unwrap();
+    assert_eq!(second.result(1), Some(&b"one"[..]));
+    second.append(2, b"two").unwrap();
+    second.append(3, b"three").unwrap();
+    let whole = fs::metadata(&path).unwrap().len();
+    // A crash mid-append: a 40-byte record's prefix and two more bytes.
+    let mut tail = fs::OpenOptions::new().append(true).open(&path).unwrap();
+    tail.write_all(&[40, 0, 0, 0, 7, 7]).unwrap();
+    drop(tail);
+
+    first.refresh().unwrap();
+    assert_eq!(first.result(2), Some(&b"two"[..]));
+    assert_eq!(first.result(3), Some(&b"three"[..]));
+    assert_eq!(first.progress().torn_bytes, 6);
+    assert_eq!(fs::metadata(&path).unwrap().len(), whole);
+    first.append(4, b"four").unwrap();
+    second.refresh().unwrap();
+    assert_eq!(second.result(4), Some(&b"four"[..]));
+    assert_eq!(second.completed_cells(), 4);
+
+    // Cut inside cell 2's record, which `first` has read.
+    let cut = (JOURNAL_HEADER_LEN + (4 + 16 + 3) + 5) as u64;
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+    let err = first.refresh().unwrap_err();
+    assert!(
+        matches!(err, JournalError::Corrupt { offset, .. } if offset == cut),
+        "{err}"
+    );
+    assert_eq!(fs::metadata(&path).unwrap().len(), cut, "nothing repaired");
+    cleanup(&path);
 }
 
 // ------------------------------------------------ torn-tail recovery

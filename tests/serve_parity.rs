@@ -1,7 +1,8 @@
 //! Online/offline parity: the daemon's decision stream for the six
 //! seed-42 paper apps is byte-identical to the offline audit stream
 //! (`audit_prepared`), for any shard count, client interleaving and
-//! transport (Unix socket or TCP).
+//! transport (Unix socket or TCP), and one daemon serving both
+//! transports at once answers them alike.
 
 mod serve_common;
 
@@ -107,4 +108,40 @@ fn serve_decisions_match_offline_audit_across_shard_counts() {
     assert_parity(3, Order::Interleaved, uds("parity-s3"), &offline);
     assert_parity(3, Order::Interleaved, tcp, &offline);
     assert_parity(8, Order::Interleaved, uds("parity-s8"), &offline);
+}
+
+/// One daemon listens on a TCP port and on a Unix path where a dead
+/// process left its socket file: it takes the path over, serves the
+/// same device script over both transports with byte-identical
+/// decision streams, and removes the socket file at shutdown.
+#[test]
+fn one_daemon_takes_over_a_stale_socket_and_serves_both_transports_alike() {
+    let path = temp_sock("takeover");
+    // A listener that drops without unlinking leaves its socket file
+    // behind, as a crashed daemon does; binding over it fails.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(std::os::unix::net::UnixListener::bind(&path).is_err());
+    let config = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let listen = [
+        Endpoint::Tcp(([127, 0, 0, 1], 0).into()),
+        Endpoint::Uds(path.clone()),
+    ];
+    let handle = pcap_dpm::serve::start(config, &listen, None).unwrap();
+    let script = script_six_apps(&DevicePopulation::new(6, 42), Order::Interleaved);
+    let tcp = drive(&Endpoint::Tcp(handle.tcp_addr().unwrap()), &script, 6);
+    let uds = drive(&Endpoint::Uds(path.clone()), &script, 6);
+    handle.shutdown();
+    assert!(!path.exists(), "shutdown must remove {}", path.display());
+    for device in 0..6u64 {
+        let decisions = decisions_of(&tcp, device);
+        assert!(!decisions.is_empty(), "device {device}");
+        assert_eq!(
+            record_bytes(&decisions),
+            record_bytes(&decisions_of(&uds, device)),
+            "device {device}: TCP and UDS decision bytes diverged"
+        );
+    }
 }
