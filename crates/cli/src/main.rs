@@ -772,33 +772,45 @@ fn serve_config(options: &Options) -> pcap_serve::ServeConfig {
     config
 }
 
-/// SIGUSR1 plumbing for `pcap serve`. The handler only flips an
-/// atomic; the serve loop polls it and does the file I/O outside
-/// signal context (writing from a handler is not async-signal-safe).
+/// Signal plumbing for `pcap serve`. The handlers only flip atomics;
+/// the serve loop polls them and does the work outside signal context
+/// (file I/O and thread joins are not async-signal-safe).
 #[cfg(target_os = "linux")]
-mod usr1 {
+mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set by the handler, cleared by the serve loop.
-    pub static PENDING: AtomicBool = AtomicBool::new(false);
+    /// Set by `SIGUSR1`, cleared by the serve loop: dump the flight
+    /// recorder.
+    pub static DUMP: AtomicBool = AtomicBool::new(false);
 
-    /// `SIGUSR1` on Linux.
+    /// Set by `SIGTERM` or `SIGINT`: shut the daemon down.
+    pub static STOP: AtomicBool = AtomicBool::new(false);
+
+    /// Signal numbers on Linux.
+    const SIGINT: i32 = 2;
     const SIGUSR1: i32 = 10;
+    const SIGTERM: i32 = 15;
 
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
-    extern "C" fn on_signal(_: i32) {
-        PENDING.store(true, Ordering::Release);
+    extern "C" fn on_dump(_: i32) {
+        DUMP.store(true, Ordering::Release);
     }
 
-    /// Installs the handler; called once before the serve loop.
+    extern "C" fn on_stop(_: i32) {
+        STOP.store(true, Ordering::Release);
+    }
+
+    /// Installs the handlers; called once before the serve loop.
     pub fn install() {
-        // SAFETY: libc `signal` with a handler that only stores to a
+        // SAFETY: libc `signal` with handlers that only store to a
         // static atomic — async-signal-safe by construction.
         unsafe {
-            signal(SIGUSR1, on_signal);
+            signal(SIGUSR1, on_dump);
+            signal(SIGTERM, on_stop);
+            signal(SIGINT, on_stop);
         }
     }
 }
@@ -816,7 +828,9 @@ fn dump_flight(flight: &pcap_obs::FlightRecorder, path: &str, why: &str) {
 }
 
 /// `pcap serve`: starts the online sharded decision daemon on the
-/// requested endpoints and runs until killed. With `--metrics ADDR`
+/// requested endpoints and runs until `SIGTERM` or `SIGINT`, then
+/// shuts it down (queues drained, threads joined, socket files
+/// removed) and returns. With `--metrics ADDR`
 /// the live counters are scrapeable as Prometheus text at
 /// `http://ADDR/metrics` (sampled audit records at `/audit`, the
 /// flight recorder at `/debug/flight`). `SIGUSR1` — and any panic —
@@ -839,6 +853,9 @@ fn run_serve(options: &Options) -> Result<(), String> {
         .transpose()?;
     let config = serve_config(options);
     let shards = config.shards;
+    // Before the sockets exist, so a client that sees one can signal.
+    #[cfg(target_os = "linux")]
+    signals::install();
     let handle = pcap_serve::start(config, &endpoints, metrics_http).map_err(|e| e.to_string())?;
     for endpoint in &endpoints {
         match endpoint {
@@ -875,8 +892,6 @@ fn run_serve(options: &Options) -> Result<(), String> {
             previous(info);
         }));
     }
-    #[cfg(target_os = "linux")]
-    usr1::install();
     eprintln!("pcap serve: flight dumps to {flight_dump} (SIGUSR1 or panic)");
     // Test hook: exercises the panic-dump path end to end without
     // needing a real crash (`crates/cli/tests`).
@@ -884,16 +899,24 @@ fn run_serve(options: &Options) -> Result<(), String> {
         std::thread::sleep(std::time::Duration::from_millis(200));
         panic!("selftest panic requested via PCAP_SERVE_SELFTEST_PANIC");
     }
-    // The daemon has no stop condition of its own: it serves until the
-    // process is killed (CI backgrounds it and signals it). The short
-    // poll is what turns a pending SIGUSR1 into a dump.
+    // The daemon serves until SIGTERM or SIGINT. The short poll is what
+    // turns a pending signal into a dump or a shutdown.
     loop {
         std::thread::sleep(std::time::Duration::from_millis(200));
         #[cfg(target_os = "linux")]
-        if usr1::PENDING.swap(false, std::sync::atomic::Ordering::Acquire) {
-            dump_flight(&flight, &flight_dump, "SIGUSR1");
+        {
+            use std::sync::atomic::Ordering;
+            if signals::DUMP.swap(false, Ordering::Acquire) {
+                dump_flight(&flight, &flight_dump, "SIGUSR1");
+            }
+            if signals::STOP.load(Ordering::Acquire) {
+                break;
+            }
         }
     }
+    eprintln!("pcap serve: stopping");
+    handle.shutdown();
+    Ok(())
 }
 
 /// Renders a latency histogram as a small JSON artifact (per-bucket

@@ -906,6 +906,47 @@ fn serve_sigusr1_dump_and_top_against_live_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `SIGTERM` and `SIGINT` stop the daemon cleanly: it drains its
+/// queues, joins its threads, removes its socket file and exits 0.
+#[test]
+fn serve_stops_cleanly_on_sigterm_and_sigint() {
+    let dir = std::env::temp_dir().join(format!("pcap-serve-stop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sock = dir.join("daemon.sock");
+    for signal in ["-TERM", "-INT"] {
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_pcap"))
+            .args([
+                "serve",
+                "--uds",
+                sock.to_str().expect("utf-8"),
+                "--shards",
+                "1",
+            ])
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("daemon starts");
+        assert!(poll_until(|| sock.exists()), "daemon socket appears");
+        let kill = Command::new("kill")
+            .args([signal, &daemon.id().to_string()])
+            .status()
+            .expect("kill runs");
+        assert!(kill.success(), "kill {signal} delivered");
+        let mut status = None;
+        let exited = poll_until(|| {
+            status = daemon.try_wait().expect("daemon status");
+            status.is_some()
+        });
+        if !exited {
+            daemon.kill().ok();
+            daemon.wait().ok();
+        }
+        let status = status.unwrap_or_else(|| panic!("daemon still running after kill {signal}"));
+        assert!(status.success(), "kill {signal}: {status}");
+        assert!(!sock.exists(), "kill {signal}: socket file removed");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A panicking daemon leaves a parseable flight dump behind: the
 /// selftest hook panics after startup and the chained panic hook must
 /// write the `--flight-dump` file before the process dies nonzero.

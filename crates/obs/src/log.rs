@@ -6,54 +6,27 @@
 //! which admits a bounded number of lines per window and counts the
 //! rest, reporting the suppressed total on the next admitted line.
 
+use serde::Value;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Formats one warn line without emitting it (the testable core of
 /// [`warn`]):
 /// `{"ts_us":…,"level":"warn","target":…,"msg":…,"fields":{…}}`.
 fn warn_line(ts_us: u64, target: &str, msg: &str, fields: &[(&str, &str)]) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"ts_us\":");
-    out.push_str(&ts_us.to_string());
-    out.push_str(",\"level\":\"warn\",\"target\":\"");
-    escape_into(&mut out, target);
-    out.push_str("\",\"msg\":\"");
-    escape_into(&mut out, msg);
-    out.push('"');
+    let text = |s: &str| Value::Str(s.to_owned());
+    let mut line = vec![
+        ("ts_us".to_owned(), Value::UInt(ts_us)),
+        ("level".to_owned(), text("warn")),
+        ("target".to_owned(), text(target)),
+        ("msg".to_owned(), text(msg)),
+    ];
     if !fields.is_empty() {
-        out.push_str(",\"fields\":{");
-        for (i, (key, value)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, key);
-            out.push_str("\":\"");
-            escape_into(&mut out, value);
-            out.push('"');
-        }
-        out.push('}');
+        let fields = fields.iter().map(|&(k, v)| (k.to_owned(), text(v)));
+        line.push(("fields".to_owned(), Value::Object(fields.collect())));
     }
-    out.push('}');
-    out
+    serde_json::to_string(&Value::Object(line)).expect("a warn line holds no floats")
 }
 
 /// Emits one structured warn line to stderr. `target` names the

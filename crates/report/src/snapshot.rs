@@ -14,7 +14,7 @@
 //! `(trace, config, kind)`, floats are serialized via Rust's
 //! shortest-roundtrip formatting, and map keys are sorted.
 
-use crate::audit::{audit_app, audit_snapshot_csv, golden_jsonl};
+use crate::audit::{audit_app, audit_snapshot_csv, golden_jsonl, tables_to_csv};
 use crate::experiments::Experiment;
 use crate::workbench::{Workbench, GRID_KINDS};
 use pcap_obs::{NullPipeline, PipelineObserver};
@@ -117,18 +117,7 @@ pub fn snapshot_files_observed<P: PipelineObserver>(
         files.push(render_file(
             pipeline,
             format!("tables/{}.csv", experiment.name()),
-            || {
-                let tables = experiment.run(bench);
-                let mut body = String::new();
-                for (i, table) in tables.iter().enumerate() {
-                    if i > 0 {
-                        body.push('\n');
-                    }
-                    body.push_str(&format!("# {}\n", table.title));
-                    body.push_str(&table.to_csv());
-                }
-                body
-            },
+            || tables_to_csv(&experiment.run(bench)),
         ));
     }
     // Decision-audit section: per-app audit CSV under the base PCAP

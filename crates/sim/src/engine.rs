@@ -26,7 +26,7 @@
 //! charge: the two-state Table 2 charge here, or the §7 ladder charge
 //! of [`crate::multistate`].
 
-use crate::audit::{DecisionObserver, DecisionRecord, GapEnergy, NullObserver};
+use crate::audit::{DecisionObserver, DecisionRecord, GapEnergy};
 use crate::factory::{Manager, PowerManagerKind};
 use crate::metrics::{EnergyBreakdown, PredictionCounts};
 use crate::prepared::{evaluate_prepared, PreparedTrace};
@@ -209,23 +209,10 @@ impl RunState<'_> {
     }
 }
 
-/// Simulates one execution. Public for integration tests and the
-/// examples; most callers want [`evaluate_app`] or
-/// [`evaluate_prepared`].
-pub fn simulate_run(streams: &RunStreams, config: &SimConfig, manager: &mut Manager) -> RunOutcome {
-    simulate_run_observed(
-        streams,
-        config,
-        manager,
-        &mut EngineScratch::new(),
-        &mut NullObserver,
-    )
-}
-
 /// Simulates one execution under the paper's two-state disk,
 /// delivering every idle-gap decision to `observer` (see
-/// [`DecisionObserver`]). With [`NullObserver`] the audit path
-/// compiles away entirely.
+/// [`DecisionObserver`]). With [`NullObserver`](crate::NullObserver)
+/// the audit path compiles away entirely.
 ///
 /// The caller is responsible for invoking
 /// [`DecisionObserver::on_run_start`] if its sink distinguishes runs;
@@ -545,8 +532,20 @@ fn resolve_gap_voting(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::NullObserver;
     use pcap_trace::{TraceRun, TraceRunBuilder};
     use pcap_types::{Fd, FileId, IoKind, Pc, Pid};
+
+    /// One execution on fresh scratch, with no observer.
+    fn simulate_run(streams: &RunStreams, config: &SimConfig, manager: &mut Manager) -> RunOutcome {
+        simulate_run_observed(
+            streams,
+            config,
+            manager,
+            &mut EngineScratch::new(),
+            &mut NullObserver,
+        )
+    }
 
     /// One process, fresh 1-page reads at the given seconds, exit at
     /// `end`.

@@ -45,13 +45,11 @@
 
 use crate::engine::AppReport;
 use crate::factory::PowerManagerKind;
-use crate::metrics::{EnergyBreakdown, PredictionCounts};
 use crate::stream::{evaluate_chunk, fleet_chunks, FleetReport, FleetSlot, FLEET_CHUNK};
 use crate::sweep::SweepRunner;
 use crate::SimConfig;
-use pcap_disk::Joules;
 use pcap_obs::JournalProgress;
-use pcap_types::wire::{put, WireError, WireReader};
+use pcap_types::wire::{put, WireReader};
 use pcap_workload::{fleet_cell_key, DevicePopulation};
 use std::any::Any;
 use std::collections::HashMap;
@@ -61,15 +59,17 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// File magic: the first eight bytes of every journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"PCAPJRNL";
 
 /// Record-schema version pinned in the header. Bump on any change to
-/// the record layout; old journals are then rejected, never misread.
-pub const JOURNAL_SCHEMA: u32 = 1;
+/// the record layout or payload encoding; old journals are then
+/// rejected, never misread. Version 1 held payloads in a binary codec;
+/// version 2 holds them as serde JSON.
+pub const JOURNAL_SCHEMA: u32 = 2;
 
 /// Header length: magic + schema (`u32`) + config hash (`u64`).
 pub const JOURNAL_HEADER_LEN: usize = 20;
@@ -746,164 +746,46 @@ fn claim_next<T>(
 }
 
 // ---------------------------------------------------------------------
-// Wire codecs for journal payloads. Integers and IEEE-754 bits only —
-// byte-exact round trips, so a journal-resumed readout is bit-identical
-// to the in-memory value it recorded.
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put::u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(r: &mut WireReader<'_>) -> Result<String, WireError> {
-    let len = r.u32()? as usize;
-    let bytes = r.bytes(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadEnum {
-        what: "utf-8 string",
-        value: 0,
-    })
-}
-
-fn put_counts(buf: &mut Vec<u8>, c: &PredictionCounts) {
-    put::u64(buf, c.opportunities);
-    put::u64(buf, c.hit_primary);
-    put::u64(buf, c.hit_backup);
-    put::u64(buf, c.miss_primary);
-    put::u64(buf, c.miss_backup);
-    put::u64(buf, c.not_predicted);
-}
-
-fn get_counts(r: &mut WireReader<'_>) -> Result<PredictionCounts, WireError> {
-    Ok(PredictionCounts {
-        opportunities: r.u64()?,
-        hit_primary: r.u64()?,
-        hit_backup: r.u64()?,
-        miss_primary: r.u64()?,
-        miss_backup: r.u64()?,
-        not_predicted: r.u64()?,
-    })
-}
-
-fn put_energy(buf: &mut Vec<u8>, e: &EnergyBreakdown) {
-    put::f64(buf, e.busy.0);
-    put::f64(buf, e.idle_short.0);
-    put::f64(buf, e.idle_long.0);
-    put::f64(buf, e.power_cycle.0);
-}
-
-fn get_energy(r: &mut WireReader<'_>) -> Result<EnergyBreakdown, WireError> {
-    Ok(EnergyBreakdown {
-        busy: Joules(r.f64()?),
-        idle_short: Joules(r.f64()?),
-        idle_long: Joules(r.f64()?),
-        power_cycle: Joules(r.f64()?),
-    })
-}
-
-/// Appends one [`AppReport`] to `buf` (no framing).
-pub fn put_report(buf: &mut Vec<u8>, report: &AppReport) {
-    put_str(buf, &report.app);
-    put_str(buf, &report.manager);
-    put_counts(buf, &report.local);
-    put_counts(buf, &report.global);
-    put_energy(buf, &report.energy);
-    put_energy(buf, &report.base_energy);
-    put::option(buf, report.table_entries.map(|n| n as u64), put::u64);
-    put::option(buf, report.table_aliases, put::u64);
-}
-
-/// Reads one [`AppReport`] from `r`, the inverse of [`put_report`].
-///
-/// # Errors
-///
-/// [`WireError`] on truncation or malformed fields.
-pub fn get_report(r: &mut WireReader<'_>) -> Result<AppReport, WireError> {
-    Ok(AppReport {
-        app: Arc::from(get_str(r)?.as_str()),
-        manager: get_str(r)?,
-        local: get_counts(r)?,
-        global: get_counts(r)?,
-        energy: get_energy(r)?,
-        base_energy: get_energy(r)?,
-        table_entries: r.option(WireReader::u64)?.map(|n| n as usize),
-        table_aliases: r.option(WireReader::u64)?,
-    })
-}
+// Journal payloads are the compact serde JSON the golden reports use.
+// Floats print as their shortest round-trip form, so a journal-resumed
+// readout is bit-identical to the in-memory value it recorded.
 
 /// Encodes a list of [`AppReport`]s as one journal result payload.
+///
+/// # Panics
+///
+/// On a non-finite energy, which JSON cannot represent.
 pub fn encode_reports(reports: &[AppReport]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put::u32(&mut buf, reports.len() as u32);
-    for report in reports {
-        put_report(&mut buf, report);
-    }
-    buf
+    serde_json::to_vec(reports).expect("reports hold finite energies")
 }
 
 /// Decodes a payload written by [`encode_reports`].
 ///
 /// # Errors
 ///
-/// [`WireError`] on truncation, malformed fields, or trailing bytes.
-pub fn decode_reports(bytes: &[u8]) -> Result<Vec<AppReport>, WireError> {
-    let mut r = WireReader::new(bytes);
-    let count = r.u32()? as usize;
-    let mut reports = Vec::with_capacity(count);
-    for _ in 0..count {
-        reports.push(get_report(&mut r)?);
-    }
-    r.finish()?;
-    Ok(reports)
-}
-
-fn put_slot(buf: &mut Vec<u8>, slot: &FleetSlot) {
-    put::u64(buf, slot.devices);
-    put::u64(buf, slot.runs);
-    put::u64(buf, slot.accesses);
-    put_counts(buf, &slot.local);
-    put_counts(buf, &slot.global);
-    put_energy(buf, &slot.energy);
-    put_energy(buf, &slot.base_energy);
-    put::u64(buf, slot.table_entries);
-    put::u64(buf, slot.table_aliases);
-}
-
-fn get_slot(r: &mut WireReader<'_>) -> Result<FleetSlot, WireError> {
-    Ok(FleetSlot {
-        devices: r.u64()?,
-        runs: r.u64()?,
-        accesses: r.u64()?,
-        local: get_counts(r)?,
-        global: get_counts(r)?,
-        energy: get_energy(r)?,
-        base_energy: get_energy(r)?,
-        table_entries: r.u64()?,
-        table_aliases: r.u64()?,
-    })
+/// [`serde_json::Error`] on malformed JSON, a shape mismatch, or
+/// trailing bytes.
+pub fn decode_reports(bytes: &[u8]) -> Result<Vec<AppReport>, serde_json::Error> {
+    serde_json::from_slice(bytes)
 }
 
 /// Encodes a fleet chunk's six per-app slots as one journal payload.
+///
+/// # Panics
+///
+/// On a non-finite energy, which JSON cannot represent.
 pub fn encode_fleet_slots(slots: &[FleetSlot; 6]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for slot in slots {
-        put_slot(&mut buf, slot);
-    }
-    buf
+    serde_json::to_vec(slots).expect("slots hold finite energies")
 }
 
 /// Decodes a payload written by [`encode_fleet_slots`].
 ///
 /// # Errors
 ///
-/// [`WireError`] on truncation or trailing bytes.
-pub fn decode_fleet_slots(bytes: &[u8]) -> Result<[FleetSlot; 6], WireError> {
-    let mut r = WireReader::new(bytes);
-    let mut slots = [FleetSlot::default(); 6];
-    for slot in &mut slots {
-        *slot = get_slot(&mut r)?;
-    }
-    r.finish()?;
-    Ok(slots)
+/// [`serde_json::Error`] on malformed JSON, a slot count other than
+/// six, or trailing bytes.
+pub fn decode_fleet_slots(bytes: &[u8]) -> Result<[FleetSlot; 6], serde_json::Error> {
+    serde_json::from_slice(bytes)
 }
 
 /// The config hash a fleet sweep journal is pinned to: device count,
@@ -964,8 +846,10 @@ pub fn sweep_fleet_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{EnergyBreakdown, PredictionCounts};
+    use pcap_disk::Joules;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     fn temp_journal(tag: &str) -> PathBuf {

@@ -46,8 +46,7 @@ pub use audit::{
     DecisionRecord, GapEnergy, LogHistogram, MetricsObserver, MetricsRegistry, NullObserver,
 };
 pub use engine::{
-    evaluate_app, simulate_run, simulate_run_observed, AppReport, EngineScratch, GapVerdict,
-    RunOutcome,
+    evaluate_app, simulate_run_observed, AppReport, EngineScratch, GapVerdict, RunOutcome,
 };
 pub use factory::{Manager, PowerManagerKind};
 pub use journal::{

@@ -36,7 +36,7 @@ use crate::SimConfig;
 use pcap_cache::FileCache;
 use pcap_trace::{TraceError, TraceRun};
 use pcap_workload::{DevicePopulation, PaperApp};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Devices per work unit. Fixed (never derived from the job count) so
@@ -269,7 +269,7 @@ pub fn stream_device_report(
 
 /// Aggregate counters for a set of devices (one per app, plus the
 /// fleet total). `Copy`, so chunk folding stays allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FleetSlot {
     /// Devices folded into this slot.
     pub devices: u64,

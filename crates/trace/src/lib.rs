@@ -37,13 +37,19 @@ pub mod merge;
 
 use pcap_types::{Fd, FileId, IoKind, Pc, Pid, SimTime, TraceEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Largest byte count one I/O event may carry: Linux's per-call cap on
 /// `read`/`write` (`MAX_RW_COUNT`, `INT_MAX` rounded down to a 4 KB
 /// page), 524,288 pages of 4 KB.
 pub const MAX_RW_COUNT: u64 = 0x7fff_f000;
+
+/// Most processes one run may start, the root included. The paper's
+/// apps fork at most 3 helpers, and the largest run this repository
+/// builds, the merged `system` session, starts 15. The bound caps the
+/// per-run pid scans of validation, stream building and the global
+/// predictor, so one run's cost stays linear in its events.
+pub const MAX_PROCESSES: usize = 64;
 
 /// Errors produced while building, validating or (de)serializing traces.
 #[derive(Debug)]
@@ -57,6 +63,11 @@ pub enum TraceError {
     DuplicatePid(Pid),
     /// A process never exits before the end of the run.
     MissingExit(Pid),
+    /// A fork would start more than [`MAX_PROCESSES`] processes.
+    TooManyProcesses {
+        /// The bound, [`MAX_PROCESSES`].
+        limit: usize,
+    },
     /// An I/O event's byte range ends past `u64::MAX`, or its length
     /// exceeds [`MAX_RW_COUNT`].
     IoRange {
@@ -82,6 +93,9 @@ impl fmt::Display for TraceError {
             TraceError::EventAfterExit(pid) => write!(f, "event after exit of {pid}"),
             TraceError::DuplicatePid(pid) => write!(f, "fork of already-live {pid}"),
             TraceError::MissingExit(pid) => write!(f, "{pid} never exits"),
+            TraceError::TooManyProcesses { limit } => {
+                write!(f, "run starts more than {limit} processes")
+            }
             TraceError::IoRange { index, offset, len } => write!(
                 f,
                 "event {index} reads or writes {len} bytes at offset {offset}: \
@@ -254,62 +268,43 @@ impl TraceRunBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceError`] if any event references an unknown or
-    /// already-exited process, a fork duplicates a live pid, a process
-    /// never exits ([`TraceError::MissingExit`] names the first such
-    /// pid in start order: the root, then children in fork order), or
-    /// an I/O's byte range overflows or exceeds [`MAX_RW_COUNT`]
+    /// already-exited process, a fork duplicates a live pid or starts
+    /// process number [`MAX_PROCESSES`] + 1
+    /// ([`TraceError::TooManyProcesses`]), a process never exits
+    /// ([`TraceError::MissingExit`] names the first such pid in start
+    /// order: the root, then children in fork order), or an I/O's byte
+    /// range overflows or exceeds [`MAX_RW_COUNT`]
     /// ([`TraceError::IoRange`]).
     pub fn finish(mut self) -> Result<TraceRun, TraceError> {
         self.events.sort_by_key(TraceEvent::time);
 
-        let mut live: HashSet<Pid> = HashSet::from([self.root]);
-        let mut exited: HashSet<Pid> = HashSet::new();
-        // The last pid whose I/O passed the live check while it was
-        // live. Only an exit removes a pid from `live`, and an exit of
-        // this pid clears it, so an I/O by the same pid skips the
-        // lookup: it would succeed.
-        let mut last_io: Option<Pid> = None;
+        // Every process the run started, in start order, and whether it
+        // is still live. At most MAX_PROCESSES entries, so a linear
+        // scan finds a pid.
+        let mut procs: Vec<(Pid, bool)> = Vec::with_capacity(MAX_PROCESSES);
+        procs.push((self.root, true));
         let mut end = SimTime::ZERO;
         for (index, e) in self.events.iter().enumerate() {
             end = end.max(e.time());
             match *e {
                 TraceEvent::Fork { parent, child, .. } => {
-                    if !live.contains(&parent) {
-                        return Err(if exited.contains(&parent) {
-                            TraceError::EventAfterExit(parent)
-                        } else {
-                            TraceError::UnknownPid(parent)
-                        });
-                    }
-                    if live.contains(&child) || exited.contains(&child) {
+                    live_index(&procs, parent)?;
+                    if procs.iter().any(|&(pid, _)| pid == child) {
                         return Err(TraceError::DuplicatePid(child));
                     }
-                    live.insert(child);
-                }
-                TraceEvent::Exit { pid, .. } => {
-                    if last_io == Some(pid) {
-                        last_io = None;
-                    }
-                    if !live.remove(&pid) {
-                        return Err(if exited.contains(&pid) {
-                            TraceError::EventAfterExit(pid)
-                        } else {
-                            TraceError::UnknownPid(pid)
+                    if procs.len() == MAX_PROCESSES {
+                        return Err(TraceError::TooManyProcesses {
+                            limit: MAX_PROCESSES,
                         });
                     }
-                    exited.insert(pid);
+                    procs.push((child, true));
+                }
+                TraceEvent::Exit { pid, .. } => {
+                    let i = live_index(&procs, pid)?;
+                    procs[i].1 = false;
                 }
                 TraceEvent::Io(ref io) => {
-                    if last_io != Some(io.pid) {
-                        if !live.contains(&io.pid) {
-                            return Err(if exited.contains(&io.pid) {
-                                TraceError::EventAfterExit(io.pid)
-                            } else {
-                                TraceError::UnknownPid(io.pid)
-                            });
-                        }
-                        last_io = Some(io.pid);
-                    }
+                    live_index(&procs, io.pid)?;
                     if io.len > MAX_RW_COUNT || io.offset.checked_add(io.len).is_none() {
                         return Err(TraceError::IoRange {
                             index,
@@ -320,20 +315,24 @@ impl TraceRunBuilder {
                 }
             }
         }
-        let run = TraceRun {
+        if let Some(&(pid, _)) = procs.iter().find(|&&(_, live)| live) {
+            return Err(TraceError::MissingExit(pid));
+        }
+        Ok(TraceRun {
             root: self.root,
             events: self.events,
             end,
-        };
-        if !live.is_empty() {
-            let first_live = run
-                .pids()
-                .into_iter()
-                .find(|pid| live.contains(pid))
-                .expect("every live pid is the root or a forked child");
-            return Err(TraceError::MissingExit(first_live));
-        }
-        Ok(run)
+        })
+    }
+}
+
+/// The index of `pid` in `procs` if it is live, else the error an event
+/// by it raises.
+fn live_index(procs: &[(Pid, bool)], pid: Pid) -> Result<usize, TraceError> {
+    match procs.iter().position(|&(p, _)| p == pid) {
+        Some(i) if procs[i].1 => Ok(i),
+        Some(_) => Err(TraceError::EventAfterExit(pid)),
+        None => Err(TraceError::UnknownPid(pid)),
     }
 }
 
@@ -426,6 +425,31 @@ mod tests {
         b.fork(SimTime::from_millis(1), Pid(1), Pid(2));
         b.fork(SimTime::from_millis(2), Pid(1), Pid(2));
         assert!(matches!(b.finish(), Err(TraceError::DuplicatePid(Pid(2)))));
+    }
+
+    #[test]
+    fn a_run_starts_at_most_max_processes() {
+        // The root forks `children` children in turn; each reads once
+        // and exits before the next starts.
+        let build = |children: u32| {
+            let mut b = TraceRunBuilder::new(Pid(1));
+            for child in 2..2 + children {
+                let t = u64::from(child);
+                b.fork(SimTime::from_millis(t), Pid(1), Pid(child));
+                b.event(io_at(t, Pid(child)));
+                b.exit(SimTime::from_millis(t + 1), Pid(child));
+            }
+            b.exit(SimTime::from_secs(10), Pid(1));
+            b.finish()
+        };
+        let run = build(MAX_PROCESSES as u32 - 1).unwrap();
+        assert_eq!(run.pids().len(), MAX_PROCESSES);
+        assert!(matches!(
+            build(MAX_PROCESSES as u32),
+            Err(TraceError::TooManyProcesses {
+                limit: MAX_PROCESSES
+            })
+        ));
     }
 
     #[test]

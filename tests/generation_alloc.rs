@@ -7,32 +7,10 @@
 //! so a single allocation per I/O — a formatted site name, an owned map
 //! key — overshoots the budget by more than an order of magnitude.
 
+mod counting_alloc;
+
+use counting_alloc::{allocs_during, CountingAlloc};
 use pcap_dpm::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator with an allocation-call counter in front.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates allocation verbatim to `System`; the counter is a
-// relaxed atomic increment with no other side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -51,9 +29,8 @@ fn generation_allocates_per_run_not_per_io() {
         // (allocations, run index, events) of the run that allocated most.
         let mut worst = (0, 0, 0);
         for run in 0..spec.executions() {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            let generated = spec.generate_run(42, run).expect("valid spec");
-            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            let (allocs, generated) =
+                allocs_during(|| spec.generate_run(42, run).expect("valid spec"));
             if allocs > worst.0 {
                 worst = (allocs, run, generated.events.len());
             }

@@ -6,7 +6,9 @@
 //! named rejection of mismatched or corrupted journals, and
 //! [`atomic_write`] under concurrent writers.
 
-use pcap_dpm::sim::journal::{fnv1a64, Journal, JournalError, JOURNAL_HEADER_LEN, JOURNAL_SCHEMA};
+use pcap_dpm::sim::journal::{
+    fnv1a64, Journal, JournalError, JOURNAL_HEADER_LEN, JOURNAL_MAGIC, JOURNAL_SCHEMA,
+};
 use pcap_dpm::sim::{
     atomic_write, fleet_journal_config, run_journaled, sweep_fleet, sweep_fleet_journaled,
     PowerManagerKind, SimConfig, SweepRunner,
@@ -231,6 +233,32 @@ fn schema_and_config_mismatches_are_named_errors() {
     fs::write(&path, &bytes).unwrap();
     let err = Journal::open(&path, 0xabc).unwrap_err();
     assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+    cleanup(&path);
+}
+
+/// A journal from a build that wrote binary payloads carries schema 1
+/// in its header. Opening it is a named error, so none of its records
+/// ever reaches the JSON payload decoder.
+#[test]
+fn schema_one_journals_are_rejected_by_name() {
+    let path = temp_journal("schema1");
+    cleanup(&path);
+    let mut header = JOURNAL_MAGIC.to_vec();
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&0xabcu64.to_le_bytes());
+    assert_eq!(header.len(), JOURNAL_HEADER_LEN);
+    fs::write(&path, &header).unwrap();
+    let err = Journal::open(&path, 0xabc).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            JournalError::SchemaMismatch {
+                found: 1,
+                expected: 2
+            }
+        ),
+        "{err}"
+    );
     cleanup(&path);
 }
 

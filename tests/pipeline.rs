@@ -14,12 +14,24 @@ fn truncated(app: PaperApp, runs: usize) -> ApplicationTrace {
     trace
 }
 
+/// Most processes in any run the repository builds: the merged
+/// `system` session, a root plus the six apps' 14 processes.
+const MOST_PROCESSES: usize = 15;
+const _: () = assert!(MOST_PROCESSES < pcap_dpm::trace::MAX_PROCESSES);
+
 #[test]
 fn every_app_generates_valid_multiprocess_traces() {
-    for app in PaperApp::ALL {
-        let trace = truncated(app, 3);
+    let traces: Vec<ApplicationTrace> = PaperApp::ALL.map(|app| truncated(app, 3)).to_vec();
+    let system = pcap_dpm::trace::merge::merge_traces(&traces, SimDuration::from_secs(2))
+        .expect("merged sessions validate");
+    assert_eq!(system.runs.len(), 3);
+    for run in &system.runs {
+        assert!(run.pids().len() <= MOST_PROCESSES, "system session");
+    }
+    for (app, trace) in PaperApp::ALL.into_iter().zip(&traces) {
         assert_eq!(&*trace.app, app.name());
         for run in &trace.runs {
+            assert!(run.pids().len() <= MOST_PROCESSES, "{app}");
             // Sorted events, closed process lifecycles (the builder
             // validated them; double-check the public invariants).
             let times: Vec<_> = run.events.iter().map(TraceEvent::time).collect();

@@ -4,7 +4,7 @@
 //! (truncated header, oversized length prefix, unknown frame tag)
 //! keeping connection and device state consistent while counting
 //! `bad_frames`, plus the rejection of runs whose I/O byte ranges are
-//! out of bounds.
+//! out of bounds or that start too many processes.
 
 mod serve_common;
 
@@ -324,19 +324,39 @@ fn unknown_tag_is_skipped_and_device_state_stays_consistent() {
     handle.shutdown();
 }
 
+/// A run whose root starts one child more than a run may hold, one
+/// after another.
+fn too_many_processes() -> pcap_dpm::trace::TraceRun {
+    let root = Pid(1);
+    let mut events = Vec::new();
+    for child in 2..=pcap_dpm::trace::MAX_PROCESSES as u32 + 1 {
+        let time = SimTime::from_millis(u64::from(child));
+        let child = Pid(child);
+        events.push(TraceEvent::Fork {
+            time,
+            parent: root,
+            child,
+        });
+        events.push(TraceEvent::Exit { time, pid: child });
+    }
+    let end = SimTime::from_secs(1);
+    events.push(TraceEvent::Exit {
+        time: end,
+        pid: root,
+    });
+    pcap_dpm::trace::TraceRun { root, events, end }
+}
+
 #[test]
 fn out_of_range_io_rejects_the_run_and_spares_its_shard() {
     let (handle, sock) = start_server("iorange");
     let metrics = handle.metrics().clone();
     let (run, offline) = nedit_run0();
     let good = 11u64;
-    let bad = (good + 1..)
-        .find(|&d| shard_of(d, 2) == shard_of(good, 2))
-        .unwrap();
 
     // The same run, with one read whose byte range ends past u64::MAX.
-    let mut hostile = run.clone();
-    let io = hostile
+    let mut out_of_range = run.clone();
+    let io = out_of_range
         .events
         .iter_mut()
         .find_map(|e| match e {
@@ -345,24 +365,37 @@ fn out_of_range_io_rejects_the_run_and_spares_its_shard() {
         })
         .expect("nedit reads");
     io.offset = u64::MAX - 100;
+    let hostile = [out_of_range, too_many_processes()];
+    // Each hostile run on a device of its own, on the good device's shard.
+    let bad: Vec<u64> = (good + 1..)
+        .filter(|&d| shard_of(d, 2) == shard_of(good, 2))
+        .take(hostile.len())
+        .collect();
 
     let mut script = Vec::new();
-    push_run(&mut script, bad, &hostile);
+    for (&device, run) in bad.iter().zip(&hostile) {
+        push_run(&mut script, device, run);
+    }
     push_run(&mut script, good, &run);
     script.push(ClientFrame::DeviceEnd { device: good });
-    script.push(ClientFrame::DeviceEnd { device: bad });
-    let frames = drive(&Endpoint::Uds(sock.clone()), &script, 2);
+    for &device in &bad {
+        script.push(ClientFrame::DeviceEnd { device });
+    }
+    let frames = drive(&Endpoint::Uds(sock.clone()), &script, 1 + bad.len() as u64);
 
-    assert!(frames.contains(&ServerFrame::RunRejected {
-        device: bad,
-        run: 0
-    }));
-    assert!(decisions_of(&frames, bad).is_empty());
-    assert_eq!(metrics.run_rejects.load(Ordering::Relaxed), 1);
+    for &device in &bad {
+        assert!(frames.contains(&ServerFrame::RunRejected { device, run: 0 }));
+        assert!(decisions_of(&frames, device).is_empty());
+        assert!(frames.iter().any(|f| matches!(
+            f,
+            ServerFrame::DeviceSummary { device: d, runs: 0, .. } if *d == device
+        )));
+    }
+    // One reject per hostile run.
+    assert_eq!(
+        metrics.run_rejects.load(Ordering::Relaxed),
+        hostile.len() as u64
+    );
     assert_eq!(decisions_of(&frames, good), offline);
-    assert!(frames.iter().any(|f| matches!(
-        f,
-        ServerFrame::DeviceSummary { device, runs: 0, .. } if *device == bad
-    )));
     handle.shutdown();
 }

@@ -7,50 +7,17 @@
 //! * an unbounded prediction table holds room for what it holds, not
 //!   for a thousand entries before its first key.
 
+mod counting_alloc;
+
+use counting_alloc::{live_bytes, peak_during, CountingAlloc};
 use pcap_dpm::core::{PredictionTable, TableKey};
 use pcap_dpm::report::{run_sweep, SWEEP_KINDS};
 use pcap_dpm::sim::SimConfig;
 use pcap_dpm::types::Signature;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The system allocator tracking live heap bytes and their high-water
-/// mark. `realloc` keeps the trait's default (allocate, copy, free), so
-/// both blocks count while the copy is live.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: delegates allocation verbatim to `System`; the bookkeeping is
-// relaxed atomic arithmetic with no other side effect.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
 #[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
-
-/// Peak live heap bytes above the starting level while `f` runs.
-fn peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let result = f();
-    (PEAK.load(Ordering::Relaxed) - base, result)
-}
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The counters are process-global: each test holds this lock, so
 /// concurrent test threads never see each other's allocations.
@@ -79,7 +46,7 @@ fn seed_sweep_peak_heap_does_not_grow_with_the_seed_count() {
 #[test]
 fn unbounded_tables_hold_room_for_their_entries_only() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let base = LIVE.load(Ordering::Relaxed);
+    let base = live_bytes();
     let tables: Vec<PredictionTable> = (0..400)
         .map(|_| {
             let mut table = PredictionTable::unbounded();
@@ -89,7 +56,7 @@ fn unbounded_tables_hold_room_for_their_entries_only() {
             table
         })
         .collect();
-    let held = LIVE.load(Ordering::Relaxed) - base;
+    let held = live_bytes() - base;
     assert_eq!(
         tables.iter().map(PredictionTable::len).sum::<usize>(),
         60_000

@@ -8,42 +8,14 @@
 //! path is a regression against the ≤2% serve-overhead budget
 //! (DESIGN.md §15).
 
+mod counting_alloc;
+
+use counting_alloc::{allocs_during, CountingAlloc};
 use pcap_dpm::obs::log::RateGate;
 use pcap_dpm::obs::{AtomicHistogram, FlightKind, FlightRecorder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator with an allocation-call counter in front.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates allocation verbatim to `System`; the counter is a
-// relaxed atomic increment with no other side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
-}
 
 /// One test function: the counter is process-global, so concurrent
 /// test threads would see each other's allocations.

@@ -5,8 +5,10 @@
 //! queueing mplayer run 0's 13,210 `Event` frames allocate nothing; a
 //! heap buffer per batch of 64 frames would add about 210 allocations.
 
+mod counting_alloc;
 mod serve_common;
 
+use counting_alloc::{allocs_during, CountingAlloc};
 use pcap_dpm::serve::{
     decode_server, encode_client, start, ClientFrame, Endpoint, ServeConfig, ServerFrame,
     PROTOCOL_VERSION,
@@ -16,34 +18,10 @@ use pcap_dpm::trace::ApplicationTrace;
 use pcap_dpm::types::wire::read_frame;
 use pcap_dpm::workload::{AppModel, PaperApp};
 use serve_common::temp_sock;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// The system allocator with an allocation-call counter in front.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates allocation verbatim to `System`; the counter is a
-// relaxed atomic increment with no other side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -121,12 +99,12 @@ fn streaming_a_run_into_the_daemon_allocates_only_its_run_buffer() {
     });
 
     let expected = run.events.len() as u64;
-    let before = ALLOCS.load(Ordering::Relaxed);
-    stream.write_all(&events).expect("write events");
-    wait_until("every event", || {
-        metrics.events.load(Ordering::Relaxed) == expected
+    let (allocs, ()) = allocs_during(|| {
+        stream.write_all(&events).expect("write events");
+        wait_until("every event", || {
+            metrics.events.load(Ordering::Relaxed) == expected
+        });
     });
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert!(
         allocs <= BUDGET,
         "{allocs} allocations while {expected} events streamed in (budget {BUDGET})"
