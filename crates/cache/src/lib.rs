@@ -62,9 +62,6 @@ pub struct CacheConfig {
     /// How often the flush daemon wakes to look for expired pages
     /// (Linux's writeback wakeup; 5 s).
     pub flush_wakeup: SimDuration,
-    /// If true, writes bypass the dirty mechanism and hit the disk
-    /// immediately (used by the flush-policy ablation).
-    pub write_through: bool,
     /// PC-based readahead (§7 future work; `None` = the paper's plain
     /// demand-fetch cache).
     pub readahead: Option<ReadaheadConfig>,
@@ -79,7 +76,6 @@ impl CacheConfig {
             page_size: 4096,
             flush_interval: SimDuration::from_secs(30),
             flush_wakeup: SimDuration::from_secs(5),
-            write_through: false,
             readahead: None,
         }
     }
@@ -306,13 +302,12 @@ impl FileCache {
 
     /// Feeds one I/O event through the cache, returning the disk
     /// accesses it causes (flush-daemon write-backs due before the
-    /// event, miss reads, write-through or eviction writes).
+    /// event, miss reads, fsync'd or eviction writes).
     ///
     /// * `Read`: missing pages are read from disk (contiguous misses
     ///   coalesce into one access); present pages are LRU-touched.
     /// * `Write`: pages are write-allocated without a disk read and
-    ///   marked dirty (flushed later), or written straight to disk when
-    ///   [`CacheConfig::write_through`] is set.
+    ///   marked dirty (flushed later).
     /// * `SyncWrite`: the write reaches the disk immediately (editor
     ///   `fsync` semantics) and the pages are cached clean.
     /// * `Open`: modeled as a one-page metadata read of the file.
@@ -360,19 +355,15 @@ impl FileCache {
                 }
                 self.walk(io, Walk::Read, first, effective_last, out);
             }
-            IoKind::Write if !self.config.write_through => {
+            IoKind::Write => {
                 let (first, last) = self.page_range(io);
                 self.walk(io, Walk::Write, first, last, out);
             }
-            IoKind::Write | IoKind::SyncWrite => {
-                // The write reaches the disk now: write-through, or an
-                // fsync'd write that also caches its pages clean.
+            IoKind::SyncWrite => {
+                // The fsync'd write reaches the disk now and caches its
+                // pages clean.
                 let (first, last) = self.page_range(io);
-                if io.kind == IoKind::SyncWrite {
-                    self.walk(io, Walk::SyncWrite, first, last, out);
-                } else {
-                    self.stats.page_misses += last - first + 1;
-                }
+                self.walk(io, Walk::SyncWrite, first, last, out);
                 out.push(DiskAccess {
                     time: io.time,
                     pid: io.pid,
@@ -629,17 +620,6 @@ mod tests {
         let a = c.access(&ev(65_000, IoKind::Read, 1, 0, 4096));
         assert!(a.is_empty());
         assert_eq!(c.stats().flush_runs, 0);
-    }
-
-    #[test]
-    fn write_through_hits_disk_immediately() {
-        let mut cfg = CacheConfig::paper();
-        cfg.write_through = true;
-        let mut c = FileCache::new(cfg);
-        let w = c.access(&ev(0, IoKind::Write, 1, 0, 8192));
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].pages, 2);
-        assert_eq!(w[0].pc, pcap_types::Pc(0x42), "attributed to the app");
     }
 
     #[test]

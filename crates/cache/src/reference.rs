@@ -195,16 +195,6 @@ impl RefCache {
                         kind: IoKind::Write,
                         pages: (last - first + 1) as u32,
                     });
-                } else if self.config.write_through {
-                    self.stats.page_misses += last - first + 1;
-                    out.push(DiskAccess {
-                        time: io.time,
-                        pid: io.pid,
-                        pc: io.pc,
-                        fd: io.fd,
-                        kind: IoKind::Write,
-                        pages: (last - first + 1) as u32,
-                    });
                 } else {
                     for page in first..=last {
                         let key = (io.file, page);
@@ -327,11 +317,11 @@ proptest! {
     /// from three processes over three files, with ranges partly
     /// resident and ranges larger than the cache, at capacities from
     /// one page (every miss evicts) to the paper's 64, with readahead
-    /// or write-through in some cases.
+    /// or a short dirty expiry in some cases.
     #[test]
     fn file_cache_matches_page_at_a_time_reference(
         capacity in 0usize..4,
-        variant in 0u8..4,
+        variant in 0u8..3,
         draws in prop::collection::vec(
             (0u8..100, 0u8..3, 0u64..3, 0u64..100, 0u64..100, 0u64..100),
             1..200,
@@ -342,9 +332,8 @@ proptest! {
         config.capacity_bytes = capacity * config.page_size;
         match variant {
             1 => config.readahead = Some(ReadaheadConfig::default()),
-            2 => config.write_through = true,
             // A short expiry: most runs flush several times.
-            3 => config.flush_interval = SimDuration::from_secs(6),
+            2 => config.flush_interval = SimDuration::from_secs(6),
             _ => {}
         }
         let mut cache = FileCache::new(config.clone());

@@ -719,7 +719,8 @@ fn run_fleet_sweep(devices: u64, options: &Options) -> Result<(), String> {
     let runner = pcap_sim::SweepRunner::new(options.jobs);
     let report = match &options.journal {
         Some(path) => {
-            let hash = pcap_sim::fleet_journal_config(devices, options.seed, max_runs, kind);
+            let hash =
+                pcap_sim::fleet_journal_config(devices, options.seed, max_runs, kind, &config);
             with_journal("sweep", path, hash, options, |journal| {
                 pcap_sim::sweep_fleet_journaled(&pop, &config, kind, &runner, max_runs, journal)
             })?

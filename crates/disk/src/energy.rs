@@ -163,42 +163,21 @@ impl GapBreakdown {
         }
     }
 
-    /// Like [`managed`](Self::managed), but the whole pre-shutdown
-    /// interval (at minimum the wait-window the paper's §7 extension
-    /// targets; up to the backup timeout) is spent in a shallow
-    /// low-power `state` instead of spinning idle — paying the state's
-    /// entry/exit costs and residency power. Valid whenever the
-    /// interval exceeds the shallow state's own (sub-second) breakeven,
-    /// which the caller checks via
-    /// [`MultiStateParams::best_state_for`](crate::MultiStateParams::best_state_for).
-    ///
-    /// The shallow-state energy is accounted in `idle` (it replaces
-    /// idle spinning) so the Figure 8 categorization stays comparable.
-    pub fn managed_with_window_state(
-        params: &DiskParams,
-        gap: SimDuration,
-        shutdown_at: SimDuration,
-        state: &LowPowerState,
-    ) -> GapBreakdown {
-        let base = Self::managed(params, gap, shutdown_at);
-        if shutdown_at >= gap {
-            return base;
-        }
-        base.substitute_window(state, shutdown_at)
-    }
-
     /// Re-accounts the pre-shutdown `window` of this breakdown as spent
     /// in the shallow low-power `state` — the §7 wait-window policy —
     /// replacing the `idle` component with the state's entry/exit costs
-    /// plus residency power when (and only when) that is cheaper. A
-    /// zero-length window is a no-op.
+    /// plus residency power when (and only when) that is cheaper. The
+    /// shallow-state energy stays in `idle` (it replaces idle spinning),
+    /// so the Figure 8 categorization stays comparable.
     ///
-    /// Factored out of
-    /// [`managed_with_window_state`](Self::managed_with_window_state) so
-    /// the multi-state descent engine applies the identical float
-    /// operations to its own breakdowns.
+    /// A zero-length window is a no-op, and so is a breakdown in which
+    /// no shutdown fired (zero `off_interval`): the disk then spun idle
+    /// for the whole gap and had no window to spend elsewhere. Both
+    /// charges of the simulator call this one function, the two-state
+    /// one on [`managed`](Self::managed) and the ladder one on its
+    /// descent, so they apply the identical float operations.
     pub fn substitute_window(self, state: &LowPowerState, window: SimDuration) -> GapBreakdown {
-        if window.is_zero() {
+        if window.is_zero() || self.off_interval.is_zero() {
             return self;
         }
         let transitions = state.entry_time + state.exit_time;
@@ -332,7 +311,7 @@ mod tests {
         let at = SimDuration::from_secs(1);
         let state = ladder.best_state_for(at).expect("active-idle pays off");
         let plain = GapBreakdown::managed(&params, gap, at);
-        let shallow = GapBreakdown::managed_with_window_state(&params, gap, at, state);
+        let shallow = plain.substitute_window(state, at);
         assert!(shallow.idle.0 < plain.idle.0);
         assert_eq!(shallow.standby, plain.standby);
         assert_eq!(shallow.power_cycle, plain.power_cycle);
@@ -340,14 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn window_state_noop_when_no_shutdown() {
+    fn substitute_window_leaves_an_unmanaged_breakdown_unchanged() {
         use crate::multistate::MultiStateParams;
         let params = p();
         let ladder = MultiStateParams::mobile_ata();
         let state = &ladder.states[0];
         let gap = SimDuration::from_secs(3);
-        let shallow =
-            GapBreakdown::managed_with_window_state(&params, gap, SimDuration::from_secs(5), state);
-        assert_eq!(shallow, GapBreakdown::unmanaged(&params, gap));
+        let unmanaged = GapBreakdown::unmanaged(&params, gap);
+        // A shutdown requested past the gap's end never fires.
+        let late = GapBreakdown::managed(&params, gap, SimDuration::from_secs(5));
+        assert_eq!(late, unmanaged);
+        for window in [SimDuration::from_secs(1), SimDuration::from_secs(5)] {
+            assert_eq!(late.substitute_window(state, window), unmanaged);
+            assert_eq!(unmanaged.substitute_window(state, window), unmanaged);
+        }
     }
 }

@@ -10,9 +10,9 @@
 use crate::tables::{joules, pct1, Table};
 use crate::workbench::Workbench;
 use pcap_disk::Joules;
+use pcap_obs::LogHistogram;
 use pcap_sim::{
-    audit_prepared, records_to_jsonl, AuditOutcome, DecisionRecord, GapVerdict, LogHistogram,
-    PowerManagerKind,
+    audit_prepared, records_to_jsonl, AuditOutcome, DecisionRecord, GapVerdict, PowerManagerKind,
 };
 use pcap_types::Signature;
 use std::collections::HashSet;

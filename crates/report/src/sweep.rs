@@ -19,7 +19,7 @@
 
 use crate::tables::{pct1, Table};
 use pcap_sim::{
-    decode_reports, encode_reports, evaluate_prepared, run_journaled, AppReport, Journal,
+    decode_cell, encode_reports, evaluate_prepared, run_journaled, AppReport, Journal,
     JournalError, PowerManagerKind, PreparedTrace, SeedStat, SimConfig, SweepRunner,
 };
 use pcap_trace::TraceError;
@@ -134,15 +134,10 @@ pub fn run_sweep_journaled(
         }
         Ok(encode_reports(&reports))
     })?;
-    seeds
+    cells
         .iter()
         .zip(results)
-        .map(|(&seed, bytes)| {
-            decode_reports(&bytes).map_err(|e| JournalError::Corrupt {
-                offset: 0,
-                reason: format!("seed {seed} payload: {e}"),
-            })
-        })
+        .map(|(&(key, _), bytes)| decode_cell(key, &bytes))
         .collect()
 }
 

@@ -9,7 +9,7 @@
 
 use pcap_core::PcapVariant;
 use pcap_sim::{
-    decode_reports, encode_reports, evaluate_app, evaluate_prepared, run_journaled, AppReport,
+    decode_cell, encode_reports, evaluate_app, evaluate_prepared, run_journaled, AppReport,
     Journal, JournalError, PowerManagerKind, PreparedTrace, SimConfig, SweepRunner,
 };
 use pcap_trace::{ApplicationTrace, TraceError};
@@ -207,13 +207,7 @@ impl Workbench {
         )?;
         let mut memo = self.memo.lock().expect("memo lock");
         for ((key, cell), bytes) in cells.into_iter().zip(results) {
-            let report = decode_reports(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(|mut one| one.pop().ok_or_else(|| "empty cell".to_owned()))
-                .map_err(|reason| JournalError::Corrupt {
-                    offset: 0,
-                    reason: format!("cell {key:#018x} payload: {reason}"),
-                })?;
+            let [report] = decode_cell(key, &bytes)?;
             memo.insert(cell, report);
         }
         Ok(())

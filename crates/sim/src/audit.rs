@@ -32,6 +32,7 @@ use crate::prepared::{evaluate_prepared_with, PreparedTrace};
 use crate::SimConfig;
 use pcap_core::VoteSource;
 use pcap_disk::{GapBreakdown, Joules};
+use pcap_obs::LogHistogram;
 use pcap_types::{Pc, Pid, Signature, SimDuration, SimTime};
 use serde::Serialize;
 
@@ -142,18 +143,6 @@ pub trait DecisionObserver {
 
     /// One idle-gap decision was fully accounted.
     fn on_decision(&mut self, record: DecisionRecord, energy: &GapEnergy);
-
-    /// Multi-state extension: the ladder state the just-accounted gap's
-    /// descent bottomed out in (`None` = the disk never left spinning
-    /// idle). Called immediately after
-    /// [`on_decision`](Self::on_decision) for the same access — but
-    /// only under the ladder charge
-    /// ([`crate::evaluate_prepared_multistate`] and friends); the
-    /// two-state charge never invokes it, so legacy audit streams are
-    /// unaffected.
-    fn on_ladder_bottom(&mut self, bottom: Option<usize>) {
-        let _ = bottom;
-    }
 }
 
 /// The do-nothing sink: disables the audit path at compile time.
@@ -165,11 +154,6 @@ impl DecisionObserver for NullObserver {
 
     fn on_decision(&mut self, _record: DecisionRecord, _energy: &GapEnergy) {}
 }
-
-// The log₂ histogram moved down into `pcap-obs` (the pipeline tracing
-// registry shares it); re-exported here so audit consumers keep their
-// import path. Its unit tests moved with it.
-pub use pcap_obs::LogHistogram;
 
 /// Aggregate audit metrics: decision counters, the summed per-decision
 /// energy delta, and log-scaled gap/latency histograms.
@@ -268,9 +252,6 @@ impl DecisionObserver for MetricsObserver {
 pub struct AuditCollector {
     records: Vec<DecisionRecord>,
     metrics: MetricsRegistry,
-    /// Per-decision ladder bottom-out states, aligned with `records`.
-    /// Populated only under the ladder charge; empty otherwise.
-    ladder_bottoms: Vec<Option<usize>>,
     current_run: u32,
     /// Run-local accumulators, flushed into the totals at run
     /// boundaries: the aggregate path sums per-run outcomes
@@ -296,39 +277,17 @@ impl AuditCollector {
     }
 
     /// Finalizes the collector into its outputs (records, metrics,
-    /// ladder bottom-outs, replayed energy totals).
-    #[allow(clippy::type_complexity)]
-    pub fn finish(
-        mut self,
-    ) -> (
-        Vec<DecisionRecord>,
-        MetricsRegistry,
-        Vec<Option<usize>>,
-        AuditEnergy,
-    ) {
+    /// replayed energy totals).
+    pub fn finish(mut self) -> (Vec<DecisionRecord>, MetricsRegistry, AuditEnergy) {
         self.flush_run();
         (
             self.records,
             self.metrics,
-            self.ladder_bottoms,
             AuditEnergy {
                 energy: self.energy,
                 base_energy: self.base_energy,
             },
         )
-    }
-
-    /// Finalizes the collector alongside the `report` of the evaluation
-    /// it observed.
-    pub(crate) fn into_outcome(self, report: AppReport) -> AuditOutcome {
-        let (records, metrics, ladder_bottoms, audit_energy) = self.finish();
-        AuditOutcome {
-            report,
-            records,
-            metrics,
-            ladder_bottoms,
-            audit_energy,
-        }
     }
 }
 
@@ -353,10 +312,6 @@ impl DecisionObserver for AuditCollector {
         self.run_base.add_gap(energy.long, energy.base);
         self.records.push(record);
     }
-
-    fn on_ladder_bottom(&mut self, bottom: Option<usize>) {
-        self.ladder_bottoms.push(bottom);
-    }
 }
 
 /// The energy totals an [`AuditCollector`] replayed from the decision
@@ -380,10 +335,6 @@ pub struct AuditOutcome {
     pub records: Vec<DecisionRecord>,
     /// Aggregate audit metrics over all runs.
     pub metrics: MetricsRegistry,
-    /// Per-decision ladder bottom-out states, aligned with `records`.
-    /// Empty unless the audit ran under the ladder charge
-    /// ([`crate::audit_prepared_multistate`]).
-    pub ladder_bottoms: Vec<Option<usize>>,
     /// Energy totals replayed from the decision stream (bitwise-equal
     /// to the report's).
     pub audit_energy: AuditEnergy,
@@ -400,7 +351,13 @@ pub fn audit_prepared(
 ) -> AuditOutcome {
     let mut collector = AuditCollector::new();
     let report = evaluate_prepared_with(prepared, config, kind, &mut collector);
-    collector.into_outcome(report)
+    let (records, metrics, audit_energy) = collector.finish();
+    AuditOutcome {
+        report,
+        records,
+        metrics,
+        audit_energy,
+    }
 }
 
 /// Serializes decision records as JSON Lines (one compact object per

@@ -253,13 +253,6 @@ pub(crate) trait GapCharge {
         window: Option<&LowPowerState>,
         base: GapBreakdown,
     ) -> GapBreakdown;
-
-    /// Reports what the charge learned about the gap it just charged,
-    /// right after the engine's [`DecisionObserver::on_decision`] for
-    /// that gap.
-    fn observe<O: DecisionObserver>(&self, observer: &mut O) {
-        let _ = observer;
-    }
 }
 
 /// The Table 2 charge: spin idle until the shutdown, then standby plus
@@ -279,11 +272,12 @@ impl GapCharge for TwoStateCharge {
         let Some((delay, _)) = shutdown else {
             return base;
         };
+        let managed = GapBreakdown::managed(disk, gap, delay);
         match window {
             // §7 extension: the wait-window is spent in a shallow
             // low-power state instead of spinning idle.
-            Some(shallow) => GapBreakdown::managed_with_window_state(disk, gap, delay, shallow),
-            None => GapBreakdown::managed(disk, gap, delay),
+            Some(shallow) => managed.substitute_window(shallow, delay),
+            None => managed,
         }
     }
 }
@@ -432,7 +426,6 @@ pub(crate) fn simulate_run_charged<C: GapCharge, O: DecisionObserver>(
                     base: base_breakdown,
                 },
             );
-            charge.observe(observer);
         }
     }
 

@@ -51,6 +51,7 @@ use crate::SimConfig;
 use pcap_obs::JournalProgress;
 use pcap_types::wire::{put, WireReader};
 use pcap_workload::{fleet_cell_key, DevicePopulation};
+use serde::Deserialize;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
@@ -769,32 +770,31 @@ pub fn decode_reports(bytes: &[u8]) -> Result<Vec<AppReport>, serde_json::Error>
     serde_json::from_slice(bytes)
 }
 
-/// Encodes a fleet chunk's six per-app slots as one journal payload.
-///
-/// # Panics
-///
-/// On a non-finite energy, which JSON cannot represent.
-pub fn encode_fleet_slots(slots: &[FleetSlot; 6]) -> Vec<u8> {
-    serde_json::to_vec(slots).expect("slots hold finite energies")
-}
-
-/// Decodes a payload written by [`encode_fleet_slots`].
+/// Decodes the JSON payload committed under cell `key` — the one
+/// readout every journaled driver shares. A payload that does not
+/// parse as a `T` is corruption of that cell.
 ///
 /// # Errors
 ///
-/// [`serde_json::Error`] on malformed JSON, a slot count other than
-/// six, or trailing bytes.
-pub fn decode_fleet_slots(bytes: &[u8]) -> Result<[FleetSlot; 6], serde_json::Error> {
-    serde_json::from_slice(bytes)
+/// [`JournalError::Corrupt`] naming the cell key, on malformed JSON, a
+/// shape mismatch with `T`, or trailing bytes.
+pub fn decode_cell<T: Deserialize>(key: u64, bytes: &[u8]) -> Result<T, JournalError> {
+    serde_json::from_slice(bytes).map_err(|e| JournalError::Corrupt {
+        offset: 0,
+        reason: format!("cell {key:#018x} payload: {e}"),
+    })
 }
 
 /// The config hash a fleet sweep journal is pinned to: device count,
-/// base seed, per-device run cap, manager, and the chunking constant.
+/// base seed, per-device run cap, manager, the full [`SimConfig`] (via
+/// its canonical JSON serialization, as seed-sweep journals hash it),
+/// and the chunking constant.
 pub fn fleet_journal_config(
     devices: u64,
     base_seed: u64,
     max_runs: Option<usize>,
     kind: PowerManagerKind,
+    config: &SimConfig,
 ) -> u64 {
     let mut hash = pcap_workload::ConfigHash::new("fleet-sweep");
     hash.push(devices);
@@ -802,6 +802,7 @@ pub fn fleet_journal_config(
     hash.push(u64::from(max_runs.is_some()));
     hash.push(max_runs.unwrap_or(0) as u64);
     hash.push_str(&kind.label());
+    hash.push_str(&serde_json::to_string(config).expect("SimConfig serializes"));
     hash.push(FLEET_CHUNK);
     hash.finish()
 }
@@ -832,14 +833,12 @@ pub fn sweep_fleet_journaled(
     let results = run_journaled(journal, runner, &cells, |&chunk| {
         let slots =
             evaluate_chunk(pop, config, kind, max_runs, chunk).map_err(|e| e.to_string())?;
-        Ok(encode_fleet_slots(&slots))
+        Ok(serde_json::to_vec(&slots).expect("slots hold finite energies"))
     })?;
-    let chunks = results.iter().enumerate().map(|(index, bytes)| {
-        decode_fleet_slots(bytes).map_err(|e| JournalError::Corrupt {
-            offset: 0,
-            reason: format!("chunk {index} payload: {e}"),
-        })
-    });
+    let chunks = cells
+        .iter()
+        .zip(&results)
+        .map(|((key, _), bytes)| decode_cell::<[FleetSlot; 6]>(*key, bytes));
     FleetReport::from_chunks(pop, kind, max_runs, chunks)
 }
 
@@ -848,6 +847,7 @@ mod tests {
     use super::*;
     use crate::metrics::{EnergyBreakdown, PredictionCounts};
     use pcap_disk::Joules;
+    use pcap_types::SimDuration;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
@@ -1229,18 +1229,29 @@ mod tests {
     }
 
     #[test]
-    fn fleet_slot_codec_round_trips() {
+    fn fleet_slots_round_trip_through_decode_cell() {
         let mut slots = [FleetSlot::default(); 6];
         slots[2].devices = 5;
         slots[2].runs = 40;
         slots[2].energy.busy = Joules(0.1 + 0.2); // a non-representable sum
         slots[5].table_aliases = u64::MAX;
-        let bytes = encode_fleet_slots(&slots);
-        assert_eq!(decode_fleet_slots(&bytes).unwrap(), slots);
-        // Trailing garbage is an error, not a silent pass.
+        let bytes = serde_json::to_vec(&slots).unwrap();
+        assert_eq!(decode_cell::<[FleetSlot; 6]>(7, &bytes).unwrap(), slots);
+        // Trailing garbage is corruption of the named cell, not a
+        // silent pass; so is a slot count other than six.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode_fleet_slots(&padded).is_err());
+        for bad in [&padded[..], b"[]"] {
+            match decode_cell::<[FleetSlot; 6]>(0x2a, bad) {
+                Err(JournalError::Corrupt { offset: 0, reason }) => {
+                    assert!(
+                        reason.starts_with("cell 0x000000000000002a payload: "),
+                        "{reason}"
+                    );
+                }
+                other => panic!("expected corruption, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1282,26 +1293,22 @@ mod tests {
 
     #[test]
     fn fleet_journal_config_distinguishes_sweeps() {
-        let base = fleet_journal_config(100, 42, None, PowerManagerKind::PCAP);
-        assert_eq!(
-            base,
-            fleet_journal_config(100, 42, None, PowerManagerKind::PCAP)
-        );
-        assert_ne!(
-            base,
-            fleet_journal_config(101, 42, None, PowerManagerKind::PCAP)
-        );
-        assert_ne!(
-            base,
-            fleet_journal_config(100, 43, None, PowerManagerKind::PCAP)
-        );
-        assert_ne!(
-            base,
-            fleet_journal_config(100, 42, Some(6), PowerManagerKind::PCAP)
-        );
-        assert_ne!(
-            base,
-            fleet_journal_config(100, 42, None, PowerManagerKind::Timeout)
-        );
+        let paper = SimConfig::paper();
+        let pcap = PowerManagerKind::PCAP;
+        let base = fleet_journal_config(100, 42, None, pcap, &paper);
+        assert_eq!(base, fleet_journal_config(100, 42, None, pcap, &paper));
+        assert_ne!(base, fleet_journal_config(101, 42, None, pcap, &paper));
+        assert_ne!(base, fleet_journal_config(100, 43, None, pcap, &paper));
+        assert_ne!(base, fleet_journal_config(100, 42, Some(6), pcap, &paper));
+        let timeout = PowerManagerKind::Timeout;
+        assert_ne!(base, fleet_journal_config(100, 42, None, timeout, &paper));
+        // Configs that differ from the paper's in one field each.
+        let mut longer_timeout = paper.clone();
+        longer_timeout.timeout = SimDuration::from_secs(20);
+        let mut bounded_tables = paper.clone();
+        bounded_tables.pcap_table_capacity = Some(64);
+        for config in [&longer_timeout, &bounded_tables] {
+            assert_ne!(base, fleet_journal_config(100, 42, None, pcap, config));
+        }
     }
 }

@@ -43,20 +43,18 @@ pub mod sweep;
 
 pub use audit::{
     audit_prepared, records_to_jsonl, AuditCollector, AuditEnergy, AuditOutcome, DecisionObserver,
-    DecisionRecord, GapEnergy, LogHistogram, MetricsObserver, MetricsRegistry, NullObserver,
+    DecisionRecord, GapEnergy, MetricsObserver, MetricsRegistry, NullObserver,
 };
 pub use engine::{
     evaluate_app, simulate_run_observed, AppReport, EngineScratch, GapVerdict, RunOutcome,
 };
 pub use factory::{Manager, PowerManagerKind};
 pub use journal::{
-    atomic_write, decode_reports, encode_reports, fleet_journal_config, run_journaled,
+    atomic_write, decode_cell, decode_reports, encode_reports, fleet_journal_config, run_journaled,
     sweep_fleet_journaled, Journal, JournalError,
 };
 pub use metrics::{EnergyBreakdown, PredictionCounts};
-pub use multistate::{
-    audit_prepared_multistate, evaluate_prepared_multistate, LadderStats, MultiStateOutcome,
-};
+pub use multistate::{evaluate_prepared_multistate, LadderStats, MultiStateOutcome};
 pub use prepared::{evaluate_prepared, evaluate_prepared_with, PreparedTrace};
 pub use profile::WorkloadProfile;
 pub use stream::{

@@ -22,7 +22,7 @@
 //! anchor that lets the ladder charge evolve without silently drifting
 //! from the validated two-state model.
 
-use crate::audit::{AuditCollector, AuditOutcome, DecisionObserver, NullObserver};
+use crate::audit::NullObserver;
 use crate::engine::{AppReport, GapCharge};
 use crate::factory::PowerManagerKind;
 use crate::prepared::{evaluate_charged, PreparedTrace};
@@ -83,8 +83,6 @@ struct LadderCharge<'a> {
     policy: &'a dyn LadderPolicy,
     /// The descent the policy planned for the current gap.
     plan: Vec<DescentStep>,
-    /// The current gap's bottom-out state.
-    bottom: Option<usize>,
     stats: LadderStats,
 }
 
@@ -101,7 +99,6 @@ impl<'a> LadderCharge<'a> {
             breakevens: ladder.breakevens(),
             policy,
             plan: Vec::new(),
-            bottom: None,
             stats: LadderStats::new(ladder.states.len()),
         }
     }
@@ -126,21 +123,16 @@ impl GapCharge for LadderCharge<'_> {
         };
         self.policy.plan(self.ladder, &ctx, &mut self.plan);
         let (descent, bottom) = descent_energy(self.ladder, &self.plan, gap);
-        self.bottom = bottom;
         self.stats.record(bottom);
         // §7 wait-window substitution, mirroring the two-state charge:
         // the spin-idle prefix before the first step is spent in the
-        // manager's shallow window state when it has one.
+        // manager's shallow window state when it has one. A plan whose
+        // first step falls past the gap leaves the descent unmanaged,
+        // which `substitute_window` leaves unchanged.
         match (window, self.plan.first()) {
-            (Some(shallow), Some(first)) if first.at < gap => {
-                descent.substitute_window(shallow, first.at)
-            }
+            (Some(shallow), Some(first)) => descent.substitute_window(shallow, first.at),
             _ => descent,
         }
-    }
-
-    fn observe<O: DecisionObserver>(&self, observer: &mut O) {
-        observer.on_ladder_bottom(self.bottom);
     }
 }
 
@@ -178,34 +170,17 @@ pub fn evaluate_prepared_multistate(
     }
 }
 
-/// Audits one manager × ladder × policy: the full decision stream plus
-/// per-decision ladder bottom-outs
-/// ([`AuditOutcome::ladder_bottoms`]), alongside the aggregate stats.
-///
-/// # Panics
-///
-/// As [`evaluate_prepared_multistate`].
-pub fn audit_prepared_multistate(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    ladder: &MultiStateParams,
-    policy: &dyn LadderPolicy,
-) -> (AuditOutcome, LadderStats) {
-    let mut charge = LadderCharge::new(ladder, policy);
-    let mut collector = AuditCollector::new();
-    let report = evaluate_charged(prepared, config, kind, &mut charge, &mut collector);
-    (collector.into_outcome(report), charge.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{records_to_jsonl, AuditCollector, AuditEnergy, MetricsRegistry};
+    use crate::engine::TwoStateCharge;
     use crate::prepared::evaluate_prepared;
+    use pcap_core::PcapVariant;
     use pcap_disk::{lambda_bounds, LambdaLadder, OracleLadder, PredictiveJump, SkiRental};
     use pcap_trace::{ApplicationTrace, TraceRunBuilder};
     use pcap_types::{Fd, FileId, IoKind, Pc, Pid, SimTime};
-    use pcap_workload::NoisyVotes;
+    use pcap_workload::{AppModel, NoisyVotes, PaperApp};
 
     fn trace_with_gaps(runs: usize) -> ApplicationTrace {
         let mut trace = ApplicationTrace::new("ms-test");
@@ -355,35 +330,106 @@ mod tests {
         assert!(gap(&oracle) <= gap(&rental) + 1e-9);
     }
 
+    /// One evaluation under `charge` with an [`AuditCollector`]
+    /// attached: the serialized report, the JSONL decision stream, the
+    /// audit metrics and the energy replayed from the stream.
+    fn audited<C: GapCharge>(
+        prepared: &PreparedTrace,
+        config: &SimConfig,
+        kind: PowerManagerKind,
+        charge: &mut C,
+    ) -> (String, String, MetricsRegistry, AuditEnergy) {
+        let mut collector = AuditCollector::new();
+        let report = evaluate_charged(prepared, config, kind, charge, &mut collector);
+        let (records, metrics, energy) = collector.finish();
+        (
+            serde_json::to_string(&report).expect("report serializes"),
+            records_to_jsonl(&records),
+            metrics,
+            energy,
+        )
+    }
+
     #[test]
-    fn audit_multistate_reconciles_and_aligns_bottom_outs() {
+    fn audited_ladder_charge_reconciles_and_does_not_perturb() {
         let config = SimConfig::paper();
         let trace = trace_with_gaps(2);
         let prepared = PreparedTrace::build(&trace, &config);
         let ladder = MultiStateParams::mobile_ata();
-        let (audit, stats) = audit_prepared_multistate(
-            &prepared,
-            &config,
-            PowerManagerKind::PCAP,
-            &ladder,
-            &PredictiveJump,
-        );
-        assert_eq!(audit.ladder_bottoms.len(), audit.records.len());
+        let kind = PowerManagerKind::PCAP;
+        let mut charge = LadderCharge::new(&ladder, &PredictiveJump);
+        let mut collector = AuditCollector::new();
+        let report = evaluate_charged(&prepared, &config, kind, &mut charge, &mut collector);
+        let (records, _, energy) = collector.finish();
         assert_eq!(
-            stats.total_gaps(),
-            audit.ladder_bottoms.len() as u64,
+            charge.stats.total_gaps(),
+            records.len() as u64,
             "stats cover every audited decision"
         );
-        let plain = evaluate_prepared_multistate(
-            &prepared,
-            &config,
+        let plain =
+            evaluate_prepared_multistate(&prepared, &config, kind, &ladder, &PredictiveJump);
+        assert_eq!(report, plain.report, "observer must not perturb");
+        assert_eq!(energy.energy, plain.report.energy);
+        assert_eq!(energy.base_energy, plain.report.base_energy);
+        assert_eq!(charge.stats, plain.ladder_stats);
+    }
+
+    /// The regression anchor of DESIGN §9: a single-state ladder equal
+    /// to the Table 2 disk reproduces the two-state charge byte for
+    /// byte over the six paper apps at the golden seed × the ten-kind
+    /// grid — aggregate reports and per-decision audit streams alike.
+    #[test]
+    fn single_state_ladder_is_byte_identical_across_the_grid() {
+        // `pcap_report::GRID_KINDS`, which this crate cannot import.
+        let grid = [
+            PowerManagerKind::Timeout,
+            PowerManagerKind::Oracle,
+            PowerManagerKind::LT,
+            PowerManagerKind::LearningTree { reuse: false },
             PowerManagerKind::PCAP,
-            &ladder,
-            &PredictiveJump,
-        );
-        assert_eq!(audit.report, plain.report, "observer must not perturb");
-        assert_eq!(audit.audit_energy.energy, plain.report.energy);
-        assert_eq!(audit.audit_energy.base_energy, plain.report.base_energy);
-        assert_eq!(stats, plain.ladder_stats);
+            PowerManagerKind::Pcap {
+                variant: PcapVariant::Base,
+                reuse: false,
+            },
+            PowerManagerKind::Pcap {
+                variant: PcapVariant::History,
+                reuse: true,
+            },
+            PowerManagerKind::Pcap {
+                variant: PcapVariant::FileDescriptor,
+                reuse: true,
+            },
+            PowerManagerKind::Pcap {
+                variant: PcapVariant::FileDescriptorHistory,
+                reuse: true,
+            },
+            PowerManagerKind::MultiStatePcap,
+        ];
+        let config = SimConfig::paper();
+        let ladder = MultiStateParams::from_disk(&config.disk);
+        let mut cells = 0;
+        for app in PaperApp::ALL {
+            let trace = app
+                .spec()
+                .generate_trace(42)
+                .expect("paper workloads generate");
+            let prepared = PreparedTrace::build(&trace, &config);
+            for kind in grid {
+                let cell = format!("{} × {}", trace.app, kind.label());
+                let two_state = audited(&prepared, &config, kind, &mut TwoStateCharge);
+                let single = audited(
+                    &prepared,
+                    &config,
+                    kind,
+                    &mut LadderCharge::new(&ladder, &PredictiveJump),
+                );
+                assert_eq!(two_state.0, single.0, "{cell}: reports diverged");
+                assert_eq!(two_state.1, single.1, "{cell}: decision streams diverged");
+                assert_eq!(two_state.2, single.2, "{cell}: metrics");
+                assert_eq!(two_state.3, single.3, "{cell}: replayed energy");
+                cells += 1;
+            }
+        }
+        assert_eq!(cells, 60, "six apps × the ten-kind grid");
     }
 }

@@ -492,7 +492,7 @@ mod tests {
             }
         }
         for (d, collector) in collectors.into_iter().enumerate() {
-            let (records, metrics, _, energy) = collector.finish();
+            let (records, metrics, energy) = collector.finish();
             assert_eq!(records, offline[d].records, "device {d} decision stream");
             assert_eq!(metrics, offline[d].metrics, "device {d} metrics");
             assert_eq!(energy, offline[d].audit_energy, "device {d} energy");

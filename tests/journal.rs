@@ -343,7 +343,7 @@ fn journaled_fleet_sweep_is_byte_identical_to_uninterrupted() {
     let kind = PowerManagerKind::PCAP;
     let max_runs = Some(2);
     let runner = SweepRunner::new(2);
-    let config_hash = fleet_journal_config(8, 42, max_runs, kind);
+    let config_hash = fleet_journal_config(8, 42, max_runs, kind, &config);
 
     let baseline = sweep_fleet(&pop, &config, kind, &runner, max_runs).unwrap();
     let baseline_json = serde_json::to_string(&baseline).unwrap();
