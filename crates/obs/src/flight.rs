@@ -62,11 +62,15 @@ pub enum FlightKind {
     /// A run's decision frames were encoded and sent. `a` = bytes,
     /// `b` = encode latency (µs).
     Emit,
+    /// A reply write made no progress for the daemon's write timeout,
+    /// so its connection was dropped. `device` = connection id, `a` =
+    /// the reply's bytes, `b` = the shard that encoded it.
+    ReplyTimeout,
 }
 
 impl FlightKind {
     /// Every kind, in wire-code order.
-    pub const ALL: [FlightKind; 10] = [
+    pub const ALL: [FlightKind; 11] = [
         FlightKind::ConnOpen,
         FlightKind::ConnClose,
         FlightKind::FrameDecode,
@@ -77,6 +81,7 @@ impl FlightKind {
         FlightKind::RunEval,
         FlightKind::RunReject,
         FlightKind::Emit,
+        FlightKind::ReplyTimeout,
     ];
 
     /// The stable numeric code stored in a slot.
@@ -105,6 +110,7 @@ impl FlightKind {
             FlightKind::RunEval => "run_eval",
             FlightKind::RunReject => "run_reject",
             FlightKind::Emit => "emit",
+            FlightKind::ReplyTimeout => "reply_timeout",
         }
     }
 

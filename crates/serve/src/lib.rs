@@ -8,8 +8,9 @@
 //! worker threads (no cross-shard locks, bounded queues whose
 //! blocking sends are the backpressure contract); each shard owns a
 //! recycled [`pcap_sim::ShardEvaluator`] plus one
-//! [`pcap_sim::Manager`] per live device and streams shutdown/spin-up
-//! decision frames back as runs complete. The decision stream is
+//! [`pcap_sim::Manager`] per live device and hands shutdown/spin-up
+//! decision frames, encoded into one of its few reply buffers, to the
+//! connection's writer thread as runs complete. The decision stream is
 //! byte-identical to the offline audit stream
 //! (`tests/serve_parity.rs`), and live counters are scrapeable as
 //! Prometheus text over HTTP (`/metrics`) with sampled decision-audit
@@ -20,7 +21,7 @@
 //! events per shard (dumpable via `/debug/flight`, `SIGUSR1`, or on
 //! panic — see `pcap serve`), per-shard stage-latency histograms
 //! decompose decision latency into decode → queue-wait → evaluate →
-//! encode on `/metrics` (both on by default, switched together by
+//! encode → write on `/metrics` (both on by default, switched together by
 //! [`ServeConfig::instrumented`]), and bad-frame storms surface as
 //! rate-limited `pcap_obs::log` warnings.
 //!

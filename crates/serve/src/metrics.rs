@@ -18,8 +18,9 @@ use std::time::Instant;
 
 /// Per-shard queue and throughput counters, plus the stage-latency
 /// attribution histograms (DESIGN.md §15): the end-to-end decision
-/// latency decomposed into decode → queue-wait → evaluate → encode so
-/// queueing delay is distinguishable from compute in a scrape.
+/// latency decomposed into decode → queue-wait → evaluate → encode →
+/// write so queueing delay is distinguishable from compute and from a
+/// slow reader in a scrape.
 #[derive(Debug, Default)]
 pub struct ShardStats {
     /// Frames enqueued to the shard (added by readers, by each batch's
@@ -33,6 +34,9 @@ pub struct ShardStats {
     pub runs: AtomicU64,
     /// Microseconds the shard spent evaluating runs (utilization).
     pub busy_us: AtomicU64,
+    /// Microseconds the shard waited for a free reply buffer while all
+    /// of its buffers were out with connection writers.
+    pub reply_wait_us: AtomicU64,
     /// Sampled wire-frame decode latency (ns; recorded by the reader
     /// thread for frames routed to this shard).
     pub decode_ns: AtomicHistogram,
@@ -42,6 +46,9 @@ pub struct ShardStats {
     pub eval_us: AtomicHistogram,
     /// Decision-frame encode latency per run (µs).
     pub encode_us: AtomicHistogram,
+    /// Socket write latency per reply buffer the shard encoded (µs;
+    /// recorded by the connection writer threads).
+    pub write_us: AtomicHistogram,
 }
 
 impl ShardStats {
@@ -74,6 +81,9 @@ pub struct ServeMetrics {
     pub runs: AtomicU64,
     /// Runs rejected by trace validation.
     pub run_rejects: AtomicU64,
+    /// Connections dropped because a reply write made no progress for
+    /// the write timeout (a client that stopped reading).
+    pub reply_timeouts: AtomicU64,
     /// Device sessions currently live (gauge).
     pub devices_active: AtomicU64,
     /// Decisions emitted.
@@ -114,6 +124,7 @@ impl ServeMetrics {
             events: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             run_rejects: AtomicU64::new(0),
+            reply_timeouts: AtomicU64::new(0),
             devices_active: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -196,7 +207,7 @@ impl ServeMetrics {
             &[],
             format_args!("{:.3}", self.uptime_seconds()),
         );
-        let counters: [(&str, &str, &AtomicU64); 13] = [
+        let counters: [(&str, &str, &AtomicU64); 14] = [
             ("connections", "Connections accepted.", &self.connections),
             ("disconnects", "Connections closed.", &self.disconnects),
             ("frames", "Well-formed frames decoded.", &self.frames),
@@ -220,6 +231,11 @@ impl ServeMetrics {
                 "run_rejects",
                 "Runs rejected by trace validation.",
                 &self.run_rejects,
+            ),
+            (
+                "reply_timeouts",
+                "Connections dropped because a reply write timed out.",
+                &self.reply_timeouts,
             ),
             ("decisions", "Decisions emitted.", &self.decisions),
             ("decisions_hit", "Decisions with verdict Hit.", &self.hits),
@@ -266,7 +282,7 @@ impl ServeMetrics {
                     .map(|(id, shard)| ([("shard", id.as_str())], shard))
             };
             #[allow(clippy::type_complexity)]
-            let gauges: [(&str, MetricKind, &str, fn(&ShardStats) -> u64); 4] = [
+            let gauges: [(&str, MetricKind, &str, fn(&ShardStats) -> u64); 5] = [
                 (
                     "pcap_serve_shard_depth",
                     MetricKind::Gauge,
@@ -291,6 +307,12 @@ impl ServeMetrics {
                     "Microseconds the shard spent in evaluate + encode.",
                     |s| s.busy_us.load(Ordering::Relaxed),
                 ),
+                (
+                    "pcap_serve_shard_reply_wait_us_total",
+                    MetricKind::Counter,
+                    "Microseconds the shard waited for a free reply buffer.",
+                    |s| s.reply_wait_us.load(Ordering::Relaxed),
+                ),
             ];
             for (name, kind, help, read) in gauges {
                 out.family(name, kind, help);
@@ -299,7 +321,7 @@ impl ServeMetrics {
                 }
             }
             #[allow(clippy::type_complexity)]
-            let stages: [(&str, &str, fn(&ShardStats) -> &AtomicHistogram); 4] = [
+            let stages: [(&str, &str, fn(&ShardStats) -> &AtomicHistogram); 5] = [
                 (
                     "pcap_serve_stage_decode_ns",
                     "Sampled wire-frame decode latency per shard (ns).",
@@ -319,6 +341,11 @@ impl ServeMetrics {
                     "pcap_serve_stage_encode_us",
                     "Decision-frame encode latency per run per shard (us).",
                     |s| &s.encode_us,
+                ),
+                (
+                    "pcap_serve_stage_write_us",
+                    "Reply socket write latency per buffer per shard (us).",
+                    |s| &s.write_us,
                 ),
             ];
             for (name, help, pick) in stages {
@@ -389,6 +416,9 @@ mod tests {
         m.shards[1].queue_wait_us.record(12);
         m.shards[1].eval_us.record(130);
         m.shards[1].encode_us.record(3);
+        m.shards[1].write_us.record(40);
+        m.shards[1].write_us.record(900);
+        m.shards[2].reply_wait_us.fetch_add(250, Ordering::Relaxed);
         let text = m.render_prometheus();
         let samples =
             pcap_obs::validate_prometheus_strict(&text).expect("strictly valid exposition");
@@ -402,6 +432,26 @@ mod tests {
         assert!(text.contains("pcap_serve_bad_frames_total 0"));
         assert!(text.contains("pcap_serve_stage_queue_wait_us_count{shard=\"1\"} 1"));
         assert!(text.contains("pcap_serve_stage_decode_ns_sum{shard=\"1\"} 800"));
+        // Every online stage of a decision: decode, queue wait,
+        // evaluate, encode and write.
+        for stage in [
+            "decode_ns",
+            "queue_wait_us",
+            "eval_us",
+            "encode_us",
+            "write_us",
+        ] {
+            assert!(
+                text.contains(&format!("# TYPE pcap_serve_stage_{stage} histogram")),
+                "stage {stage}"
+            );
+        }
+        assert!(text.contains("pcap_serve_stage_write_us_count{shard=\"1\"} 2"));
+        assert!(text.contains("pcap_serve_stage_write_us_sum{shard=\"1\"} 940"));
+        assert!(text.contains("pcap_serve_stage_write_us_count{shard=\"0\"} 0"));
+        assert!(text.contains("pcap_serve_shard_reply_wait_us_total{shard=\"2\"} 250"));
+        assert!(text.contains("# TYPE pcap_serve_reply_timeouts_total counter"));
+        assert!(text.contains("pcap_serve_reply_timeouts_total 0"));
         // One metadata pair covers all per-shard instances of a stage
         // family.
         assert_eq!(text.matches("# TYPE pcap_serve_stage_eval_us ").count(), 1);

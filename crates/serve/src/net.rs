@@ -105,6 +105,13 @@ impl Stream {
         on_socket!(self, s => s.set_read_timeout(timeout))
     }
 
+    /// Bounds how long one `write` may block without progress; it then
+    /// fails with `WouldBlock` (or `TimedOut`). The timeout belongs to
+    /// the socket, so it covers every handle on it.
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        on_socket!(self, s => s.set_write_timeout(timeout))
+    }
+
     /// Shuts both directions down, for every handle on the socket.
     pub(crate) fn shutdown(&self) -> io::Result<()> {
         on_socket!(self, s => s.shutdown(Shutdown::Both))

@@ -1,21 +1,23 @@
-//! The sharded online daemon: listeners, connection readers, shard
-//! workers, and the `/metrics` HTTP endpoint.
+//! The sharded online daemon: listeners, connection readers and
+//! writers, shard workers, and the `/metrics` HTTP endpoint.
 //!
 //! # Thread architecture
 //!
 //! ```text
-//! acceptor (per endpoint) ──spawns──▶ reader (per connection)
-//!                                        │ decode, hash-route into one
-//!                                        │ open batch per shard
+//! acceptor (per endpoint) ──spawns──▶ reader + writer (per connection)
+//!                                        │ reader: decode, hash-route
+//!                                        │ into one open batch per shard
 //!                                        ▼
 //!          bounded mpsc queue (per shard, batches of ≤ 64 frames, blocking send)
 //!                                        │
 //!                                        ▼
 //!                             shard worker (per shard)
 //!                    sessions: (conn, device) → Manager + builder
-//!                                        │ evaluate at RunEnd
+//!                                        │ evaluate at RunEnd, encode into
+//!                                        │ one of the shard's 3 reply buffers
 //!                                        ▼
-//!                          connection writer (mutexed stream)
+//!              connection writer: write_all, then the empty buffer
+//!              goes back to its shard (shard-owned free list)
 //! ```
 //!
 //! * **Routing**: shard = `splitmix64(device) % shards`. A device's
@@ -34,6 +36,15 @@
 //!   behind, readers block in `send`, stop draining their sockets, and
 //!   the kernel's TCP/UDS flow control pushes back on clients. No frame
 //!   is ever dropped for load reasons.
+//! * **Replies**: a shard encodes a run's reply into one of its
+//!   `REPLY_BUFFERS` (3) buffers and hands it to the connection's writer
+//!   thread, which writes it and sends it back empty. The shard waits
+//!   only when every buffer is out, so it evaluates the next run while
+//!   the last one's replies drain, and at most `shards × REPLY_BUFFERS`
+//!   encoded replies exist however many connections there are. A write
+//!   that makes no progress for `REPLY_WRITE_TIMEOUT` (5 s) drops its
+//!   connection, so a client that stops reading holds its shard for
+//!   about that long, not for good.
 //! * **Decision granularity**: [`RunStreams`](pcap_sim::RunStreams)
 //!   derives every gap from the *next* access's timestamp, so a
 //!   decision for access `i` is computable only once its successor is
@@ -47,7 +58,7 @@
 //!   table statistics.
 
 use crate::frame::{self, ClientFrame, ServerFrame};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{ServeMetrics, ShardStats};
 use crate::net::{Listener, Stream};
 use pcap_obs::log::{self, RateGate};
 use pcap_obs::{FlightKind, FlightRecorder};
@@ -64,7 +75,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,14 +103,29 @@ pub struct ServeConfig {
     /// Keep one full audit record per this many decisions (0 = off).
     pub sample_every: u64,
     /// Run the flight recorder (4,096 slots per ring, one ring per
-    /// shard plus one for the reader threads) and the per-shard
+    /// shard plus one for the connection threads) and the per-shard
     /// stage-latency histograms (decode / queue-wait / evaluate /
-    /// encode). Off, neither records anything.
+    /// encode / write). Off, neither records anything.
     pub instrumented: bool,
 }
 
 /// Flight-recorder slots per ring when [`ServeConfig::instrumented`].
 const FLIGHT_SLOTS: usize = 4096;
+
+/// Reply buffers each shard owns: one being encoded, the rest out with
+/// connection writers (DESIGN.md §13 measures two and three).
+const REPLY_BUFFERS: usize = 3;
+
+/// Initial capacity of each reply buffer. The largest reply measured,
+/// an mplayer run's decisions, is about 1.5 MB, so a buffer reserved
+/// whole does not regrow: a doubling buffer leaves its outgrown chunks
+/// on the shard's heap, freed but still resident. Pages not yet written
+/// cost no memory.
+const REPLY_BUFFER_BYTES: usize = 2 << 20;
+
+/// A reply write that makes no progress for this long drops its
+/// connection (DESIGN.md §13).
+const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -120,30 +146,26 @@ pub fn shard_of(device: u64, shards: usize) -> usize {
     (splitmix64(device) % shards as u64) as usize
 }
 
-/// One connection's reply channel: a second handle on its socket behind
-/// a mutex. Shards on different threads may interleave *frames* of
-/// different devices, never bytes within a frame.
+/// One connection's reply path: the queue into its writer thread and
+/// whether the connection is dead. Shards on different threads hand the
+/// writer whole encoded buffers, so replies of different devices
+/// interleave by buffer, never within a frame. The writer exits once
+/// the reader's handle and every clone riding in a shard queue message
+/// are gone.
 struct Reply {
-    stream: Mutex<Stream>,
-    dead: AtomicBool,
+    writer: Sender<Outgoing>,
+    /// Set by the reader at EOF and by the writer when a write fails;
+    /// shards then keep their buffers instead of handing them over.
+    dead: Arc<AtomicBool>,
 }
 
-impl Reply {
-    fn send(&self, bytes: &[u8]) {
-        if bytes.is_empty() || self.dead.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut stream = self.stream.lock().expect("reply stream poisoned");
-        if stream
-            .write_all(bytes)
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
-            // Client is gone; decisions for its in-flight runs are
-            // dropped, state cleanup happens via the reader's EOF.
-            self.dead.store(true, Ordering::Relaxed);
-        }
-    }
+/// An encoded reply on its way to a connection's writer.
+struct Outgoing {
+    bytes: Vec<u8>,
+    /// The shard that owns the buffer; its write is timed there.
+    shard: usize,
+    /// Takes the buffer back to the shard's free list.
+    home: SyncSender<Vec<u8>>,
 }
 
 /// What a reader sends to a shard worker.
@@ -241,9 +263,10 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// The shared flight recorder (ring `shards` is the reader-thread
-    /// ring; rings `0..shards` belong to the shard workers). Clone the
-    /// `Arc` to dump from signal or panic handlers.
+    /// The shared flight recorder (ring `shards` is the ring of the
+    /// connection reader and writer threads; rings `0..shards` belong to
+    /// the shard workers). Clone the `Arc` to dump from signal or panic
+    /// handlers.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.shared.flight
     }
@@ -259,23 +282,32 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// Stops every thread, drains the shard queues, joins everything,
-    /// and removes Unix socket files.
+    /// Stops every thread, drains the shard queues, writes the replies
+    /// they produce, joins everything, and removes Unix socket files.
     pub fn shutdown(self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Each acceptor drops its listener (and socket file) on exit.
         for handle in self.threads {
             let _ = handle.join();
         }
-        let readers = std::mem::take(&mut *self.shared.readers.lock().expect("reader registry"));
-        for handle in readers {
+        let take = |registry: &Mutex<Vec<JoinHandle<()>>>| {
+            std::mem::take(&mut *registry.lock().expect("thread registry"))
+        };
+        for handle in take(&self.shared.readers) {
             let _ = handle.join();
         }
+        let writers = take(&self.shared.writers);
         // No acceptor or reader is left, so this drops the last shard
         // senders: the shard workers' recv loops end once the queues
         // drain.
         drop(self.shared);
         for handle in self.shard_joins {
+            let _ = handle.join();
+        }
+        // The shards dropped every reply handle, so each writer ends
+        // once it has written (or, past a write timeout, returned) what
+        // it was handed.
+        for handle in writers {
             let _ = handle.join();
         }
     }
@@ -325,7 +357,7 @@ pub fn start(
 
     let metrics = Arc::new(ServeMetrics::new(config.shards, config.sample_every));
     // One flight ring per shard (single-writer) plus one shared ring
-    // for all reader threads.
+    // for all connection reader and writer threads.
     let flight_slots = if config.instrumented { FLIGHT_SLOTS } else { 0 };
     let flight = Arc::new(FlightRecorder::new(config.shards + 1, flight_slots));
     let (batch, queued_batches) = batch_layout(config.queue_depth);
@@ -348,6 +380,7 @@ pub fn start(
         batch,
         instrumented: config.instrumented,
         readers: Mutex::new(Vec::new()),
+        writers: Mutex::new(Vec::new()),
         conn_ids: AtomicU64::new(0),
     });
     let mut threads: Vec<JoinHandle<()>> = listeners
@@ -382,6 +415,7 @@ fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
 }
 
 /// State shared by the acceptor, reader and metrics-listener threads.
+/// Writers hold none of it: the shard queues close when it drops.
 struct ReaderShared {
     stop: AtomicBool,
     metrics: Arc<ServeMetrics>,
@@ -392,19 +426,26 @@ struct ReaderShared {
     instrumented: bool,
     /// Live reader threads, joined at shutdown.
     readers: Mutex<Vec<JoinHandle<()>>>,
+    /// Live writer threads, joined at shutdown after the shards.
+    writers: Mutex<Vec<JoinHandle<()>>>,
     /// The next connection id.
     conn_ids: AtomicU64,
 }
 
+/// The flight ring shared by all connection reader and writer threads
+/// (the last one; rings `0..shards` are single-writer shard rings).
+fn io_ring(flight: &FlightRecorder) -> usize {
+    flight.rings() - 1
+}
+
 impl ReaderShared {
-    /// The flight ring shared by all reader threads (the last one;
-    /// rings `0..shards` are single-writer shard rings).
     fn io_ring(&self) -> usize {
-        self.flight.rings() - 1
+        io_ring(&self.flight)
     }
 }
 
-/// Accepts connections until shutdown, one reader thread each.
+/// Accepts connections until shutdown, one reader and one writer
+/// thread each.
 fn accept_loop(listener: &Listener, shared: &Arc<ReaderShared>) {
     while !shared.stop.load(Ordering::Relaxed) {
         let Ok(stream) = listener.accept() else {
@@ -413,21 +454,42 @@ fn accept_loop(listener: &Listener, shared: &Arc<ReaderShared>) {
             std::thread::sleep(Duration::from_millis(5));
             continue;
         };
-        let Ok(reply) = stream.try_clone() else {
+        let Ok(write_half) = stream.try_clone() else {
             continue;
         };
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
         let conn = shared.conn_ids.fetch_add(1, Ordering::Relaxed);
+        let (writer, queue) = channel();
+        let dead = Arc::new(AtomicBool::new(false));
+        let reply = Reply {
+            writer,
+            dead: Arc::clone(&dead),
+        };
+        let (metrics, flight) = (Arc::clone(&shared.metrics), Arc::clone(&shared.flight));
+        let instrumented = shared.instrumented;
+        let writer = spawn(format!("pcap-reply-{conn}"), move || {
+            connection_writer(
+                conn,
+                write_half,
+                &queue,
+                &dead,
+                &metrics,
+                &flight,
+                instrumented,
+            );
+        });
         let reader_shared = Arc::clone(shared);
-        let handle = spawn(format!("pcap-conn-{conn}"), move || {
+        let reader = spawn(format!("pcap-conn-{conn}"), move || {
             connection_reader(conn, stream, reply, &reader_shared);
         });
-        let mut readers = shared.readers.lock().expect("reader registry poisoned");
-        // Drop the handles of exited readers: an exited thread keeps
+        // Drop the handles of exited threads: an exited thread keeps
         // its stack mapped until it is joined or detached, and dropping
         // its handle detaches it.
-        readers.retain(|h| !h.is_finished());
-        readers.push(handle);
+        for (registry, handle) in [(&shared.readers, reader), (&shared.writers, writer)] {
+            let mut threads = registry.lock().expect("thread registry poisoned");
+            threads.retain(|h| !h.is_finished());
+            threads.push(handle);
+        }
     }
 }
 
@@ -436,15 +498,16 @@ fn accept_loop(listener: &Listener, shared: &Arc<ReaderShared>) {
 /// enough that the two clock reads stay invisible in the budget.
 const DECODE_SAMPLE_EVERY: u64 = 64;
 
-/// At most this many bad-frame warn lines per second process-wide;
-/// the rest are counted and reported on the next admitted line.
-static BAD_FRAME_LOG: RateGate = RateGate::new(5, 1_000_000);
+/// At most this many warn lines (bad frames and reply timeouts) per
+/// second process-wide; the rest are counted and reported on the next
+/// admitted line.
+static WARN_LOG: RateGate = RateGate::new(5, 1_000_000);
 
-fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
-    if let Some(suppressed) = BAD_FRAME_LOG.admit(shared.flight.now_ns() / 1_000) {
+fn warn(flight: &FlightRecorder, msg: &str, conn: u64, what: &str) {
+    if let Some(suppressed) = WARN_LOG.admit(flight.now_ns() / 1_000) {
         log::warn(
             "serve",
-            "bad frame",
+            msg,
             &[
                 ("conn", &conn.to_string()),
                 ("what", what),
@@ -454,11 +517,15 @@ fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
     }
 }
 
+fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
+    warn(&shared.flight, "bad frame", conn, what);
+}
+
 /// Reads frames off one connection, decodes them, and hash-routes them
 /// into one open [`Batch`] per shard; a batch goes to its shard's queue
 /// when full and after each read's frames are consumed, so every frame
-/// is queued before the reader reads again or closes. Replies go out
-/// through `reply`, a second handle on the same socket. Malformed-frame
+/// is queued before the reader reads again or closes. Shards hand
+/// replies to the connection's writer through `reply`. Malformed-frame
 /// policy:
 ///
 /// * unknown tag / truncated payload (length known) → count
@@ -471,12 +538,9 @@ fn warn_bad_frame(shared: &ReaderShared, conn: u64, what: &str) {
 ///
 /// Every malformed frame also lands a `bad_frame` flight event and a
 /// rate-limited structured warn line.
-fn connection_reader(conn: u64, mut stream: Stream, reply: Stream, shared: &ReaderShared) {
+fn connection_reader(conn: u64, mut stream: Stream, reply: Reply, shared: &ReaderShared) {
     let metrics = &*shared.metrics;
-    let reply = Arc::new(Reply {
-        stream: Mutex::new(reply),
-        dead: AtomicBool::new(false),
-    });
+    let reply = Arc::new(reply);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     shared
         .flight
@@ -587,6 +651,68 @@ fn connection_reader(conn: u64, mut stream: Stream, reply: Stream, shared: &Read
     }
 }
 
+/// Writes one connection's replies in hand-off order and sends each
+/// buffer back to its shard, until the reader's reply handle and every
+/// clone in a shard queue message are gone. A failed write drops the
+/// connection: later buffers go back unwritten, shards stop handing
+/// any over, and the socket is shut down, so the reader sees EOF and
+/// retires the connection's sessions. A write that failed because it
+/// made no progress for [`REPLY_WRITE_TIMEOUT`] (a client that stopped
+/// reading) is counted in `reply_timeouts`, recorded as a
+/// `reply_timeout` flight event and logged.
+fn connection_writer(
+    conn: u64,
+    mut stream: Stream,
+    queue: &Receiver<Outgoing>,
+    dead: &AtomicBool,
+    metrics: &ServeMetrics,
+    flight: &FlightRecorder,
+    instrumented: bool,
+) {
+    let _ = stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
+    let mut open = true;
+    for Outgoing { bytes, shard, home } in queue {
+        if open {
+            let started = instrumented.then(Instant::now);
+            match stream.write_all(&bytes) {
+                Ok(()) => {
+                    if let Some(started) = started {
+                        let us = started.elapsed().as_micros() as u64;
+                        metrics.shards[shard].write_us.record(us);
+                    }
+                }
+                Err(e) => {
+                    open = false;
+                    dead.store(true, Ordering::Relaxed);
+                    let _ = stream.shutdown();
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) {
+                        metrics.reply_timeouts.fetch_add(1, Ordering::Relaxed);
+                        flight.record(
+                            io_ring(flight),
+                            FlightKind::ReplyTimeout,
+                            conn,
+                            bytes.len() as u64,
+                            shard as u64,
+                        );
+                        warn(
+                            flight,
+                            "reply write timed out",
+                            conn,
+                            "client stopped reading",
+                        );
+                    }
+                }
+            }
+        }
+        // Never blocks: the free list has room for all of its shard's
+        // buffers. A shard that has exited no longer takes it.
+        let _ = home.send(bytes);
+    }
+}
+
 /// The shard of a decoded frame (`None` for the connection-scoped
 /// `Hello`), recording its sampled decode latency.
 fn route(frame: &ClientFrame, decode_ns: Option<u64>, shared: &ReaderShared) -> Option<usize> {
@@ -652,7 +778,8 @@ fn send_batch(
 }
 
 /// One shard worker's state: its evaluator, the sessions of the devices
-/// routed to it and its encode scratch. Its thread alone touches it.
+/// routed to it, its reply buffers and its scratch. Its thread alone
+/// touches it.
 struct Shard {
     index: usize,
     config: ServeConfig,
@@ -660,8 +787,14 @@ struct Shard {
     flight: Arc<FlightRecorder>,
     evaluator: ShardEvaluator,
     sessions: HashMap<(u64, u64), Session>,
-    out: Vec<u8>,
+    /// The reply buffers not out with a connection writer.
+    free: Receiver<Vec<u8>>,
+    /// Returns a buffer to `free`; each hand-off carries a clone.
+    home: SyncSender<Vec<u8>>,
     records: Vec<DecisionRecord>,
+    /// The event buffer of the last finished run, which the next run
+    /// to start on the shard streams into.
+    spare_events: Vec<TraceEvent>,
 }
 
 impl Shard {
@@ -671,6 +804,11 @@ impl Shard {
         metrics: Arc<ServeMetrics>,
         flight: Arc<FlightRecorder>,
     ) -> Shard {
+        let (home, free) = sync_channel(REPLY_BUFFERS);
+        for _ in 0..REPLY_BUFFERS {
+            home.send(Vec::with_capacity(REPLY_BUFFER_BYTES))
+                .expect("the free list has room for every buffer");
+        }
         Shard {
             index,
             evaluator: ShardEvaluator::new(&config.sim),
@@ -678,9 +816,48 @@ impl Shard {
             metrics,
             flight,
             sessions: HashMap::new(),
-            out: Vec::with_capacity(64 * 1024),
+            free,
+            home,
             records: Vec::with_capacity(1024),
+            spare_events: Vec::new(),
         }
+    }
+
+    /// An empty reply buffer from `free`. When all are out with
+    /// writers, waits for one to come back and counts the wait in the
+    /// shard's `reply_wait_us`.
+    fn take_reply_buffer(free: &Receiver<Vec<u8>>, stats: &ShardStats) -> Vec<u8> {
+        let mut out = free.try_recv().unwrap_or_else(|_| {
+            let waited = Instant::now();
+            // The shard holds a sender of its own, so this only waits.
+            let out = free.recv().expect("the shard's free list");
+            stats
+                .reply_wait_us
+                .fetch_add(waited.elapsed().as_micros() as u64, Ordering::Relaxed);
+            out
+        });
+        out.clear();
+        out
+    }
+
+    /// Hands an encoded reply to the connection's writer, or keeps the
+    /// buffer when the connection is dead.
+    fn reply(&self, reply: &Reply, out: Vec<u8>) {
+        let out = if reply.dead.load(Ordering::Relaxed) {
+            out
+        } else {
+            let outgoing = Outgoing {
+                bytes: out,
+                shard: self.index,
+                home: self.home.clone(),
+            };
+            match reply.writer.send(outgoing) {
+                Ok(()) => return,
+                Err(SendError(outgoing)) => outgoing.bytes,
+            }
+        };
+        // Never blocks: this buffer is not in the free list.
+        let _ = self.home.send(out);
     }
 
     /// Serves the shard's queue until every sender is gone.
@@ -741,7 +918,8 @@ impl Shard {
             .record(self.index, FlightKind::StrayFrame, device, code, 0);
     }
 
-    /// Opens a run, creating the device's session on first sight.
+    /// Opens a run in the shard's spare event buffer, creating the
+    /// device's session on first sight.
     fn run_start(&mut self, key: (u64, u64), root: Pid) {
         let session = self.sessions.entry(key).or_insert_with(|| {
             self.metrics.devices_active.fetch_add(1, Ordering::Relaxed);
@@ -753,9 +931,10 @@ impl Shard {
         });
         // A RunStart with a run already open: the open run can never
         // be completed coherently; discard it.
+        let events = std::mem::take(&mut self.spare_events);
         if session
             .builder
-            .replace(TraceRunBuilder::new(root))
+            .replace(TraceRunBuilder::with_buffer(root, events))
             .is_some()
         {
             self.stray(key.1, 0);
@@ -778,7 +957,9 @@ impl Shard {
     }
 
     /// Closes the device's open run: evaluates it, then encodes its
-    /// decisions and summary (or its rejection) and replies.
+    /// decisions and summary (or its rejection) into a reply buffer and
+    /// hands that to the connection's writer. The run's event buffer
+    /// becomes the shard's spare.
     fn run_end(&mut self, key: (u64, u64), sent_at: Instant, reply: &Reply) {
         let device = key.1;
         let Some(session) = self.sessions.get_mut(&key) else {
@@ -787,9 +968,7 @@ impl Shard {
         let Some(builder) = session.builder.take() else {
             return self.stray(device, 3);
         };
-        let (shard, metrics, flight, out) =
-            (self.index, &*self.metrics, &*self.flight, &mut self.out);
-        out.clear();
+        let (shard, metrics, flight) = (self.index, &*self.metrics, &*self.flight);
         let stats = &metrics.shards[shard];
         let started = Instant::now();
         let queue_wait_us = started.duration_since(sent_at).as_micros() as u64;
@@ -797,7 +976,7 @@ impl Shard {
             stats.queue_wait_us.record(queue_wait_us);
         }
         flight.record(shard, FlightKind::Dequeue, device, queue_wait_us, 0);
-        match builder.finish() {
+        let out = match builder.finish() {
             Ok(trace_run) => {
                 let mut observer = EmitObserver {
                     run: session.run,
@@ -810,7 +989,12 @@ impl Shard {
                     &mut session.manager,
                     &mut observer,
                 );
+                self.spare_events = trace_run.events;
                 let evaluated = Instant::now();
+                // Waiting for a free buffer is neither stage: it is
+                // counted in `reply_wait_us`.
+                let mut out = Shard::take_reply_buffer(&self.free, stats);
+                let encoding = Instant::now();
                 // Encode as a separately-timed stage: decision frames
                 // in decision order, then the run summary.
                 let decisions = self.records.len() as u32;
@@ -820,7 +1004,7 @@ impl Shard {
                             device,
                             record: *record,
                         },
-                        out,
+                        &mut out,
                     );
                 }
                 frame::encode_server(
@@ -830,12 +1014,13 @@ impl Shard {
                         decisions,
                         accesses: self.evaluator.last_run_accesses() as u32,
                     },
-                    out,
+                    &mut out,
                 );
                 let done = Instant::now();
-                let eval_us = evaluated.duration_since(started).as_micros() as u64;
-                let encode_us = done.duration_since(evaluated).as_micros() as u64;
-                let elapsed = done.duration_since(started).as_micros() as u64;
+                let eval = evaluated.duration_since(started);
+                let encode = done.duration_since(encoding);
+                let (eval_us, encode_us) = (eval.as_micros() as u64, encode.as_micros() as u64);
+                let elapsed = (eval + encode).as_micros() as u64;
                 if self.config.instrumented {
                     stats.eval_us.record(eval_us);
                     stats.encode_us.record(encode_us);
@@ -863,22 +1048,25 @@ impl Shard {
                 );
                 self.records.clear();
                 session.run += 1;
+                out
             }
             Err(_) => {
                 // Invalid run: device state is as if the run never
                 // happened (the manager was never touched).
                 metrics.run_rejects.fetch_add(1, Ordering::Relaxed);
                 flight.record(shard, FlightKind::RunReject, device, 0, 0);
+                let mut out = Shard::take_reply_buffer(&self.free, stats);
                 frame::encode_server(
                     &ServerFrame::RunRejected {
                         device,
                         run: session.run,
                     },
-                    out,
+                    &mut out,
                 );
+                out
             }
-        }
-        reply.send(out);
+        };
+        self.reply(reply, out);
     }
 
     /// Retires the device's session and answers with its table
@@ -888,7 +1076,7 @@ impl Shard {
             return self.stray(key.1, 4);
         };
         self.metrics.devices_active.fetch_sub(1, Ordering::Relaxed);
-        self.out.clear();
+        let mut out = Shard::take_reply_buffer(&self.free, &self.metrics.shards[self.index]);
         frame::encode_server(
             &ServerFrame::DeviceSummary {
                 device: key.1,
@@ -896,9 +1084,9 @@ impl Shard {
                 table_entries: session.manager.table_entries().map(|n| n as u64),
                 table_aliases: session.manager.table_aliases(),
             },
-            &mut self.out,
+            &mut out,
         );
-        reply.send(&self.out);
+        self.reply(reply, out);
     }
 }
 

@@ -199,7 +199,8 @@ impl ApplicationTrace {
 /// [crate docs](crate) for an example.
 ///
 /// Events may be appended in any order; [`finish`](Self::finish) sorts
-/// them stably by time and then validates process lifecycles.
+/// them stably by time (unless they already are in time order) and then
+/// validates process lifecycles.
 #[derive(Debug, Clone)]
 pub struct TraceRunBuilder {
     root: Pid,
@@ -213,6 +214,16 @@ impl TraceRunBuilder {
             root,
             events: Vec::new(),
         }
+    }
+
+    /// Starts a run whose initial process is `root` in `events`, cleared
+    /// first. A caller that builds runs one after another passes each
+    /// finished run's [`TraceRun::events`] back here, so the next run
+    /// streams into the capacity the last one grew instead of growing a
+    /// buffer from empty.
+    pub fn with_buffer(root: Pid, mut events: Vec<TraceEvent>) -> TraceRunBuilder {
+        events.clear();
+        TraceRunBuilder { root, events }
     }
 
     /// Appends an I/O event.
@@ -263,7 +274,9 @@ impl TraceRunBuilder {
         self
     }
 
-    /// Sorts, validates and returns the run.
+    /// Sorts, validates and returns the run. Events appended in time
+    /// order, as recorded and generated runs are, skip the stable sort
+    /// and the scratch buffer it would allocate.
     ///
     /// # Errors
     ///
@@ -276,7 +289,9 @@ impl TraceRunBuilder {
     /// range overflows or exceeds [`MAX_RW_COUNT`]
     /// ([`TraceError::IoRange`]).
     pub fn finish(mut self) -> Result<TraceRun, TraceError> {
-        self.events.sort_by_key(TraceEvent::time);
+        if !self.events.is_sorted_by_key(TraceEvent::time) {
+            self.events.sort_by_key(TraceEvent::time);
+        }
 
         // Every process the run started, in start order, and whether it
         // is still live. At most MAX_PROCESSES entries, so a linear
@@ -364,6 +379,29 @@ mod tests {
         assert_eq!(run.events[0].time(), SimTime::from_millis(100));
         assert_eq!(run.end, SimTime::from_secs(10));
         assert_eq!(run.io_count(), 2);
+    }
+
+    #[test]
+    fn a_recycled_buffer_builds_the_same_run_in_its_old_capacity() {
+        let script = |b: &mut TraceRunBuilder| {
+            b.fork(SimTime::from_millis(10), Pid(1), Pid(2));
+            b.event(io_at(20, Pid(2)));
+            // Out of order: the sort still runs on a recycled buffer.
+            b.event(io_at(15, Pid(1)));
+            b.exit(SimTime::from_millis(30), Pid(2));
+            b.exit(SimTime::from_millis(40), Pid(1));
+        };
+        let mut fresh = TraceRunBuilder::new(Pid(1));
+        script(&mut fresh);
+        let fresh = fresh.finish().unwrap();
+
+        let mut stale = Vec::with_capacity(1024);
+        stale.extend(std::iter::repeat_n(io_at(99, Pid(7)), 10));
+        let mut recycled = TraceRunBuilder::with_buffer(Pid(1), stale);
+        script(&mut recycled);
+        let recycled = recycled.finish().unwrap();
+        assert_eq!(recycled, fresh);
+        assert!(recycled.events.capacity() >= 1024);
     }
 
     #[test]

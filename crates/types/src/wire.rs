@@ -94,15 +94,18 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     /// A reader over `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> WireReader<'a> {
         WireReader { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -116,31 +119,37 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads an `f64` from its IEEE-754 bits.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
     }
 
     /// Reads an `Option` via the flag-byte convention.
+    #[inline]
     pub fn option<T>(
         &mut self,
         read: impl FnOnce(&mut Self) -> Result<T, WireError>,
@@ -156,6 +165,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Asserts the payload is fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
@@ -171,26 +181,31 @@ impl<'a> WireReader<'a> {
 /// Free functions over `Vec<u8>` so callers can reuse one buffer.
 pub mod put {
     /// Appends one byte.
+    #[inline]
     pub fn u8(buf: &mut Vec<u8>, v: u8) {
         buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(buf: &mut Vec<u8>, v: u32) {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(buf: &mut Vec<u8>, v: u64) {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bits.
+    #[inline]
     pub fn f64(buf: &mut Vec<u8>, v: f64) {
         u64(buf, v.to_bits());
     }
 
     /// Appends an `Option` via the flag-byte convention.
+    #[inline]
     pub fn option<T>(buf: &mut Vec<u8>, v: Option<T>, write: impl FnOnce(&mut Vec<u8>, T)) {
         match v {
             None => u8(buf, 0),
@@ -255,6 +270,7 @@ pub fn write_frame_with(
 /// [`WireError::Oversized`] when the length prefix exceeds
 /// [`MAX_FRAME_LEN`] (the stream is corrupt; no resync is possible).
 #[allow(clippy::type_complexity)]
+#[inline]
 pub fn read_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
     if buf.len() < LEN_PREFIX {
         return Ok(None);

@@ -4,6 +4,9 @@
 //! batches stored inline in the queue message, so decoding, routing and
 //! queueing mplayer run 0's 13,210 `Event` frames allocate nothing; a
 //! heap buffer per batch of 64 frames would add about 210 allocations.
+//! A finished run's event buffer stays with the shard for the next run
+//! to stream into, so the device's second run of the same 13,210 events
+//! allocates nothing at all.
 
 mod counting_alloc;
 mod serve_common;
@@ -27,10 +30,14 @@ use std::time::{Duration, Instant};
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Most allocations, across every thread of the process, while the
-/// run's events stream in. The run buffer's doublings from empty to
-/// 13,210 events take 13, and the reader's receive buffer may grow; 16
-/// were counted in all.
+/// first run's events stream in. The run buffer's doublings from empty
+/// to 13,210 events take 13, and the reader's receive buffer may grow;
+/// 16 were counted in all.
 const BUDGET: u64 = 32;
+
+/// Most allocations while the second run's events stream in: the run
+/// buffer is the first run's, already grown. None were counted.
+const NEXT_RUN_BUDGET: u64 = 4;
 
 const DEVICE: u64 = 7;
 
@@ -74,6 +81,16 @@ fn streaming_a_run_into_the_daemon_allocates_only_its_run_buffer() {
             &mut events,
         );
     }
+    let mut next = Vec::new();
+    for frame in [
+        ClientFrame::RunEnd { device: DEVICE },
+        ClientFrame::RunStart {
+            device: DEVICE,
+            root: run.root,
+        },
+    ] {
+        encode_client(&frame, &mut next);
+    }
     let mut closing = Vec::new();
     for frame in [
         ClientFrame::RunEnd { device: DEVICE },
@@ -110,6 +127,26 @@ fn streaming_a_run_into_the_daemon_allocates_only_its_run_buffer() {
         "{allocs} allocations while {expected} events streamed in (budget {BUDGET})"
     );
 
+    // The device's second run, the same events again: once the shard
+    // has evaluated the first and opened the second, its events stream
+    // into the first run's buffer. The first run's replies wait unread
+    // in the socket meanwhile.
+    stream.write_all(&next).expect("write the next RunStart");
+    wait_until("the second RunStart", || {
+        metrics.shards[0].processed.load(Ordering::Acquire) == expected + 3
+    });
+    let (allocs, ()) = allocs_during(|| {
+        stream.write_all(&events).expect("write events again");
+        wait_until("every event of the second run", || {
+            metrics.events.load(Ordering::Relaxed) == 2 * expected
+        });
+    });
+    assert!(
+        allocs <= NEXT_RUN_BUDGET,
+        "{allocs} allocations while the second run's {expected} events streamed in \
+         (budget {NEXT_RUN_BUDGET})"
+    );
+
     stream.write_all(&closing).expect("write closing");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -127,7 +164,7 @@ fn streaming_a_run_into_the_daemon_allocates_only_its_run_buffer() {
                     assert_eq!(device, DEVICE);
                     online.push(record);
                 }
-                ServerFrame::RunRejected { .. } => panic!("run 0 was rejected"),
+                ServerFrame::RunRejected { run, .. } => panic!("run {run} was rejected"),
                 ServerFrame::DeviceSummary { .. } => done = true,
                 ServerFrame::RunSummary { .. } => {}
             }
@@ -139,7 +176,7 @@ fn streaming_a_run_into_the_daemon_allocates_only_its_run_buffer() {
     handle.shutdown();
 
     let mut trace = ApplicationTrace::new("mplayer");
-    trace.runs.push(run);
+    trace.runs = vec![run.clone(), run];
     let offline = audit_prepared(&PreparedTrace::build(&trace, &sim), &sim, kind).records;
     assert!(!offline.is_empty());
     assert_eq!(online, offline, "the daemon's decisions match the audit");
